@@ -3,11 +3,10 @@
 //! Every performance artifact this repository produces — the
 //! `difftune-bench` stage runner and the vendored criterion shim's optional
 //! JSON output — serializes to the same [`BenchRecord`] shape (schema
-//! `difftune-bench/2`; `/1` records still load), so one set of tooling can
-//! consume the whole perf trajectory. The scenario-matrix runner (`difftune-matrix`, see
+//! `difftune-bench/2`), so one set of tooling can consume the whole perf
+//! trajectory. The scenario-matrix runner (`difftune-matrix`, see
 //! [`crate::matrix`]) emits one [`MatrixRecord`] per tuned cell plus a
-//! [`MatrixSummary`] roll-up, both under schema `difftune-matrix/3`
-//! (`/2` records still load).
+//! [`MatrixSummary`] roll-up, both under schema `difftune-matrix/3`.
 //!
 //! Matrix records deliberately contain **no wall-clock or machine-dependent
 //! fields by default** (no timings, thread counts, or core counts): a cell's
@@ -27,8 +26,6 @@ use serde::{Deserialize, Serialize};
 /// `difftune-bench/2` extends `/1` with [`BenchRecord::engine`] (which
 /// execution engine ran the stage) and [`BenchRecord::speedup_vs_taped`]
 /// (the compiled engine's core-count-independent speedup over the tape).
-/// [`BenchRecord::from_json`] still accepts `/1` records — the two added
-/// fields read back as absent.
 pub const BENCH_SCHEMA: &str = "difftune-bench/2";
 
 /// The schema tag every matrix record and summary carries.
@@ -45,8 +42,6 @@ pub const BENCH_SCHEMA: &str = "difftune-bench/2";
 /// the exported `SURROGATE_*.json` artifact's content fingerprint, and —
 /// only when the sweep opts in with `--measure-throughput` — predicted
 /// blocks/s for the surrogate and the simulator.
-/// [`MatrixRecord::from_json`] still accepts `/2` records — the added
-/// fields read back as absent.
 pub const MATRIX_SCHEMA: &str = "difftune-matrix/3";
 
 /// One benchmark measurement: a pipeline stage (`generate`, `fit`,
@@ -93,7 +88,7 @@ pub struct BenchRecord {
     pub speedup_vs_serial: Option<f64>,
     /// Which execution engine ran the stage's forward/backward passes:
     /// `"taped"` or `"compiled"`. Absent on stages that have no engine
-    /// choice (generate/simulate/serve/criterion) and on `/1` records.
+    /// choice (generate/simulate/serve/criterion).
     pub engine: Option<String>,
     /// Wall-time ratio of a taped-engine rerun of the same stage to this
     /// (compiled) run, when `--compare-taped` measured one. Both runs use
@@ -174,21 +169,8 @@ impl BenchRecord {
     }
 
     /// Deserializes a record from JSON.
-    ///
-    /// Accepts both `difftune-bench/2` and legacy `/1` records: the fields
-    /// `/2` added ([`engine`](BenchRecord::engine),
-    /// [`speedup_vs_taped`](BenchRecord::speedup_vs_taped)) are treated as
-    /// absent when a record predates them.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let mut value = serde_json::from_str_value(json).map_err(|error| format!("{error:?}"))?;
-        if let serde::Value::Map(entries) = &mut value {
-            for key in ["engine", "speedup_vs_taped"] {
-                if !entries.iter().any(|(name, _)| name == key) {
-                    entries.push((key.to_string(), serde::Value::Null));
-                }
-            }
-        }
-        <Self as serde::Deserialize>::deserialize(&value).map_err(|error| format!("{error:?}"))
+        serde_json::from_str(json).map_err(|error| format!("{error:?}"))
     }
 }
 
@@ -284,27 +266,8 @@ impl MatrixRecord {
     }
 
     /// Deserializes a record from JSON.
-    ///
-    /// Accepts both `difftune-matrix/3` and `/2` records: the surrogate
-    /// fields `/3` added are treated as absent when a record predates them.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let mut value = serde_json::from_str_value(json).map_err(|error| format!("{error:?}"))?;
-        if let serde::Value::Map(entries) = &mut value {
-            for key in [
-                "surrogate_mape",
-                "surrogate_tau",
-                "surrogate_vs_sim_mape",
-                "surrogate_vs_sim_tau",
-                "surrogate_fingerprint",
-                "surrogate_blocks_per_second",
-                "simulator_blocks_per_second",
-            ] {
-                if !entries.iter().any(|(name, _)| name == key) {
-                    entries.push((key.to_string(), serde::Value::Null));
-                }
-            }
-        }
-        <Self as serde::Deserialize>::deserialize(&value).map_err(|error| format!("{error:?}"))
+        serde_json::from_str(json).map_err(|error| format!("{error:?}"))
     }
 }
 
@@ -442,23 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_schema_1_records_still_load() {
-        // A committed baseline produced before the /2 schema: no `engine`,
-        // no `speedup_vs_taped`. The loader must accept it and report the
-        // missing fields as absent.
-        let json = r#"{"schema":"difftune-bench/1","stage":"fit","scale":"smoke",
-            "threads":4,"cpu_cores":1,"seed":0,"wall_time_seconds":10.5,
-            "samples":6000,"samples_per_second":571.4,"median_ns_per_iter":null,
-            "table_fingerprint":"0xabc","speedup_vs_serial":0.53}"#;
-        let record = BenchRecord::from_json(json).expect("/1 records parse");
-        assert_eq!(record.schema, "difftune-bench/1");
-        assert_eq!(record.engine, None);
-        assert_eq!(record.speedup_vs_taped, None);
-        assert_eq!(record.speedup_vs_serial, Some(0.53));
-        assert_eq!(record.table_fingerprint.as_deref(), Some("0xabc"));
-    }
-
-    #[test]
     fn criterion_stage_names_sanitize_into_file_names() {
         let record = BenchRecord::stage("criterion:mca/predict", "smoke", 1, 0, 0.0, 0);
         assert_eq!(record.file_name(), "BENCH_criterion_mca_predict.json");
@@ -520,31 +466,6 @@ mod tests {
         assert!(json.contains("difftune-matrix/3"));
         assert!(json.contains("learned_table"));
         assert!(json.contains("surrogate_mape"));
-    }
-
-    #[test]
-    fn legacy_matrix_schema_2_records_still_load() {
-        // A /2-era record: no surrogate fields at all. The loader must
-        // accept it and report the missing columns as absent.
-        let mut v2 = sample_matrix_record();
-        v2.schema = "difftune-matrix/2".to_string();
-        let value = serde_json::from_str_value(&v2.to_json()).unwrap();
-        let entries: Vec<(String, serde::Value)> = value
-            .as_map()
-            .unwrap()
-            .iter()
-            .filter(|(key, _)| {
-                !key.starts_with("surrogate_") && !key.ends_with("_blocks_per_second")
-            })
-            .cloned()
-            .collect();
-        let json = serde_json::to_string(&serde::Value::Map(entries)).unwrap();
-        let record = MatrixRecord::from_json(&json).expect("/2 records parse");
-        assert_eq!(record.schema, "difftune-matrix/2");
-        assert_eq!(record.surrogate_mape, None);
-        assert_eq!(record.surrogate_fingerprint, None);
-        assert_eq!(record.simulator_blocks_per_second, None);
-        assert_eq!(record.learned_table, v2.learned_table);
     }
 
     #[test]

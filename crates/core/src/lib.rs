@@ -56,21 +56,6 @@
 //! # let _ = checkpoint;
 //! # Ok::<(), difftune::DiffTuneError>(())
 //! ```
-//!
-//! # Migrating from `DiffTune::run`
-//!
-//! The original blocking driver ran the whole pipeline in one call and
-//! panicked on bad input. It still exists as a deprecated wrapper; the
-//! one-line migration is:
-//!
-//! ```text
-//! // before
-//! let result = DiffTune::new(config).run(&sim, &spec, &defaults, &train);
-//! // after
-//! let result = DiffTuneBuilder::new(config)
-//!     .build(&sim, &spec, &defaults, &train)?
-//!     .run_to_completion()?;
-//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -90,7 +75,7 @@ pub use backend_id::{BackendId, SimulatorKind, Source, SpecKind};
 pub use env::{apply_env_threads, threads_from_env, THREADS_ENV_VAR};
 pub use error::DiffTuneError;
 pub use observer::{ProgressEvent, RecordingObserver, RunObserver, Stage};
-pub use pipeline::{build_surrogate, DiffTune, DiffTuneConfig, SurrogateKind};
+pub use pipeline::{build_surrogate, DiffTuneConfig, SurrogateKind};
 pub use sampling::sample_table;
 pub use session::{DiffTuneBuilder, DiffTuneResult, RunCheckpoint, Session};
 pub use simdata::{

@@ -1,20 +1,14 @@
-//! Run configuration and the legacy one-shot driver.
-//!
-//! The staged, resumable way to run DiffTune is the session API in
-//! [`crate::session`] ([`DiffTuneBuilder`] → [`Session`]); this module keeps
-//! the configuration types and a thin deprecated [`DiffTune::run`] wrapper
-//! for code written against the original blocking entry point.
+//! Run configuration: the surrogate family and the pipeline's
+//! hyperparameters. The session API in [`crate::session`]
+//! ([`DiffTuneBuilder`](crate::DiffTuneBuilder) →
+//! [`Session`](crate::Session)) runs the pipeline.
 
-use difftune_isa::BasicBlock;
-use difftune_sim::{SimParams, Simulator};
 use difftune_surrogate::train::TrainConfig;
 use difftune_surrogate::{
     FeatureMlpConfig, FeatureMlpModel, IthemalConfig, IthemalModel, SurrogateModel,
 };
 
 use crate::error::DiffTuneError;
-use crate::session::{DiffTuneBuilder, DiffTuneResult, Session};
-use crate::spec::ParamSpec;
 
 /// Which surrogate family to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,63 +149,13 @@ impl DiffTuneConfig {
     }
 }
 
-/// The legacy one-shot DiffTune driver.
-///
-/// Prefer [`DiffTuneBuilder`]: it validates input into a staged [`Session`]
-/// that can be observed, checkpointed, and resumed, and reports malformed
-/// input as [`DiffTuneError`] values instead of panicking.
-#[derive(Debug, Clone)]
-pub struct DiffTune {
-    config: DiffTuneConfig,
-}
-
-impl DiffTune {
-    /// Creates a driver with the given configuration.
-    pub fn new(config: DiffTuneConfig) -> Self {
-        DiffTune { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DiffTuneConfig {
-        &self.config
-    }
-
-    /// Builds (but does not train) the configured surrogate.
-    pub fn build_surrogate(&self) -> Box<dyn SurrogateModel> {
-        build_surrogate(&self.config.surrogate)
-    }
-
-    /// Runs the full DiffTune pipeline against a simulator and a ground-truth
-    /// training set of `(block, measured timing)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid configuration or an empty training set — the
-    /// behavior this entry point always had. The session API reports those
-    /// as [`DiffTuneError`] values instead.
-    #[deprecated(
-        note = "use DiffTuneBuilder::new(config).build(..)? and the staged Session API \
-                (generate_dataset / fit_surrogate / optimize_table / finish)"
-    )]
-    pub fn run(
-        &self,
-        simulator: &dyn Simulator,
-        spec: &ParamSpec,
-        defaults: &SimParams,
-        train_set: &[(BasicBlock, f64)],
-    ) -> DiffTuneResult {
-        DiffTuneBuilder::new(self.config.clone())
-            .build(simulator, spec, defaults, train_set)
-            .and_then(Session::run_to_completion)
-            .unwrap_or_else(|error| panic!("DiffTune::run failed: {error}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::DiffTuneBuilder;
-    use difftune_sim::{McaSimulator, Simulator};
+    use crate::spec::ParamSpec;
+    use difftune_isa::BasicBlock;
+    use difftune_sim::{McaSimulator, SimParams, Simulator};
 
     fn tiny_train_set(simulator: &McaSimulator, truth: &SimParams) -> Vec<(BasicBlock, f64)> {
         [
@@ -293,30 +237,6 @@ mod tests {
             ParamSpec::llvm_mca().num_learned(defaults.num_opcodes())
         );
         assert_eq!(result.skipped_blocks, 0);
-    }
-
-    #[test]
-    fn deprecated_run_wrapper_matches_the_session() {
-        let simulator = McaSimulator::new(16);
-        let truth = SimParams::uniform_default();
-        let train_set = tiny_train_set(&simulator, &truth);
-        let defaults = SimParams::uniform_default();
-
-        #[allow(deprecated)]
-        let legacy = DiffTune::new(fast_config()).run(
-            &simulator,
-            &ParamSpec::llvm_mca(),
-            &defaults,
-            &train_set,
-        );
-        let session = DiffTuneBuilder::new(fast_config())
-            .build(&simulator, &ParamSpec::llvm_mca(), &defaults, &train_set)
-            .unwrap()
-            .run_to_completion()
-            .unwrap();
-        assert_eq!(legacy.learned, session.learned);
-        assert_eq!(legacy.initial, session.initial);
-        assert_eq!(legacy.table_losses, session.table_losses);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! * [`ring`] — the consistent-hash ring (stable, deterministic failover
 //!   order);
 //! * [`pool`] — per-upstream keep-alive connection pooling;
-//! * [`server`] — accept loop, proxying, request coalescing, health checks,
-//!   `/metrics` and `/backends` aggregation, `/reload` broadcast, the
-//!   `POST /rollout` rolling-restart orchestrator, and the `/route` debug
-//!   endpoint.
+//! * [`server`] — the request handler behind the shared connection loop:
+//!   proxying, request coalescing, health checks, `/metrics` and
+//!   `/backends` aggregation, `/reload` broadcast, the `POST /rollout`
+//!   rolling-restart orchestrator, and the `/route` debug endpoint.
 //!
 //! The `difftune-router` binary wraps [`server::spawn_router`].
 //!
@@ -37,8 +37,7 @@
 //! leave the response stream byte-identical to a direct `difftune-serve` —
 //! determinism invariant #6, asserted end-to-end by `tests/router_e2e.rs`
 //! and `tests/fleet_e2e.rs`, and exercised in CI by
-//! `difftune-loadtest --via-router --kill-upstream-after N` plus the
-//! `--chaos` fault schedules.
+//! `difftune-loadtest --via-router N --chaos SPEC` fault schedules.
 //!
 //! # Example
 //!

@@ -1,5 +1,6 @@
-//! The routing tier: accept loop, consistent-hash proxying, health checks,
-//! and cross-upstream aggregation.
+//! The routing tier: the request handler behind the shared
+//! [`serve_connections`] loop — consistent-hash proxying, health checks, and
+//! cross-upstream aggregation.
 //!
 //! # Request path
 //!
@@ -66,15 +67,16 @@
 //! `tests/fleet_e2e.rs`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use difftune_bench::record::fnv1a;
 use difftune_serve::client::{ClientResponse, HttpClient};
-use difftune_serve::http::{HttpError, HttpLimits, Request, RequestBuffer, Response};
+use difftune_serve::http::{
+    endpoint_path, serve_connections, Acceptor, Handler, HttpError, HttpLimits, Request, Response,
+};
 use difftune_serve::server::parse_backend_query;
 use serde::Value;
 
@@ -177,21 +179,34 @@ impl RouterState {
     }
 }
 
+impl Handler for RouterState {
+    fn handle(&self, request: &Request) -> Response {
+        self.requests_total.fetch_add(1, Ordering::Relaxed);
+        route(request, self)
+    }
+
+    /// A router has no drain of its own: it stops only on shutdown.
+    fn stopping(&self) -> bool {
+        false
+    }
+}
+
+/// No per-connection request cap on client connections.
+const MAX_REQUESTS_PER_CONNECTION: usize = 0;
+
 /// A handle to a running router. Dropping the handle shuts it down.
 #[derive(Debug)]
 pub struct RouterHandle {
-    addr: SocketAddr,
+    acceptor: Acceptor,
+    /// Stops the health thread.
     shutdown: Arc<AtomicBool>,
-    active_connections: Arc<AtomicUsize>,
-    read_timeout: Duration,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     health: Option<std::thread::JoinHandle<()>>,
 }
 
 impl RouterHandle {
     /// The bound address (useful with `port: 0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Stops accepting, waits for in-flight connections (bounded by the
@@ -201,15 +216,8 @@ impl RouterHandle {
     }
 
     fn shutdown_inner(&mut self) {
+        self.acceptor.shutdown();
         self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let deadline = Instant::now() + self.read_timeout + Duration::from_secs(1);
-        while self.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
         if let Some(health) = self.health.take() {
             let _ = health.join();
         }
@@ -218,9 +226,7 @@ impl RouterHandle {
 
 impl Drop for RouterHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.shutdown_inner();
-        }
+        self.shutdown_inner();
     }
 }
 
@@ -237,7 +243,6 @@ pub fn spawn_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
         ));
     }
     let listener = TcpListener::bind((config.addr.as_str(), config.port))?;
-    let addr = listener.local_addr()?;
 
     let upstream_count = config.upstreams.len();
     let state = Arc::new(RouterState {
@@ -261,8 +266,6 @@ pub fn spawn_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     });
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let active_connections = Arc::new(AtomicUsize::new(0));
-
     let health = {
         let state = Arc::clone(&state);
         let shutdown = Arc::clone(&shutdown);
@@ -271,44 +274,18 @@ pub fn spawn_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
             .name("difftune-router-health".to_string())
             .spawn(move || health_loop(state, shutdown, interval))?
     };
-
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let shutdown = Arc::clone(&shutdown);
-        let active = Arc::clone(&active_connections);
-        let limits = config.limits;
-        let read_timeout = config.read_timeout;
-        std::thread::Builder::new()
-            .name("difftune-router-acceptor".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let state = Arc::clone(&state);
-                    let shutdown = Arc::clone(&shutdown);
-                    let conn_active = Arc::clone(&active);
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let spawned = std::thread::Builder::new()
-                        .name("difftune-router-conn".to_string())
-                        .spawn(move || {
-                            handle_connection(stream, state, shutdown, limits, read_timeout);
-                            conn_active.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    if spawned.is_err() {
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            })?
-    };
+    let acceptor = serve_connections(
+        listener,
+        "difftune-router",
+        state,
+        config.limits,
+        config.read_timeout,
+        MAX_REQUESTS_PER_CONNECTION,
+    )?;
 
     Ok(RouterHandle {
-        addr,
+        acceptor,
         shutdown,
-        active_connections,
-        read_timeout: config.read_timeout,
-        acceptor: Some(acceptor),
         health: Some(health),
     })
 }
@@ -351,20 +328,10 @@ fn health_loop(state: Arc<RouterState>, shutdown: Arc<AtomicBool>, interval: Dur
     }
 }
 
-/// The backend id inside one `GET /backends` entry: an
-/// `{"id": ..., "kind": ..., "fingerprint": ...}` object (the current
-/// upstream shape) or a bare id string (older upstreams).
+/// The backend id inside one `GET /backends` entry, an
+/// `{"id": ..., "kind": ..., "fingerprint": ...}` object.
 fn backend_entry_id(entry: &Value) -> Option<String> {
-    match entry {
-        Value::Str(id) => Some(id.clone()),
-        other => other
-            .as_map()?
-            .iter()
-            .find(|(key, _)| key == "id")?
-            .1
-            .as_str()
-            .map(String::from),
-    }
+    entry.get("id")?.as_str().map(String::from)
 }
 
 /// Parses a `GET /backends` body (a JSON array of backend entries) into the
@@ -380,71 +347,13 @@ fn parse_backend_list(response: &ClientResponse) -> Option<Vec<String>> {
     )
 }
 
-/// Reads requests off one client connection until close, error, or shutdown
-/// — the same loop shape as the upstream server.
-fn handle_connection(
-    mut stream: TcpStream,
-    state: Arc<RouterState>,
-    shutdown: Arc<AtomicBool>,
-    limits: HttpLimits,
-    read_timeout: Duration,
-) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(read_timeout)).is_err() {
-        return;
-    }
-    let mut parser = RequestBuffer::new();
-    let mut read_buf = [0u8; 16 * 1024];
-    loop {
-        loop {
-            match parser.next_request(&limits) {
-                Ok(Some(request)) => {
-                    state.requests_total.fetch_add(1, Ordering::Relaxed);
-                    let mut response = route(&request, &state);
-                    response.close = response.close || request.wants_close();
-                    let close = response.close;
-                    if response.write_to(&mut stream).is_err() || close {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(error) => {
-                    let _ = Response::from_error(&error, true).write_to(&mut stream);
-                    return;
-                }
-            }
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut read_buf) {
-            Ok(0) => return,
-            Ok(n) => parser.push(&read_buf[..n]),
-            Err(error)
-                if matches!(
-                    error.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return;
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Dispatches one parsed request.
+///
+/// `/v1/<endpoint>` is the same endpoint ([`endpoint_path`]); the upstreams
+/// accept both spellings too, so proxied paths forward verbatim and routed
+/// `/v1` responses stay byte-identical to direct ones.
 fn route(request: &Request, state: &RouterState) -> Response {
-    // Versioned aliases: `/v1/<endpoint>` is the same endpoint (the
-    // upstreams accept both spellings too, so proxied paths forward
-    // verbatim and routed `/v1` responses stay byte-identical to direct
-    // ones).
-    let path = request
-        .path
-        .strip_prefix("/v1")
-        .filter(|rest| rest.starts_with('/'))
-        .unwrap_or(&request.path);
-    match (request.method.as_str(), path) {
+    match (request.method.as_str(), endpoint_path(&request.path)) {
         ("POST", "/predict") => proxy_predict(request, state),
         ("POST", "/route") => explain_route(request, state),
         ("POST", "/reload") => broadcast_reload(state),
@@ -682,8 +591,8 @@ fn proxy_predict_walk(request: &Request, state: &RouterState, key: u64) -> Respo
 }
 
 /// `POST /route` — the routing decision for a `/predict`-shaped body,
-/// without proxying. Debug/ops surface; `difftune-loadtest
-/// --kill-upstream-after` uses it to find a request's primary upstream.
+/// without proxying. Debug/ops surface; `difftune-loadtest --chaos` uses it
+/// to find a request's primary upstream.
 fn explain_route(request: &Request, state: &RouterState) -> Response {
     let (key, backend) = {
         let known = state.known_backends.read().expect("backend lock poisoned");

@@ -15,8 +15,8 @@
 //!                   [--expect-source-kind KIND] [--expect-coalescing]
 //!                   [--json] [--out-dir DIR] [--wait-seconds S]
 //!                   [--max-seconds S] [--check-deterministic]
-//! difftune-loadtest --via-router N [--routers M] [--kill-upstream-after K]
-//!                   [--chaos SPEC] [--tables DIR]...
+//! difftune-loadtest --via-router N [--routers M] [--chaos SPEC]
+//!                   [--tables DIR]...
 //!                   [--error-budget SPEC]... [--idle-timeout S] [...as above]
 //! ```
 //!
@@ -29,16 +29,16 @@
 //! Every child also carries a generous `--max-seconds` self-destruct as the
 //! last line of defence against orphans.
 //!
-//! `--kill-upstream-after K` SIGKILLs the ring-primary upstream after K
-//! requests of the first pass — mid-load — and the remaining requests must
-//! fail over. `--chaos SPEC` generalises it into a scripted fault schedule
-//! (the grammar lives in `tests/chaos/mod.rs`, shared with
-//! `tests/fleet_e2e.rs`): explicit `kill@24,rollout@40` events or seeded
-//! `seed:42:3` draws, replayed bit-identically. A clean baseline pass runs
-//! first; then the schedule replays the same requests with faults injected
-//! at their request indices, and every response must be byte-identical to
-//! the baseline — determinism invariant #6 in scripted, exhaustive form:
-//! pre-fault and post-fault canonical bytes are the *same* bytes.
+//! `--chaos SPEC` injects a scripted fault schedule (the grammar lives in
+//! `tests/chaos/mod.rs`, shared with `tests/fleet_e2e.rs`): explicit
+//! `kill@24,rollout@40` events or seeded `seed:42:3` draws, replayed
+//! bit-identically. `kill@K` SIGKILLs the ring-primary upstream after
+//! request K — mid-load — and the remaining requests must fail over. A
+//! clean baseline pass runs first; then the schedule replays the same
+//! requests with faults injected at their request indices, and every
+//! response must be byte-identical to the baseline — determinism invariant
+//! #6 in scripted, exhaustive form: pre-fault and post-fault canonical bytes
+//! are the *same* bytes.
 //!
 //! `--collide` makes every connection send the *full* request sequence
 //! instead of a partition, so C connections race identical bodies — the
@@ -130,7 +130,6 @@ struct Args {
     check_deterministic: bool,
     via_router: Option<usize>,
     routers: usize,
-    kill_upstream_after: Option<usize>,
     chaos: Option<String>,
     tables: Vec<String>,
     error_budget: Vec<String>,
@@ -143,8 +142,7 @@ fn usage() -> ! {
          [--batch K] [--blocks B] [--connections C] [--collide] [--seed S] [--sim X] [--uarch X] \
          [--spec X] [--source X] [--expect-source-kind KIND] [--expect-coalescing] [--json] \
          [--out-dir DIR] [--wait-seconds S] [--max-seconds S] [--check-deterministic] \
-         [--kill-upstream-after K] [--chaos SPEC] [--tables DIR]... [--error-budget SPEC]... \
-         [--idle-timeout S]"
+         [--chaos SPEC] [--tables DIR]... [--error-budget SPEC]... [--idle-timeout S]"
     );
     std::process::exit(2);
 }
@@ -171,7 +169,6 @@ fn parse_args() -> Args {
         check_deterministic: false,
         via_router: None,
         routers: 1,
-        kill_upstream_after: None,
         chaos: None,
         tables: Vec::new(),
         error_budget: Vec::new(),
@@ -220,12 +217,6 @@ fn parse_args() -> Args {
                 args.via_router = Some(parse_usize("--via-router", value("--via-router")))
             }
             "--routers" => args.routers = parse_usize("--routers", value("--routers")),
-            "--kill-upstream-after" => {
-                args.kill_upstream_after = Some(parse_usize(
-                    "--kill-upstream-after",
-                    value("--kill-upstream-after"),
-                ))
-            }
             "--chaos" => args.chaos = Some(value("--chaos")),
             "--tables" => args.tables.push(value("--tables")),
             "--error-budget" => args.error_budget.push(value("--error-budget")),
@@ -267,24 +258,7 @@ fn parse_args() -> Args {
         eprintln!("--routers requires --via-router (the loadtest spawns them)");
         usage()
     }
-    if args.kill_upstream_after.is_some() {
-        match args.via_router {
-            None => {
-                eprintln!("--kill-upstream-after requires --via-router (it kills a spawned child)");
-                usage()
-            }
-            Some(upstreams) if upstreams < 2 => {
-                eprintln!("--kill-upstream-after needs --via-router >= 2 to have a survivor");
-                usage()
-            }
-            _ => {}
-        }
-    }
     if args.chaos.is_some() {
-        if args.kill_upstream_after.is_some() {
-            eprintln!("--chaos and --kill-upstream-after are mutually exclusive (use kill@K)");
-            usage()
-        }
         match args.via_router {
             None => {
                 eprintln!("--chaos requires --via-router (faults apply to spawned children)");
@@ -940,11 +914,10 @@ fn run() -> Result<(), String> {
         .map_err(|error| format!("cannot connect to {}: {error}", args.addr))?;
     let started = Instant::now();
 
-    // The first pass, in one of three shapes: a scripted chaos schedule
-    // (clean baseline, then the same requests with faults injected), the
-    // single mid-load kill, or a plain closed loop. Whatever mix of
-    // pre-fault and post-fault responses comes back is what determinism is
-    // asserted against.
+    // The first pass, in one of two shapes: a scripted chaos schedule
+    // (clean baseline, then the same requests with faults injected) or a
+    // plain closed loop. Whatever mix of pre-fault and post-fault responses
+    // comes back is what determinism is asserted against.
     let first_pass = if let Some(schedule) = &schedule {
         eprintln!("[difftune-loadtest] chaos schedule: {}", schedule.spec);
         let baseline =
@@ -968,21 +941,6 @@ fn run() -> Result<(), String> {
             chaos_pass.len()
         );
         chaos_pass
-    } else if let Some(kill_after) = args.kill_upstream_after {
-        let split = kill_after.min(bodies.len());
-        let mut pass = run_pass(&args, &bodies[..split])
-            .map_err(|error| format!("pre-kill segment: {error}"))?;
-        let victim = primary_upstream(&args.addr, &bodies[0], wait)
-            .map_err(|error| format!("cannot pick a victim: {error}"))?;
-        let fleet = fleet
-            .as_mut()
-            .expect("--kill-upstream-after implies a fleet");
-        fleet.kill_upstream(&victim)?;
-        eprintln!("[difftune-loadtest] killed primary upstream {victim} after {split} request(s)");
-        let rest = run_pass(&args, &bodies[split..])
-            .map_err(|error| format!("post-kill segment: {error}"))?;
-        pass.extend(rest);
-        pass
     } else {
         run_pass(&args, &bodies)?
     };

@@ -15,6 +15,17 @@
 //!
 //! Deliberately out of scope (see ROADMAP "Open items"): chunked
 //! transfer-encoding (answered with `501`), HTTP/2, and TLS.
+//!
+//! [`serve_connections`] is the one acceptor and keep-alive connection loop
+//! behind both `difftune-serve` and `difftune-router`: each server only
+//! supplies a [`Handler`].
+
+use std::io::Read;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Default cap on the request head (request line + headers).
 pub const DEFAULT_MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -356,6 +367,214 @@ impl Response {
     }
 }
 
+/// The endpoint a request path names: `/v1/<endpoint>` is an alias of
+/// `/<endpoint>`, so both spellings route (and meter) as one endpoint and
+/// their responses are byte-identical by construction.
+pub fn endpoint_path(path: &str) -> &str {
+    path.strip_prefix("/v1")
+        .filter(|rest| rest.starts_with('/'))
+        .unwrap_or(path)
+}
+
+/// A server's request handling, plugged into [`serve_connections`].
+pub trait Handler: Send + Sync + 'static {
+    /// Answers one parsed request. The connection loop adds
+    /// `Connection: close` when the client asked for it or the
+    /// per-connection request cap is reached.
+    fn handle(&self, request: &Request) -> Response;
+
+    /// True once the server stops taking new work: the acceptor stops
+    /// accepting, and connections close instead of reading another request.
+    /// The acceptor checks it as each connection arrives, so a handler that
+    /// starts stopping wakes it with a throwaway connection.
+    fn stopping(&self) -> bool;
+
+    /// Called after each response is written, with the request's
+    /// [`endpoint_path`] (empty when the request never parsed), the status,
+    /// and the time from parse to written response.
+    fn finished(&self, _endpoint_path: &str, _status: u16, _elapsed: Duration) {}
+}
+
+/// A running acceptor from [`serve_connections`]. Dropping it shuts it down.
+#[derive(Debug)]
+pub struct Acceptor {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    active: Arc<AtomicUsize>,
+    read_timeout: Duration,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// The bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Connections currently being served.
+    pub fn active_connections(&self) -> usize {
+        self.active.load(Ordering::SeqCst)
+    }
+
+    /// Stops accepting, then waits for in-flight connections to finish,
+    /// bounded by the idle timeout (connections notice the stop at their
+    /// next read). Later calls do nothing.
+    pub fn shutdown(&mut self) {
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // Unblock the acceptor with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        let _ = thread.join();
+        let deadline = Instant::now() + self.read_timeout + Duration::from_secs(1);
+        while self.active_connections() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// Spawns the acceptor thread (`<thread_name>-acceptor`), which serves every
+/// connection on its own thread (`<thread_name>-conn`) with a pipelined
+/// keep-alive loop:
+///
+/// * every complete request already buffered is answered in order before
+///   the next read;
+/// * a protocol error is answered with its [`HttpError`] status and
+///   `Connection: close`, then the connection closes;
+/// * the response to request number `max_requests` (`0` = unlimited) says
+///   `Connection: close`, so pooled clients retire the connection instead
+///   of hitting a surprise reset;
+/// * a connection idle for `read_timeout` closes;
+/// * the stop flags ([`Acceptor::shutdown`] and [`Handler::stopping`]) are
+///   checked before *and* after each blocking read, so requests fully
+///   buffered before a stop are answered and bytes arriving after it are
+///   closed unanswered, for the client to retry elsewhere.
+///
+/// # Errors
+///
+/// I/O errors from reading the listener's address or spawning the thread.
+pub fn serve_connections<H: Handler>(
+    listener: TcpListener,
+    thread_name: &str,
+    handler: Arc<H>,
+    limits: HttpLimits,
+    read_timeout: Duration,
+    max_requests: usize,
+) -> std::io::Result<Acceptor> {
+    let addr = listener.local_addr()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let active = Arc::new(AtomicUsize::new(0));
+    let thread = {
+        let stop = Arc::clone(&stop);
+        let active = Arc::clone(&active);
+        let conn_name = format!("{thread_name}-conn");
+        std::thread::Builder::new()
+            .name(format!("{thread_name}-acceptor"))
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) || handler.stopping() {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    let handler = Arc::clone(&handler);
+                    let stop = Arc::clone(&stop);
+                    let conn_active = Arc::clone(&active);
+                    active.fetch_add(1, Ordering::SeqCst);
+                    let spawned =
+                        std::thread::Builder::new()
+                            .name(conn_name.clone())
+                            .spawn(move || {
+                                serve_connection(
+                                    stream,
+                                    &*handler,
+                                    &stop,
+                                    &limits,
+                                    read_timeout,
+                                    max_requests,
+                                );
+                                conn_active.fetch_sub(1, Ordering::SeqCst);
+                            });
+                    if spawned.is_err() {
+                        active.fetch_sub(1, Ordering::SeqCst);
+                    }
+                }
+            })?
+    };
+    Ok(Acceptor {
+        addr,
+        stop,
+        active,
+        read_timeout,
+        thread: Some(thread),
+    })
+}
+
+/// One connection's keep-alive loop (see [`serve_connections`]).
+fn serve_connection(
+    mut stream: TcpStream,
+    handler: &impl Handler,
+    stop: &AtomicBool,
+    limits: &HttpLimits,
+    read_timeout: Duration,
+    max_requests: usize,
+) {
+    let stopping = || stop.load(Ordering::SeqCst) || handler.stopping();
+    let _ = stream.set_nodelay(true);
+    if stream.set_read_timeout(Some(read_timeout)).is_err() {
+        return;
+    }
+    let mut parser = RequestBuffer::new();
+    let mut read_buf = [0u8; 16 * 1024];
+    let mut answered = 0usize;
+    loop {
+        // Answer every complete request already buffered (pipelining).
+        loop {
+            match parser.next_request(limits) {
+                Ok(Some(request)) => {
+                    let started = Instant::now();
+                    let mut response = handler.handle(&request);
+                    answered += 1;
+                    response.close = response.close
+                        || request.wants_close()
+                        || (max_requests > 0 && answered >= max_requests);
+                    let written = response.write_to(&mut stream);
+                    handler.finished(
+                        endpoint_path(&request.path),
+                        response.status,
+                        started.elapsed(),
+                    );
+                    if written.is_err() || response.close {
+                        return;
+                    }
+                }
+                Ok(None) => break,
+                Err(error) => {
+                    let _ = Response::from_error(&error, true).write_to(&mut stream);
+                    handler.finished("", error.status, Duration::ZERO);
+                    return;
+                }
+            }
+        }
+        if stopping() {
+            return;
+        }
+        match stream.read(&mut read_buf) {
+            Ok(n) if n > 0 && !stopping() => parser.push(&read_buf[..n]),
+            // End of stream, a stop that landed during the read, the idle
+            // timeout, or a broken socket: close. A fresh request comes on
+            // a fresh connection.
+            _ => return,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +727,127 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"error\":\"nope\"}"));
+    }
+
+    /// Echoes each request's path, records what [`Handler::finished`] saw,
+    /// and stops on demand.
+    #[derive(Default)]
+    struct Echo {
+        stopping: AtomicBool,
+        finished: std::sync::Mutex<Vec<(String, u16)>>,
+    }
+
+    impl Handler for Echo {
+        fn handle(&self, request: &Request) -> Response {
+            Response::text(200, request.path.clone())
+        }
+
+        fn stopping(&self) -> bool {
+            self.stopping.load(Ordering::SeqCst)
+        }
+
+        fn finished(&self, endpoint_path: &str, status: u16, _elapsed: Duration) {
+            let mut finished = self.finished.lock().unwrap();
+            finished.push((endpoint_path.to_string(), status));
+        }
+    }
+
+    /// A loopback acceptor over `handler`, and a client connected to it.
+    fn loopback(handler: &Arc<Echo>, max_requests: usize) -> (Acceptor, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let acceptor = serve_connections(
+            listener,
+            "http-test",
+            Arc::clone(handler),
+            HttpLimits::default(),
+            Duration::from_secs(5),
+            max_requests,
+        )
+        .unwrap();
+        let client = TcpStream::connect(acceptor.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (acceptor, client)
+    }
+
+    /// Sends `raw` and reads until the server closes the connection.
+    fn exchange(client: &mut TcpStream, raw: &[u8]) -> String {
+        use std::io::Write;
+        client.write_all(raw).unwrap();
+        let mut out = String::new();
+        client.read_to_string(&mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_write_are_answered_in_order() {
+        let handler = Arc::new(Echo::default());
+        let (_acceptor, mut client) = loopback(&handler, 0);
+        let out = exchange(
+            &mut client,
+            b"GET /v1/first HTTP/1.1\r\n\r\nGET /second HTTP/1.1\r\nConnection: close\r\n\r\n",
+        );
+        let first = out.find("/v1/first").expect("first answered");
+        let second = out.find("/second").expect("second answered");
+        assert!(first < second, "{out}");
+        assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 2, "{out}");
+        assert!(out.ends_with("Connection: close\r\n\r\n/second"), "{out}");
+        // The hook sees the `/v1`-normalized endpoint path.
+        assert_eq!(
+            *handler.finished.lock().unwrap(),
+            [("/first".to_string(), 200), ("/second".to_string(), 200)]
+        );
+    }
+
+    #[test]
+    fn a_malformed_request_gets_its_status_and_connection_close() {
+        let handler = Arc::new(Echo::default());
+        let (_acceptor, mut client) = loopback(&handler, 0);
+        let out = exchange(&mut client, b"GET /x HTTP/2\r\n\r\n");
+        assert!(out.starts_with("HTTP/1.1 505 "), "{out}");
+        assert!(out.contains("Connection: close\r\n"), "{out}");
+        assert_eq!(*handler.finished.lock().unwrap(), [(String::new(), 505)]);
+    }
+
+    #[test]
+    fn the_request_cap_closes_with_the_capped_response() {
+        let handler = Arc::new(Echo::default());
+        let (_acceptor, mut client) = loopback(&handler, 2);
+        let out = exchange(
+            &mut client,
+            b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
+        );
+        let connection: Vec<&str> = out
+            .lines()
+            .filter(|line| line.starts_with("Connection: "))
+            .collect();
+        assert_eq!(connection, ["Connection: keep-alive", "Connection: close"]);
+        assert!(out.ends_with("/b"), "{out}");
+    }
+
+    #[test]
+    fn bytes_arriving_after_stopping_are_closed_unanswered() {
+        use std::io::Write;
+        let handler = Arc::new(Echo::default());
+        let (_acceptor, mut client) = loopback(&handler, 0);
+        client.write_all(b"GET /before HTTP/1.1\r\n\r\n").unwrap();
+        let mut answer = Vec::new();
+        while !answer.ends_with(b"/before") {
+            let mut buf = [0u8; 1024];
+            let n = client.read(&mut buf).unwrap();
+            assert!(n > 0, "closed before answering");
+            answer.extend_from_slice(&buf[..n]);
+        }
+
+        handler.stopping.store(true, Ordering::SeqCst);
+        client.write_all(b"GET /after HTTP/1.1\r\n\r\n").unwrap();
+        // Closed without an answer: a clean end of stream, or a reset when
+        // the bytes were still unread as the socket closed.
+        let mut rest = Vec::new();
+        let _ = client.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest));
+        assert_eq!(handler.finished.lock().unwrap().len(), 1);
     }
 
     // Fuzz-style property tests: the parser is a pure function of the byte

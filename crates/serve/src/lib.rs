@@ -12,7 +12,8 @@
 //! loaded backend.
 //!
 //! * [`http`] — incremental request parser (partial reads, pipelining, size
-//!   limits) and response writer;
+//!   limits), response writer, and the acceptor and keep-alive connection
+//!   loop shared with `difftune-router`;
 //! * [`backend`] — the table registry: `default` / `checkpoint` / `matrix`
 //!   / `surrogate` sources, fingerprint-verified loading, per-request
 //!   resolution;
@@ -20,9 +21,9 @@
 //!   → surrogate → full simulator, gated by `--error-budget`), the default
 //!   answer for sourceless requests;
 //! * [`cache`] — the fingerprint-keyed LRU prediction cache;
-//! * [`server`] — accept loop, connection threads, the shard-per-worker
-//!   predict pool batching through [`Simulator::predict_batch`], and the ops
-//!   endpoints (`POST /reload` hot table swap, `POST /drain` graceful exit);
+//! * [`server`] — the request handler: the shard-per-worker predict pool
+//!   batching through [`Simulator::predict_batch`], and the ops endpoints
+//!   (`POST /reload` hot table swap, `POST /drain` graceful exit);
 //! * [`metrics`] — request/cache/latency counters behind `GET /metrics`;
 //! * [`client`] — the minimal blocking client used by `difftune-loadtest`
 //!   and the test suites.

@@ -97,11 +97,10 @@ pub struct Metrics {
     responses_4xx_total: AtomicU64,
     /// Responses with a 5xx status.
     responses_5xx_total: AtomicU64,
-    /// Nanoseconds spent handling requests (parse-to-response-written).
-    request_nanos_total: AtomicU64,
     /// Per-endpoint request counts, indexed by [`Endpoint::ALL`] order.
     endpoint_requests: [AtomicU64; 7],
-    /// Per-endpoint handling nanoseconds, indexed by [`Endpoint::ALL`] order.
+    /// Per-endpoint nanoseconds spent handling requests
+    /// (parse-to-response-written), indexed by [`Endpoint::ALL`] order.
     endpoint_nanos: [AtomicU64; 7],
     /// Successful hot reloads (registry swaps).
     backend_reloads_total: AtomicU64,
@@ -150,11 +149,9 @@ impl Metrics {
         };
     }
 
-    /// Adds handling latency under the endpoint's label (and to the
-    /// unlabeled total, kept for dashboards that predate the labels).
+    /// Adds handling latency under the endpoint's label.
     pub fn on_latency(&self, endpoint: Endpoint, elapsed: std::time::Duration) {
         let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        self.request_nanos_total.fetch_add(nanos, Ordering::Relaxed);
         self.endpoint_requests[endpoint.index()].fetch_add(1, Ordering::Relaxed);
         self.endpoint_nanos[endpoint.index()].fetch_add(nanos, Ordering::Relaxed);
     }
@@ -244,12 +241,6 @@ impl Metrics {
             "Successful hot reloads of the backend registry.",
             self.reloads(),
         );
-        let seconds = self.request_nanos_total.load(Ordering::Relaxed) as f64 / 1e9;
-        out.push_str(&format!(
-            "# HELP difftune_request_seconds_total Wall time spent handling requests.\n\
-             # TYPE difftune_request_seconds_total counter\n\
-             difftune_request_seconds_total {seconds:?}\n"
-        ));
 
         // The per-endpoint labeled series: one HELP/TYPE header per family,
         // one sample per endpoint.

@@ -1,5 +1,5 @@
-//! The prediction server: accept loop, connection handling, and the
-//! shard-per-worker predict pool.
+//! The prediction server: the request handler behind the shared
+//! [`serve_connections`] loop, and the shard-per-worker predict pool.
 //!
 //! # Architecture
 //!
@@ -52,11 +52,10 @@
 //! holds across tier configurations given the same `--error-budget`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use difftune::BackendId;
 use difftune_isa::BasicBlock;
@@ -66,7 +65,9 @@ use crate::backend::{
     block_fingerprint, Backend, BackendQuery, BackendRegistry, ReloadSpec, Source,
 };
 use crate::cache::{CacheKey, LruCache};
-use crate::http::{HttpError, HttpLimits, Request, RequestBuffer, Response};
+use crate::http::{
+    endpoint_path, serve_connections, Acceptor, Handler, HttpError, HttpLimits, Request, Response,
+};
 use crate::metrics::{Endpoint, Metrics};
 use crate::policy::TIER_SURROGATE;
 use difftune_bench::matrix::{SimulatorKind, SpecKind};
@@ -139,15 +140,13 @@ enum ShardMessage {
     },
 }
 
-/// Everything a connection thread needs, cloned per connection.
-#[derive(Clone)]
+/// The server's [`Handler`]: everything a connection thread needs.
 struct ConnectionContext {
     /// The hot-swappable registry: readers clone the inner `Arc` once per
     /// request, so a concurrent reload never changes a request mid-flight.
     registry: Arc<RwLock<Arc<BackendRegistry>>>,
     metrics: Arc<Metrics>,
     senders: Vec<mpsc::Sender<ShardMessage>>,
-    limits: HttpLimits,
     max_blocks: usize,
     shard_count: usize,
     /// Set by `POST /drain`; checked by the acceptor, connections, and
@@ -169,16 +168,33 @@ impl ConnectionContext {
     }
 }
 
+impl Handler for ConnectionContext {
+    fn handle(&self, request: &Request) -> Response {
+        route(request, self)
+    }
+
+    /// A drain stops the acceptor and every connection's next read.
+    fn stopping(&self) -> bool {
+        self.drain.load(Ordering::SeqCst)
+    }
+
+    /// Meters every request, the response write included, under its
+    /// endpoint (`/v1` aliases count as their endpoint; protocol errors as
+    /// `other`).
+    fn finished(&self, endpoint_path: &str, status: u16, elapsed: Duration) {
+        self.metrics.on_request();
+        self.metrics.on_response_status(status);
+        self.metrics
+            .on_latency(Endpoint::from_path(endpoint_path), elapsed);
+    }
+}
+
 /// A handle to a running server. Dropping the handle shuts the server down.
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
-    active_connections: Arc<AtomicUsize>,
-    read_timeout: Duration,
     metrics: Arc<Metrics>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
     workers: Vec<std::thread::JoinHandle<()>>,
     /// The handle's own copies of the shard senders; dropped during shutdown
     /// so workers observe a closed channel once every connection is gone.
@@ -188,7 +204,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (useful with `port: 0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// The server's metrics counters.
@@ -204,7 +220,7 @@ impl ServerHandle {
 
     /// Connections currently being served (drain waits for this to hit 0).
     pub fn active_connections(&self) -> usize {
-        self.active_connections.load(Ordering::SeqCst)
+        self.acceptor.active_connections()
     }
 
     /// Stops accepting, waits for in-flight connections (bounded by the idle
@@ -214,17 +230,7 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Connections notice the flag at their next read timeout.
-        let deadline = Instant::now() + self.read_timeout + Duration::from_secs(1);
-        while self.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.acceptor.shutdown();
         self.senders.clear();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -234,13 +240,11 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.shutdown_inner();
-        }
+        self.shutdown_inner();
     }
 }
 
-/// Binds the listener and spawns the acceptor and shard workers.
+/// Binds the listener and spawns the shard workers, then the acceptor.
 ///
 /// # Errors
 ///
@@ -259,9 +263,7 @@ pub fn spawn(config: ServeConfig, registry: BackendRegistry) -> std::io::Result<
 
     let registry = Arc::new(RwLock::new(Arc::new(registry)));
     let metrics = Arc::new(Metrics::new());
-    let shutdown = Arc::new(AtomicBool::new(false));
     let drain = Arc::new(AtomicBool::new(false));
-    let active_connections = Arc::new(AtomicUsize::new(0));
 
     let mut senders = Vec::with_capacity(shard_count);
     let mut workers = Vec::with_capacity(shard_count);
@@ -281,7 +283,6 @@ pub fn spawn(config: ServeConfig, registry: BackendRegistry) -> std::io::Result<
         registry,
         metrics: Arc::clone(&metrics),
         senders: senders.clone(),
-        limits: config.limits,
         max_blocks: config.max_blocks_per_request,
         shard_count,
         drain: Arc::clone(&drain),
@@ -289,150 +290,29 @@ pub fn spawn(config: ServeConfig, registry: BackendRegistry) -> std::io::Result<
         reload_spec: config.reload_spec.clone(),
         reload_lock: Arc::new(Mutex::new(())),
     };
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let drain = Arc::clone(&drain);
-        let active = Arc::clone(&active_connections);
-        let read_timeout = config.read_timeout;
-        let request_cap = config.max_requests_per_connection;
-        std::thread::Builder::new()
-            .name("difftune-serve-acceptor".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) || drain.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let context = context.clone();
-                    let shutdown = Arc::clone(&shutdown);
-                    let conn_active = Arc::clone(&active);
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let spawned = std::thread::Builder::new()
-                        .name("difftune-serve-conn".to_string())
-                        .spawn(move || {
-                            handle_connection(stream, context, shutdown, read_timeout, request_cap);
-                            conn_active.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    if spawned.is_err() {
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            })?
-    };
+    let acceptor = serve_connections(
+        listener,
+        "difftune-serve",
+        Arc::new(context),
+        config.limits,
+        config.read_timeout,
+        config.max_requests_per_connection,
+    )?;
 
     Ok(ServerHandle {
-        addr,
-        shutdown,
         drain,
-        active_connections,
-        read_timeout: config.read_timeout,
         metrics,
-        acceptor: Some(acceptor),
+        acceptor,
         workers,
         senders,
     })
 }
 
-/// Reads requests off one connection until close, error, shutdown, drain, or
-/// the per-connection request cap.
-fn handle_connection(
-    mut stream: TcpStream,
-    context: ConnectionContext,
-    shutdown: Arc<AtomicBool>,
-    read_timeout: Duration,
-    request_cap: usize,
-) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(read_timeout)).is_err() {
-        return;
-    }
-    let mut parser = RequestBuffer::new();
-    let mut read_buf = [0u8; 16 * 1024];
-    let mut answered = 0usize;
-    loop {
-        // Answer every complete request already buffered (pipelining).
-        loop {
-            match parser.next_request(&context.limits) {
-                Ok(Some(request)) => {
-                    let started = Instant::now();
-                    context.metrics.on_request();
-                    let mut response = route(&request, &context);
-                    answered += 1;
-                    // The request-cap negotiation: the capped response itself
-                    // says `Connection: close`, so pooled clients retire the
-                    // connection instead of hitting a surprise reset.
-                    response.close = response.close
-                        || request.wants_close()
-                        || (request_cap > 0 && answered >= request_cap);
-                    context.metrics.on_response_status(response.status);
-                    let close = response.close;
-                    let written = response.write_to(&mut stream);
-                    context
-                        .metrics
-                        .on_latency(Endpoint::from_path(&request.path), started.elapsed());
-                    if written.is_err() || close {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(error) => {
-                    context.metrics.on_request();
-                    context.metrics.on_response_status(error.status);
-                    let _ = Response::from_error(&error, true).write_to(&mut stream);
-                    context.metrics.on_latency(Endpoint::Other, Duration::ZERO);
-                    return;
-                }
-            }
-        }
-        if shutdown.load(Ordering::SeqCst) || context.drain.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut read_buf) {
-            Ok(0) => return,
-            Ok(n) => {
-                // Re-check the flags *after* the blocking read too: bytes
-                // that complete while a drain lands must not start a new
-                // request. Without this check the connection races the
-                // drain — whether the request got answered depended on
-                // whether the read returned before or after the flag
-                // flipped. With it, the ordering is deterministic: requests
-                // fully buffered before the drain are answered (the parse
-                // loop above ran first), requests arriving after the drain
-                // is observed are closed unanswered and retried by the
-                // client against the next process.
-                if shutdown.load(Ordering::SeqCst) || context.drain.load(Ordering::SeqCst) {
-                    return;
-                }
-                parser.push(&read_buf[..n]);
-            }
-            Err(error)
-                if matches!(
-                    error.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle (or mid-request stall) past the timeout: close. A
-                // fresh request will come on a fresh connection.
-                return;
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Dispatches one parsed request to its endpoint.
-///
-/// Every endpoint is reachable both at its versioned path (`/v1/predict`)
-/// and at the legacy unversioned alias (`/predict`); the two are normalized
-/// to one handler here, so their responses are byte-identical by
-/// construction.
+/// Dispatches one parsed request to its endpoint. Every endpoint is
+/// reachable both at its versioned path (`/v1/predict`) and at the
+/// unversioned alias (`/predict`), normalized by [`endpoint_path`].
 fn route(request: &Request, context: &ConnectionContext) -> Response {
-    let path = request
-        .path
-        .strip_prefix("/v1")
-        .filter(|rest| rest.starts_with('/'))
-        .unwrap_or(&request.path);
-    match (request.method.as_str(), path) {
+    match (request.method.as_str(), endpoint_path(&request.path)) {
         ("GET", "/healthz") => {
             let draining = context.drain.load(Ordering::SeqCst);
             let registry = context.registry();

@@ -796,7 +796,10 @@ fn surrogate_responses_match_the_in_process_forward_pass_and_v1_aliases() {
     )
     .expect("artifact verifies");
 
-    for block in ["addq %rax, %rbx", "imulq %rbx, %rcx\naddq %rcx, %rax"] {
+    for (round, block) in ["addq %rax, %rbx", "imulq %rbx, %rcx\naddq %rcx, %rax"]
+        .into_iter()
+        .enumerate()
+    {
         let expected = in_process_prediction(&artifact, block);
         let body = format!(
             r#"{{"block": "{}", "source": "surrogate"}}"#,
@@ -829,6 +832,20 @@ fn surrogate_responses_match_the_in_process_forward_pass_and_v1_aliases() {
         let v1 = client.post_json("/v1/predict", &body).expect("answers");
         assert_eq!(v1.status, 200);
         assert_eq!(v1.body_text(), text, "/v1/predict diverged from /predict");
+
+        // Both spellings meter as the one `predict` endpoint.
+        let metrics = client.get("/metrics").expect("answers").body_text();
+        let predicts = 2 * (round + 1);
+        assert!(
+            metrics.contains(&format!(
+                "difftune_endpoint_requests_total{{endpoint=\"predict\"}} {predicts}\n"
+            )),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("difftune_endpoint_requests_total{endpoint=\"other\"} 0\n"),
+            "{metrics}"
+        );
     }
 
     // Table responses advertise their kind too.
