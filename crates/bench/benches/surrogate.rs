@@ -1,13 +1,16 @@
 //! Criterion benchmarks for the surrogate models and training steps.
 
+use std::collections::HashSet;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use difftune_cpu::{default_params, Microarch};
 use difftune_isa::{BasicBlock, BlockGenerator};
+use difftune_surrogate::infer::PROGRAM_CACHE_CAPACITY;
 use difftune_surrogate::train::{train_with_optimizer, TrainConfig, TrainSample};
 use difftune_surrogate::{
     block_param_features, global_features, FeatureMlpConfig, FeatureMlpModel, IthemalConfig,
-    IthemalModel, Vocab,
+    IthemalModel, SurrogateForward, SurrogateModel, Vocab,
 };
 use difftune_tensor::optim::Adam;
 use rand::rngs::StdRng;
@@ -32,16 +35,56 @@ fn samples(count: usize) -> Vec<TrainSample> {
         .collect()
 }
 
-fn bench_surrogate(c: &mut Criterion) {
-    let data = samples(64);
-    let lstm = IthemalModel::new(IthemalConfig {
+fn lstm_model() -> IthemalModel {
+    IthemalModel::new(IthemalConfig {
         embed_dim: 16,
         hidden_dim: 32,
         instr_layers: 1,
         block_layers: 1,
         parameter_inputs: true,
         seed: 0,
+    })
+}
+
+/// `count` blocks of 3–8 instructions whose program keys are all distinct.
+fn distinct_shapes(model: &dyn SurrogateModel, count: usize) -> Vec<BasicBlock> {
+    let generator = BlockGenerator::default();
+    let mut rng = StdRng::seed_from_u64(2);
+    let vocab = Vocab::new();
+    let mut keys = HashSet::new();
+    let mut blocks = Vec::with_capacity(count);
+    while blocks.len() < count {
+        let block = generator.generate_with_len(&mut rng, 3 + blocks.len() % 6);
+        if let Some(key) = model.program_key(&vocab.tokenize_block(&block)) {
+            if keys.insert(key) {
+                blocks.push(block);
+            }
+        }
+    }
+    blocks
+}
+
+/// Predicts `blocks` round-robin through one engine, one block per
+/// iteration.
+fn bench_forward(
+    c: &mut Criterion,
+    id: &str,
+    mut forward: SurrogateForward,
+    blocks: &[BasicBlock],
+) {
+    let mut next = 0;
+    c.bench_function(id, |b| {
+        b.iter(|| {
+            let prediction = forward.predict(&blocks[next % blocks.len()]);
+            next += 1;
+            prediction
+        })
     });
+}
+
+fn bench_surrogate(c: &mut Criterion) {
+    let data = samples(64);
+    let lstm = lstm_model();
     let mlp = FeatureMlpModel::new(FeatureMlpConfig::default());
 
     c.bench_function("lstm_surrogate_forward", |b| {
@@ -54,6 +97,22 @@ fn bench_surrogate(c: &mut Criterion) {
             )
         })
     });
+    // Through the serving engine. Cycling through more shapes than the
+    // program cache holds makes every prediction a miss (one taped pass that
+    // records the program); cycling through a few pre-recorded shapes makes
+    // every prediction a hit (one forward-only replay).
+    let table = default_params(Microarch::Haswell);
+    let shapes = distinct_shapes(&lstm, 2 * PROGRAM_CACHE_CAPACITY);
+    bench_forward(
+        c,
+        "lstm_surrogate_forward_fresh_shapes",
+        SurrogateForward::new(Box::new(lstm_model()), table.clone()),
+        &shapes,
+    );
+    let warm_shapes = &shapes[..16];
+    let mut warm = SurrogateForward::new(Box::new(lstm_model()), table);
+    warm.predict_batch(warm_shapes);
+    bench_forward(c, "lstm_surrogate_forward_warm_shapes", warm, warm_shapes);
     c.bench_function("mlp_surrogate_forward", |b| {
         let sample = &data[0];
         b.iter(|| {

@@ -17,8 +17,8 @@
 //! deduplicates repeated blocks, and answers all cache misses of a group with
 //! a single [`Predictor::predict_batch`](crate::backend::Predictor) call —
 //! for table backends the same batched simulator hot path the evaluation
-//! pipeline uses, for surrogate backends a forward-only replay of the
-//! compiled surrogate program.
+//! pipeline uses, for surrogate backends one forward pass of the surrogate
+//! per block.
 //!
 //! # Ops primitives
 //!

@@ -4,11 +4,22 @@
 //! [`SurrogateForward`] owns everything one prediction needs — the trained
 //! model, the tokenizer, the learned table it encodes as parameter features,
 //! and the compiled-program cache — and produces one `f64` per basic block
-//! with **no tape and no backward pass**. The graph a block builds is
-//! recorded once per structure ([`SurrogateModel::program_key`]) and then
-//! replayed forward-only ([`difftune_tensor::CompiledProgram::replay_forward`]); blocks whose
-//! structure the model cannot key fall back to a taped forward pass, which
-//! the engine guarantees is bit-identical.
+//! with **no backward pass**, computing each block once
+//! ([`difftune_tensor::ProgramCache::forward`]):
+//!
+//! * a block whose structure ([`SurrogateModel::program_key`]) is cached
+//!   replays the compiled program forward-only — a bind pass and a forward
+//!   sweep, no tape;
+//! * a block of a new structure runs one taped forward pass, which both
+//!   records the program and answers the block;
+//! * a block whose structure the model cannot key runs a taped pass and
+//!   records nothing.
+//!
+//! All three return the bits of a taped forward pass, by the engine's
+//! contract. The cache keeps at most [`PROGRAM_CACHE_CAPACITY`] programs,
+//! least recently used out first, so an engine's memory stays bounded
+//! however many block shapes it sees; an eviction only means the shape
+//! records again the next time it comes.
 //!
 //! Both consumers of surrogate inference go through this type so they cannot
 //! diverge: `difftune-serve` wraps it in its `Predictor` trait, and
@@ -25,12 +36,18 @@ use crate::artifact::SurrogateArtifact;
 use crate::encode::{block_param_features, global_features, Vocab};
 use crate::SurrogateModel;
 
+/// Most compiled programs one [`SurrogateForward`] keeps, about 4.6 MB at
+/// Small width. The MLP keys on block length, so its key space fits far
+/// below this; LSTM keys are per-instruction token counts, which is where
+/// the bound matters.
+pub const PROGRAM_CACHE_CAPACITY: usize = 256;
+
 /// A trained surrogate bound to a learned table, ready to predict.
 ///
 /// Prediction is deterministic and history-free: the same block returns the
 /// same bits regardless of what was predicted before (the internal program
-/// cache only skips re-recording — replay output is bit-equal to the taped
-/// pass by the engine's contract).
+/// cache only decides whether a block records or replays its program, and
+/// both are bit-equal to the taped pass by the engine's contract).
 #[derive(Debug)]
 pub struct SurrogateForward {
     model: Box<dyn SurrogateModel>,
@@ -44,13 +61,22 @@ pub struct SurrogateForward {
 impl SurrogateForward {
     /// Binds a trained model to the learned table it encodes as features.
     pub fn new(model: Box<dyn SurrogateModel>, table: SimParams) -> Self {
+        SurrogateForward::with_program_capacity(model, table, PROGRAM_CACHE_CAPACITY)
+    }
+
+    /// [`Self::new`] with a program cache of `capacity` programs.
+    pub(crate) fn with_program_capacity(
+        model: Box<dyn SurrogateModel>,
+        table: SimParams,
+        capacity: usize,
+    ) -> Self {
         let global = global_features(&table);
         SurrogateForward {
             model,
             vocab: Vocab::new(),
             table,
             global,
-            cache: ProgramCache::new(),
+            cache: ProgramCache::bounded(capacity),
             buffers: ReplayBuffers::default(),
         }
     }
@@ -78,9 +104,13 @@ impl SurrogateForward {
         &self.table
     }
 
-    /// Number of compiled programs recorded so far.
+    /// Number of compiled programs recorded so far, re-records of evicted
+    /// shapes included: the number of keyable blocks that missed the program
+    /// cache. Every other keyable block replayed, so `1 - recorded / blocks`
+    /// is the share of keyable blocks that replayed. This is not the live
+    /// cache size, which never exceeds [`PROGRAM_CACHE_CAPACITY`].
     pub fn programs_recorded(&self) -> usize {
-        self.cache.len()
+        self.cache.recorded()
     }
 
     /// Whether `block` takes the compiled fast path: it tokenizes and the
@@ -93,7 +123,8 @@ impl SurrogateForward {
             .is_some()
     }
 
-    /// Predicts one block's timing with a forward-only pass.
+    /// Predicts one block's timing with one forward pass: a replay of its
+    /// cached program, or the taped pass that records it.
     pub fn predict(&mut self, block: &BasicBlock) -> f64 {
         let tokenized = self.vocab.tokenize_block(block);
         let per_inst: Option<Vec<Tensor>> = self
@@ -120,12 +151,9 @@ impl SurrogateForward {
             key
         });
         match key {
-            Some(key) => {
-                let program = self
-                    .cache
-                    .get_or_record(key, self.model.params(), |g| build(g));
-                program.replay_forward(self.model.params(), &mut self.buffers, |g| build(g))
-            }
+            Some(key) => self
+                .cache
+                .forward(key, self.model.params(), &mut self.buffers, build),
             None => {
                 let mut graph = Graph::new(self.model.params());
                 let prediction = build(&mut graph);
@@ -225,5 +253,57 @@ mod tests {
         // 2-instruction block → exactly two programs.
         forward.predict_batch(&blocks());
         assert_eq!(forward.programs_recorded(), 2);
+    }
+
+    #[test]
+    fn an_lstm_engine_past_its_program_bound_stays_bit_equal_and_counts_every_miss() {
+        let table = SimParams::uniform_default();
+        let lstm = IthemalModel::new(IthemalConfig {
+            embed_dim: 8,
+            hidden_dim: 12,
+            instr_layers: 1,
+            block_layers: 1,
+            parameter_inputs: true,
+            seed: 3,
+        });
+        let texts = ["addq %rax, %rbx", "movq (%rdi), %rax", "imulq %rbx, %rcx"];
+        // Shape `i` has `i + 1` instructions, so every shape keys apart.
+        let shape = |i: usize| -> BasicBlock {
+            (0..=i)
+                .map(|j| texts[(i + j) % texts.len()])
+                .collect::<Vec<_>>()
+                .join("\n")
+                .parse()
+                .unwrap()
+        };
+        let mut forward = SurrogateForward::with_program_capacity(Box::new(lstm), table, 3);
+        // (shape, misses): five shapes through a 3-program cache, then the
+        // first two again (evicted: they record again), then two that are
+        // still cached.
+        let sequence = [
+            (0, true),
+            (1, true),
+            (2, true),
+            (3, true),
+            (4, true),
+            (0, true),
+            (1, true),
+            (1, false),
+            (4, false),
+        ];
+        let mut misses = 0;
+        for (step, (i, misses_cache)) in sequence.into_iter().enumerate() {
+            let block = shape(i);
+            let got = forward.predict(&block);
+            let expected = taped_reference(forward.model(), forward.table(), &block);
+            assert_eq!(got.to_bits(), expected.to_bits(), "step {step} (shape {i})");
+            misses += usize::from(misses_cache);
+            assert_eq!(
+                forward.programs_recorded(),
+                misses,
+                "step {step} (shape {i})"
+            );
+        }
+        assert_eq!(misses, 7);
     }
 }

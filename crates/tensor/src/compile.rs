@@ -15,6 +15,13 @@
 //! constants) — and executes the schedule with the fused kernels in
 //! [`crate::kernels`].
 //!
+//! Inference takes the forward-only entry point, [`ProgramCache::forward`]:
+//! a hit replays the bind pass and the forward sweep, and a miss returns the
+//! value of the taped pass that records the program, so every sample is
+//! computed once. Serving engines bound their cache
+//! ([`ProgramCache::bounded`], least recently used out first); training's
+//! cache is unbounded, since its key space is bounded by the training set.
+//!
 //! # Bit-equality with the tape
 //!
 //! Replay is arranged to be **bitwise identical** to running the same
@@ -128,13 +135,22 @@ impl CompiledProgram {
     ///
     /// Panics if `build` does not return a scalar loss node.
     pub fn record(params: &Params, build: impl FnOnce(&mut Graph<'_>) -> Var) -> Arc<Self> {
+        Self::record_with_value(params, build).0
+    }
+
+    /// [`Self::record`], also returning the root value the recording pass
+    /// computed on the tape — bit-equal to what a replay of the new program
+    /// would return, so a cache miss need not replay it.
+    fn record_with_value(
+        params: &Params,
+        build: impl FnOnce(&mut Graph<'_>) -> Var,
+    ) -> (Arc<Self>, f64) {
         let mut graph = Graph::new(params);
         let loss = build(&mut graph);
-        assert_eq!(
-            graph.value(loss).len(),
-            1,
-            "compiled programs require a scalar loss"
-        );
+        let root = match graph.value(loss) {
+            [value] => f64::from(*value),
+            _ => panic!("compiled programs require a scalar loss"),
+        };
         let count = graph.node_count();
         let mut ops = Vec::with_capacity(count);
         let mut offsets = Vec::with_capacity(count);
@@ -195,13 +211,14 @@ impl CompiledProgram {
             };
             ops.push(op);
         }
-        Arc::new(CompiledProgram {
+        let program = Arc::new(CompiledProgram {
             ops,
             offsets,
             lens,
             values_len,
             loss: loss.0,
-        })
+        });
+        (program, root)
     }
 
     /// Number of scheduled ops.
@@ -524,17 +541,17 @@ impl CompiledProgram {
 
     /// Forward-only replay: re-runs `build` in bind mode against the
     /// recorded schedule and executes the forward sweep — no gradient arena,
-    /// no backward sweep. This is the serving fast path: a surrogate backend
-    /// answers predictions with exactly the forward arithmetic
-    /// [`Self::replay`] performs, so the returned value is bit-identical to
-    /// a full taped forward pass over the same graph
-    /// (`replay_forward_matches_the_tape_and_the_full_replay` below pins it).
+    /// no backward sweep. This is the hit path of [`ProgramCache::forward`]:
+    /// it performs exactly the forward arithmetic [`Self::replay`] does, so
+    /// the returned value is bit-identical to a full taped forward pass over
+    /// the same graph (`replay_forward_matches_the_tape_and_the_full_replay`
+    /// below pins it).
     ///
     /// # Panics
     ///
     /// Panics if `build` constructs a different op sequence than the one
     /// recorded, exactly like [`Self::replay`].
-    pub fn replay_forward(
+    pub(crate) fn replay_forward(
         self: &Arc<Self>,
         params: &Params,
         buffers: &mut ReplayBuffers,
@@ -1087,20 +1104,54 @@ impl ReplayBuffers {
     }
 }
 
-/// A cache of compiled programs keyed by graph structure.
+/// A cache of compiled programs keyed by graph structure, optionally
+/// bounded with least-recently-used eviction.
 ///
-/// Lookups never iterate the map, so hash-order nondeterminism cannot leak
-/// into results; recording happens on the calling thread in first-encounter
-/// order.
+/// Recording happens on the calling thread in first-encounter order, and
+/// eviction picks the entry with the oldest use stamp — stamps are unique,
+/// so the victim never depends on hash order. Which programs are cached can
+/// never change a result either way: a miss records the program on the tape
+/// and a hit replays it, and the two are bit-equal.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    programs: HashMap<ProgramKey, Arc<CompiledProgram>>,
+    programs: HashMap<ProgramKey, CachedProgram>,
+    /// Most programs kept at once; `None` is unbounded.
+    capacity: Option<usize>,
+    /// Bumped on every lookup, so no two entries share a use stamp.
+    clock: u64,
+    /// Programs recorded over the cache's lifetime, re-records included.
+    recorded: usize,
+}
+
+#[derive(Debug)]
+struct CachedProgram {
+    program: Arc<CompiledProgram>,
+    last_used: u64,
 }
 
 impl ProgramCache {
-    /// Creates an empty cache.
+    /// Creates an empty, unbounded cache — for training, whose key space is
+    /// bounded by the training set.
     pub fn new() -> Self {
         ProgramCache::default()
+    }
+
+    /// Creates an empty cache that keeps at most `capacity` programs,
+    /// evicting the least recently used one to make room. An eviction only
+    /// forces a re-record the next time its key is seen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn bounded(capacity: usize) -> Self {
+        assert!(
+            capacity > 0,
+            "a bounded program cache needs room for one program"
+        );
+        ProgramCache {
+            capacity: Some(capacity),
+            ..ProgramCache::default()
+        }
     }
 
     /// Number of cached programs.
@@ -1108,9 +1159,15 @@ impl ProgramCache {
         self.programs.len()
     }
 
-    /// True when no programs have been recorded yet.
+    /// True when no programs are cached.
     pub fn is_empty(&self) -> bool {
         self.programs.is_empty()
+    }
+
+    /// Number of programs recorded over the cache's lifetime, including
+    /// re-records of evicted keys — the number of misses.
+    pub fn recorded(&self) -> usize {
+        self.recorded
     }
 
     /// Returns the program for `key`, recording it with `build` on a miss.
@@ -1120,12 +1177,72 @@ impl ProgramCache {
         params: &Params,
         build: impl FnOnce(&mut Graph<'_>) -> Var,
     ) -> Arc<CompiledProgram> {
-        if let Some(program) = self.programs.get(&key) {
-            return Arc::clone(program);
+        if let Some(program) = self.lookup(&key) {
+            return program;
         }
         let program = CompiledProgram::record(params, build);
-        self.programs.insert(key, Arc::clone(&program));
+        self.insert(key, Arc::clone(&program));
         program
+    }
+
+    /// Runs `build` forward-only and returns its scalar root value. A hit
+    /// replays the cached program's bind pass and forward sweep, with no
+    /// gradient arena and no backward sweep. A miss runs `build` once on the
+    /// tape, freezes that tape into the program exactly as
+    /// [`CompiledProgram::record`] does, and returns the value the recording
+    /// pass already computed. Either way the result is bit-equal to a taped
+    /// forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `build` does not return a scalar, or if it diverges from
+    /// the program recorded under `key` (see [`CompiledProgram::replay`]).
+    pub fn forward(
+        &mut self,
+        key: ProgramKey,
+        params: &Params,
+        buffers: &mut ReplayBuffers,
+        build: impl FnOnce(&mut Graph<'_>) -> Var,
+    ) -> f64 {
+        if let Some(program) = self.lookup(&key) {
+            return program.replay_forward(params, buffers, build);
+        }
+        let (program, value) = CompiledProgram::record_with_value(params, build);
+        self.insert(key, program);
+        value
+    }
+
+    /// Finds `key`'s program and stamps it as the most recently used.
+    fn lookup(&mut self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
+        self.clock += 1;
+        let entry = self.programs.get_mut(key)?;
+        entry.last_used = self.clock;
+        Some(Arc::clone(&entry.program))
+    }
+
+    /// Caches a freshly recorded program under the stamp of the lookup that
+    /// missed it, first evicting the least recently used entry if full.
+    fn insert(&mut self, key: ProgramKey, program: Arc<CompiledProgram>) {
+        if self
+            .capacity
+            .is_some_and(|capacity| self.programs.len() >= capacity)
+        {
+            let oldest = self
+                .programs
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(key, _)| key.clone())
+                .expect("a full cache holds a program");
+            self.programs.remove(&oldest);
+        }
+        self.recorded += 1;
+        self.programs.insert(
+            key,
+            CachedProgram {
+                program,
+                last_used: self.clock,
+            },
+        );
     }
 }
 
@@ -1298,6 +1415,96 @@ mod tests {
             }
         }
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_forward_miss_returns_the_recorded_value_bit_equal_to_replay_and_the_tape() {
+        let params = test_params();
+        let program = CompiledProgram::record(&params, |g| build_loss(g, &samples()[0]));
+        let mut cache = ProgramCache::new();
+        let mut buffers = ReplayBuffers::new();
+        for (index, sample) in samples().iter().enumerate() {
+            // A fresh key per sample: the first call misses, the second hits.
+            let key = vec![index as u32];
+            let miss = cache.forward(key.clone(), &params, &mut buffers, |g| {
+                build_loss(g, sample)
+            });
+            assert_eq!(cache.recorded(), index + 1, "sample {index} missed");
+            let hit = cache.forward(key, &params, &mut buffers, |g| build_loss(g, sample));
+            assert_eq!(cache.recorded(), index + 1, "sample {index} replayed");
+            let replayed = program.replay_forward(&params, &mut buffers, |g| build_loss(g, sample));
+            let mut graph = Graph::new(&params);
+            let root = build_loss(&mut graph, sample);
+            let taped = f64::from(graph.value(root)[0]);
+            for value in [miss, hit, replayed] {
+                assert_eq!(value.to_bits(), taped.to_bits(), "sample {index} diverged");
+            }
+        }
+    }
+
+    /// Drives `cache` through `keys` with forward passes, returning after
+    /// each access whether it recorded (missed).
+    fn misses(cache: &mut ProgramCache, keys: &[u32]) -> Vec<bool> {
+        let params = test_params();
+        let mut buffers = ReplayBuffers::new();
+        keys.iter()
+            .map(|&key| {
+                let before = cache.recorded();
+                cache.forward(vec![key], &params, &mut buffers, |g| {
+                    build_loss(g, &samples()[key as usize % 7])
+                });
+                cache.recorded() > before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_bounded_cache_evicts_the_least_recently_used_program() {
+        const A: u32 = 0;
+        const B: u32 = 1;
+        const C: u32 = 2;
+        let mut cache = ProgramCache::bounded(2);
+        // A, B, A, C evicts B (A was used more recently); A then still hits
+        // and B records again.
+        assert_eq!(
+            misses(&mut cache, &[A, B, A, C, A, B]),
+            [true, true, false, true, false, true]
+        );
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.recorded(), 4);
+    }
+
+    #[test]
+    fn a_bounded_cache_never_outgrows_its_capacity_and_misses_like_an_lru() {
+        let capacity = 4;
+        let mut cache = ProgramCache::bounded(capacity);
+        let mut model: Vec<u32> = Vec::new();
+        let mut hits = 0;
+        for step in 0..120u32 {
+            let key = (step * 7 + step / 9) % 11;
+            // The reference LRU: most recently used at the back.
+            let expected_miss = match model.iter().position(|&k| k == key) {
+                Some(at) => {
+                    model.remove(at);
+                    hits += 1;
+                    false
+                }
+                None => {
+                    if model.len() == capacity {
+                        model.remove(0);
+                    }
+                    true
+                }
+            };
+            model.push(key);
+            assert_eq!(misses(&mut cache, &[key]), [expected_miss], "step {step}");
+            assert!(
+                cache.len() <= capacity,
+                "step {step}: {} programs",
+                cache.len()
+            );
+        }
+        assert!(hits > 0 && hits < 120, "the sequence mixes hits and misses");
     }
 
     #[test]
