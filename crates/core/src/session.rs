@@ -697,8 +697,10 @@ impl<'a> Session<'a> {
         // The deterministic batch engine: per-sample gradients on worker
         // threads, reduced in fixed sample order, so the learned table is
         // bit-identical for every thread count (see tests/determinism.rs).
+        // Only θ's gradient is collected: the surrogate stays frozen, and the
+        // backward pass skips all work that cannot reach θ.
         let mut engine = Batch::new(config.threads);
-        let mut grads = Grads::new(&store);
+        let mut grads = Grads::only(&store, &[theta_id]);
 
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let batches = order.len().div_ceil(config.table_batch_size.max(1));
@@ -732,13 +734,7 @@ impl<'a> Session<'a> {
                     &mut grads,
                 );
 
-                // Keep the surrogate frozen: only θ's gradient reaches the
-                // optimizer.
-                let mut theta_grads = Grads::new(&store);
-                if let Some(grad) = grads.get(theta_id) {
-                    theta_grads.accumulate(theta_id, grad, 1.0);
-                }
-                optimizer.step(&mut store, &theta_grads);
+                optimizer.step(&mut store, &grads);
 
                 // Restore any frozen entries to their default values and keep
                 // the learned entries inside the surrogate's training region.

@@ -2,7 +2,8 @@
 //!
 //! These time the raw inner loops both execution engines share — the 4-lane
 //! dot/matvec, the fused matvec+bias (`Linear::forward`), and the fused
-//! LSTM gate step — plus their backward kernels, at the layer sizes the
+//! LSTM gate step — plus their backward kernels (the LSTM one also without
+//! weight gradients, as table optimization runs it), at the layer sizes the
 //! default Ithemal-style surrogate actually runs (64-dim hidden states).
 //! With `DIFFTUNE_BENCH_JSON` set, each median lands in a
 //! `BENCH_criterion_<id>.json` record (`difftune-bench/2` schema) next to
@@ -55,8 +56,8 @@ fn bench_matvec(criterion: &mut Criterion) {
                 black_box(&g),
                 m,
                 n,
-                &mut dw,
-                &mut db,
+                Some(&mut dw),
+                Some(&mut db),
                 &mut dx,
             );
             dx[0]
@@ -115,8 +116,33 @@ fn bench_lstm_step(criterion: &mut Criterion) {
                 black_box(&g_packed),
                 hidden,
                 input,
-                &mut dw,
-                &mut db,
+                Some(&mut dw),
+                Some(&mut db),
+                &mut dx,
+                &mut dh_prev,
+                &mut dc_prev,
+            );
+            dx[0]
+        })
+    });
+    // The frozen-weights case: table optimization needs `dx`, `dh_prev` and
+    // `dc_prev` to reach θ but no gradient for the surrogate's weights.
+    criterion.bench_function("kernels/lstm_step_grad h=64 (no weight grads)", |bencher| {
+        bencher.iter(|| {
+            dx.iter_mut().for_each(|v| *v = 0.0);
+            dh_prev.iter_mut().for_each(|v| *v = 0.0);
+            dc_prev.iter_mut().for_each(|v| *v = 0.0);
+            kernels::lstm_step_grad(
+                black_box(&w),
+                black_box(&x),
+                black_box(&h_prev),
+                black_box(&c_prev),
+                black_box(&packed),
+                black_box(&g_packed),
+                hidden,
+                input,
+                None,
+                None,
                 &mut dx,
                 &mut dh_prev,
                 &mut dc_prev,

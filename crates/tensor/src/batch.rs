@@ -111,6 +111,10 @@ impl Batch {
     ///
     /// Both the gradients and the returned loss are bit-identical for every
     /// worker count, including `threads = 1`.
+    ///
+    /// The per-chunk stores collect the same parameters as `grads` (see
+    /// [`Grads::only`]), so a subset store skips the other parameters'
+    /// gradient work on every worker.
     pub fn accumulate<S: Sync>(
         &mut self,
         params: &Params,
@@ -144,6 +148,7 @@ impl Batch {
         let slots = &mut self.slots[..chunks.len()];
         let losses = &mut self.losses[..chunks.len()];
         for slot in slots.iter_mut() {
+            slot.collect_like(grads);
             slot.reset(params);
         }
 
@@ -264,6 +269,7 @@ impl Batch {
         let slots = &mut self.slots[..chunks.len()];
         let losses = &mut self.losses[..chunks.len()];
         for slot in slots.iter_mut() {
+            slot.collect_like(grads);
             slot.reset(params);
         }
 
@@ -538,6 +544,52 @@ mod tests {
             assert_eq!(cache.len(), 1, "one structure must record one program");
             if batch.len() == 17 {
                 assert_eq!(reference, grads);
+            }
+        }
+    }
+
+    #[test]
+    fn a_subset_store_gets_the_full_stores_bits_through_a_reused_engine() {
+        let params = model_params();
+        let data = samples(33);
+        let (table, w) = (crate::ParamId(1), crate::ParamId(0));
+        let (full_loss, full) = grads_for(1, 33);
+        for threads in [1, 3] {
+            // One engine alternates full and subset batches on both paths, so
+            // the per-chunk stores switch sets in both directions.
+            let mut engine = Batch::new(threads);
+            let mut cache = ProgramCache::new();
+            for round in 0..2 {
+                let mut all = Grads::new(&params);
+                engine.accumulate(&params, &data, sample_loss, 1.0 / 33.0, &mut all);
+                assert_eq!(all, full, "round {round}, {threads} threads");
+                for compiled in [false, true] {
+                    let mut only = Grads::only(&params, &[table]);
+                    let loss = if compiled {
+                        engine.accumulate_compiled(
+                            &params,
+                            &data,
+                            &mut cache,
+                            |_| Some(vec![1]),
+                            sample_loss,
+                            1.0 / 33.0,
+                            &mut only,
+                        )
+                    } else {
+                        engine.accumulate(&params, &data, sample_loss, 1.0 / 33.0, &mut only)
+                    };
+                    assert_eq!(loss.to_bits(), full_loss.to_bits());
+                    let bits = |g: &Grads| -> Vec<u32> {
+                        g.get(table)
+                            .unwrap()
+                            .data()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect()
+                    };
+                    assert_eq!(bits(&only), bits(&full), "compiled: {compiled}");
+                    assert!(only.get(w).is_none(), "compiled: {compiled}");
+                }
             }
         }
     }

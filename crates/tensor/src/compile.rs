@@ -33,7 +33,10 @@
 //!   with the tape's assign-then-accumulate discipline (a slot's first
 //!   contribution overwrites, later ones add) replicated per arena slot;
 //! * parameter gradients flush into [`Grads`] at the same reverse-sweep
-//!   positions via the same accumulation arithmetic.
+//!   positions via the same accumulation arithmetic (a store that does not
+//!   collect a parameter ignores its flush, so a [`Grads::only`] store gets
+//!   the tape's slots and nothing else; unlike the tape, replay still
+//!   computes the gradients it drops).
 //!
 //! One documented edge is out of scope: a graph whose [`Graph::slice`]
 //! regions *overlap* and whose gradient elements are negative zero could in
@@ -344,7 +347,7 @@ impl CompiledProgram {
                         &mut set,
                         targets,
                     );
-                    kernels::matvec_grad(value_of(*w), value_of(*x), g, len, n, dw, dx);
+                    kernels::matvec_grad(value_of(*w), value_of(*x), g, len, n, Some(dw), dx);
                     for (i, spill) in spills.iter().enumerate() {
                         if let Some((offset, slen)) = spill {
                             accumulate(
@@ -366,7 +369,16 @@ impl CompiledProgram {
                         &mut set,
                         targets,
                     );
-                    kernels::linear_grad(value_of(*w), value_of(*x), g, len, n, dw, db, dx);
+                    kernels::linear_grad(
+                        value_of(*w),
+                        value_of(*x),
+                        g,
+                        len,
+                        n,
+                        Some(dw),
+                        Some(db),
+                        dx,
+                    );
                     for (i, spill) in spills.iter().enumerate() {
                         if let Some((offset, slen)) = spill {
                             accumulate(
@@ -411,8 +423,8 @@ impl CompiledProgram {
                         g,
                         hidden,
                         input,
-                        dw,
-                        db,
+                        Some(dw),
+                        Some(db),
                         dx,
                         dh,
                         dc,
@@ -1505,6 +1517,105 @@ mod tests {
             );
         }
         assert!(hits > 0 && hits < 120, "the sequence mixes hits and misses");
+    }
+
+    /// [`test_params`] plus a fused LSTM cell (hidden 2, input 3).
+    fn lstm_params() -> Params {
+        let mut params = test_params();
+        params.add(
+            "lstm_w",
+            Tensor::matrix(
+                8,
+                5,
+                (0..40).map(|i| 0.07 * (i % 11) as f32 - 0.35).collect(),
+            ),
+        );
+        params.add(
+            "lstm_b",
+            Tensor::vector((0..8).map(|i| 0.05 * i as f32 - 0.2).collect()),
+        );
+        params
+    }
+
+    /// [`build_loss`] plus a fused LSTM step whose input comes from the
+    /// table, whose hidden state comes from the weight matrix, and whose
+    /// cell state is an input, so every collected subset prunes a
+    /// different part of the graph.
+    fn build_lstm_loss(graph: &mut Graph<'_>, sample: &Sample) -> Var {
+        let base = build_loss(graph, sample);
+        let w = graph.param(ParamId(0));
+        let table = graph.param(ParamId(1));
+        let lstm_w = graph.param(ParamId(3));
+        let lstm_b = graph.param(ParamId(4));
+        let x = graph.input(Tensor::vector(sample.x.clone()));
+        let projected = graph.matvec(w, x);
+        let h_prev = graph.slice(projected, 1, 2);
+        let c_prev = graph.input(Tensor::vector(vec![0.5, -0.25]));
+        let row = graph.row(table, sample.row);
+        let (h, c) = graph.lstm_step(lstm_w, lstm_b, row, h_prev, c_prev, 2);
+        let joined = graph.concat(&[base, h, c]);
+        graph.mean(joined)
+    }
+
+    /// A store's slots as bit patterns, `None` where nothing was written.
+    fn slot_bits(params: &Params, grads: &Grads) -> Vec<Option<Vec<u32>>> {
+        params
+            .iter()
+            .map(|(id, _, _)| {
+                grads
+                    .get(id)
+                    .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_subset_store_gets_the_full_stores_bits_on_both_engines_and_nothing_else() {
+        let params = lstm_params();
+        let ids: Vec<ParamId> = params.iter().map(|(id, _, _)| id).collect();
+        let program = CompiledProgram::record(&params, |g| build_lstm_loss(g, &samples()[0]));
+        let mut buffers = ReplayBuffers::new();
+        for (index, sample) in samples().iter().enumerate() {
+            let seed = 0.2 + index as f32 * 0.15;
+            let mut graph = Graph::new(&params);
+            let loss = build_lstm_loss(&mut graph, sample);
+            let mut full = Grads::new(&params);
+            graph.backward_scaled(loss, &mut full, seed);
+            let full = slot_bits(&params, &full);
+            assert!(full.iter().all(Option::is_some));
+            for mask in 0u32..1 << ids.len() {
+                let subset: Vec<ParamId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|id| mask & (1 << id.index()) != 0)
+                    .collect();
+                let expected: Vec<Option<Vec<u32>>> = full
+                    .iter()
+                    .enumerate()
+                    .map(|(i, bits)| bits.clone().filter(|_| mask & (1 << i) != 0))
+                    .collect();
+
+                let mut taped = Grads::only(&params, &subset);
+                let mut graph = Graph::new(&params);
+                let loss = build_lstm_loss(&mut graph, sample);
+                graph.backward_scaled(loss, &mut taped, seed);
+                assert_eq!(
+                    slot_bits(&params, &taped),
+                    expected,
+                    "tape, sample {index}, subset {subset:?}"
+                );
+
+                let mut compiled = Grads::only(&params, &subset);
+                program.replay(&params, &mut buffers, &mut compiled, seed, |g| {
+                    build_lstm_loss(g, sample)
+                });
+                assert_eq!(
+                    slot_bits(&params, &compiled),
+                    expected,
+                    "replay, sample {index}, subset {subset:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,37 @@ pub(crate) enum Op {
     Mean(Var),
 }
 
+impl Op {
+    /// True if `f` holds for any operand of the op (leaves have none).
+    fn any_operand(&self, mut f: impl FnMut(Var) -> bool) -> bool {
+        match self {
+            Op::Param(_) | Op::Input => false,
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => f(*a) || f(*b),
+            Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::Abs(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::Slice { src: a, .. }
+            | Op::Row { table: a, .. } => f(*a),
+            Op::MatVec { w, x } => f(*w) || f(*x),
+            Op::Linear { w, b, x } => f(*w) || f(*b) || f(*x),
+            Op::LstmStep {
+                w,
+                b,
+                x,
+                h_prev,
+                c_prev,
+                ..
+            } => f(*w) || f(*b) || f(*x) || f(*h_prev) || f(*c_prev),
+            Op::Concat(parts) => parts.iter().any(|part| f(*part)),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Node {
     op: Op,
@@ -130,6 +161,7 @@ impl BufferPool {
 pub struct TapeArena {
     nodes: Vec<Node>,
     scratch: Vec<Option<Tensor>>,
+    marks: Vec<bool>,
     pool: BufferPool,
 }
 
@@ -152,6 +184,7 @@ impl TapeArena {
             params,
             nodes: std::mem::take(&mut self.nodes),
             scratch: std::mem::take(&mut self.scratch),
+            marks: std::mem::take(&mut self.marks),
             pool: std::mem::take(&mut self.pool),
             bind: None,
         };
@@ -171,6 +204,7 @@ impl TapeArena {
         }
         self.nodes = std::mem::take(&mut graph.nodes);
         self.scratch = std::mem::take(&mut graph.scratch);
+        self.marks = std::mem::take(&mut graph.marks);
         self.pool = pool;
         result
     }
@@ -193,6 +227,8 @@ pub struct Graph<'p> {
     params: &'p Params,
     nodes: Vec<Node>,
     scratch: Vec<Option<Tensor>>,
+    /// Backward scratch: which nodes can reach a collected parameter.
+    marks: Vec<bool>,
     pool: BufferPool,
     /// When `Some`, the graph is in **bind mode**: op methods validate the
     /// call against a [`CompiledProgram`](crate::CompiledProgram)'s recorded
@@ -210,6 +246,7 @@ impl<'p> Graph<'p> {
             params,
             nodes: Vec::with_capacity(64),
             scratch: Vec::new(),
+            marks: Vec::new(),
             pool: BufferPool::default(),
             bind: None,
         }
@@ -222,6 +259,7 @@ impl<'p> Graph<'p> {
             params,
             nodes: Vec::new(),
             scratch: Vec::new(),
+            marks: Vec::new(),
             pool: BufferPool::default(),
             bind: Some(binder),
         }
@@ -601,83 +639,112 @@ impl<'p> Graph<'p> {
 
     /// Like [`Graph::backward`] but seeds the loss gradient with `seed`
     /// (useful for averaging over a batch without rescaling afterwards).
+    ///
+    /// Only parameters that `grads` collects (see [`Grads::only`]) receive
+    /// gradients, and the sweep does no work that cannot reach one: a
+    /// forward pass over the tape first marks every node that depends on a
+    /// collected parameter, and the reverse sweep then skips unmarked
+    /// nodes, opens no gradient slot for an unmarked operand, and asks the
+    /// fused kernels for no weight or bias gradient an unmarked `w`/`b`
+    /// would receive. Every consumer of a marked node is marked, so each
+    /// collected slot gets the same contributions in the same order — the
+    /// same bits — as with a store that collects everything.
     pub fn backward_scaled(&mut self, loss: Var, grads: &mut Grads, seed: f32) {
         assert_eq!(
             self.nodes[loss.0].value.len(),
             1,
             "backward requires a scalar loss"
         );
+        let mut marks = std::mem::take(&mut self.marks);
+        marks.clear();
+        for node in &self.nodes {
+            let reaches = match &node.op {
+                Op::Param(id) => grads.collects(*id),
+                op => op.any_operand(|operand| marks[operand.0]),
+            };
+            marks.push(reaches);
+        }
         let mut node_grads = std::mem::take(&mut self.scratch);
         node_grads.clear();
         node_grads.resize_with(self.nodes.len(), || None);
-        let mut seed_data = self.pool.take(1);
-        seed_data.push(seed);
-        node_grads[loss.0] = Some(Tensor::vector(seed_data));
+        if marks[loss.0] {
+            let mut seed_data = self.pool.take(1);
+            seed_data.push(seed);
+            node_grads[loss.0] = Some(Tensor::vector(seed_data));
+        }
+        // A zeroed pooled buffer for a weight or bias gradient, or `None`
+        // when the operand cannot reach a collected parameter.
+        let weight_grad = |pool: &mut BufferPool, var: Var, len: usize| {
+            marks[var.0].then(|| {
+                let mut data = pool.take(len);
+                data.resize(len, 0.0);
+                data
+            })
+        };
 
         for index in (0..self.nodes.len()).rev() {
             let Some(grad) = node_grads[index].take() else {
                 continue;
             };
             let node = &self.nodes[index];
+            let slots = &mut node_grads[..];
+            let pool = &mut self.pool;
             match &node.op {
                 Op::Input => {}
                 Op::Param(id) => grads.accumulate(*id, &grad, 1.0),
                 Op::Add(a, b) => {
-                    add_grad(&mut node_grads, &mut self.pool, *a, grad.data(), 1.0);
-                    add_grad(&mut node_grads, &mut self.pool, *b, grad.data(), 1.0);
+                    add_grad(slots, &marks, pool, *a, grad.data(), 1.0);
+                    add_grad(slots, &marks, pool, *b, grad.data(), 1.0);
                 }
                 Op::Sub(a, b) => {
-                    add_grad(&mut node_grads, &mut self.pool, *a, grad.data(), 1.0);
-                    add_grad(&mut node_grads, &mut self.pool, *b, grad.data(), -1.0);
+                    add_grad(slots, &marks, pool, *a, grad.data(), 1.0);
+                    add_grad(slots, &marks, pool, *b, grad.data(), -1.0);
                 }
                 Op::Mul(a, b) => {
-                    let mut bv = self.pool.take(grad.len());
-                    bv.extend(
-                        grad.data()
-                            .iter()
-                            .zip(self.nodes[b.0].value.data())
-                            .map(|(g, v)| g * v),
-                    );
-                    let mut av = self.pool.take(grad.len());
-                    av.extend(
-                        grad.data()
-                            .iter()
-                            .zip(self.nodes[a.0].value.data())
-                            .map(|(g, v)| g * v),
-                    );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *a, bv);
-                    add_grad_owned(&mut node_grads, &mut self.pool, *b, av);
+                    for (target, other) in [(*a, *b), (*b, *a)] {
+                        if !marks[target.0] {
+                            continue;
+                        }
+                        let mut d = pool.take(grad.len());
+                        d.extend(
+                            grad.data()
+                                .iter()
+                                .zip(self.nodes[other.0].value.data())
+                                .map(|(g, v)| g * v),
+                        );
+                        add_grad_owned(slots, &marks, pool, target, d);
+                    }
                 }
-                Op::Scale(a, factor) => {
-                    add_grad(&mut node_grads, &mut self.pool, *a, grad.data(), *factor)
-                }
-                Op::AddScalar(a) => add_grad(&mut node_grads, &mut self.pool, *a, grad.data(), 1.0),
+                Op::Scale(a, factor) => add_grad(slots, &marks, pool, *a, grad.data(), *factor),
+                Op::AddScalar(a) => add_grad(slots, &marks, pool, *a, grad.data(), 1.0),
                 Op::MatVec { w, x } => {
                     let wt = &self.nodes[w.0].value;
                     let xt = &self.nodes[x.0].value;
                     let (m, n) = (wt.rows(), wt.cols());
-                    let mut dw = self.pool.take(m * n);
-                    dw.resize(m * n, 0.0);
-                    let mut dx = self.pool.take(n);
+                    let mut dw = weight_grad(pool, *w, m * n);
+                    let mut dx = pool.take(n);
                     dx.resize(n, 0.0);
-                    kernels::matvec_grad(wt.data(), xt.data(), grad.data(), m, n, &mut dw, &mut dx);
-                    add_grad_shaped(
-                        &mut node_grads,
-                        &mut self.pool,
-                        *w,
-                        Tensor::matrix(m, n, dw),
+                    kernels::matvec_grad(
+                        wt.data(),
+                        xt.data(),
+                        grad.data(),
+                        m,
+                        n,
+                        dw.as_deref_mut(),
+                        &mut dx,
                     );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *x, dx);
+                    if let Some(dw) = dw {
+                        add_grad_shaped(slots, pool, *w, Tensor::matrix(m, n, dw));
+                    }
+                    add_grad_owned(slots, &marks, pool, *x, dx);
                 }
                 Op::Linear { w, b, x } => {
                     let wt = &self.nodes[w.0].value;
                     let xt = &self.nodes[x.0].value;
                     let (m, n) = (wt.rows(), wt.cols());
-                    let mut dw = self.pool.take(m * n);
-                    dw.resize(m * n, 0.0);
-                    let mut db = self.pool.take(m);
-                    db.resize(m, 0.0);
-                    let mut dx = self.pool.take(n);
+                    let mut dw = weight_grad(pool, *w, m * n);
+                    let mut db = weight_grad(pool, *b, m);
+                    let mut dx = pool.take(n);
                     dx.resize(n, 0.0);
                     kernels::linear_grad(
                         wt.data(),
@@ -685,18 +752,17 @@ impl<'p> Graph<'p> {
                         grad.data(),
                         m,
                         n,
-                        &mut dw,
-                        &mut db,
+                        dw.as_deref_mut(),
+                        db.as_deref_mut(),
                         &mut dx,
                     );
-                    add_grad_shaped(
-                        &mut node_grads,
-                        &mut self.pool,
-                        *w,
-                        Tensor::matrix(m, n, dw),
-                    );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *b, db);
-                    add_grad_owned(&mut node_grads, &mut self.pool, *x, dx);
+                    if let Some(dw) = dw {
+                        add_grad_shaped(slots, pool, *w, Tensor::matrix(m, n, dw));
+                    }
+                    if let Some(db) = db {
+                        add_grad_owned(slots, &marks, pool, *b, db);
+                    }
+                    add_grad_owned(slots, &marks, pool, *x, dx);
                 }
                 Op::LstmStep {
                     w,
@@ -709,15 +775,13 @@ impl<'p> Graph<'p> {
                     let hidden = *hidden;
                     let input = self.nodes[x.0].value.len();
                     let width = input + hidden;
-                    let mut dw = self.pool.take(4 * hidden * width);
-                    dw.resize(4 * hidden * width, 0.0);
-                    let mut db = self.pool.take(4 * hidden);
-                    db.resize(4 * hidden, 0.0);
-                    let mut dx = self.pool.take(input);
+                    let mut dw = weight_grad(pool, *w, 4 * hidden * width);
+                    let mut db = weight_grad(pool, *b, 4 * hidden);
+                    let mut dx = pool.take(input);
                     dx.resize(input, 0.0);
-                    let mut dh = self.pool.take(hidden);
+                    let mut dh = pool.take(hidden);
                     dh.resize(hidden, 0.0);
-                    let mut dc = self.pool.take(hidden);
+                    let mut dc = pool.take(hidden);
                     dc.resize(hidden, 0.0);
                     kernels::lstm_step_grad(
                         self.nodes[w.0].value.data(),
@@ -728,70 +792,70 @@ impl<'p> Graph<'p> {
                         grad.data(),
                         hidden,
                         input,
-                        &mut dw,
-                        &mut db,
+                        dw.as_deref_mut(),
+                        db.as_deref_mut(),
                         &mut dx,
                         &mut dh,
                         &mut dc,
                     );
-                    add_grad_shaped(
-                        &mut node_grads,
-                        &mut self.pool,
-                        *w,
-                        Tensor::matrix(4 * hidden, width, dw),
-                    );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *b, db);
-                    add_grad_owned(&mut node_grads, &mut self.pool, *x, dx);
-                    add_grad_owned(&mut node_grads, &mut self.pool, *h_prev, dh);
-                    add_grad_owned(&mut node_grads, &mut self.pool, *c_prev, dc);
+                    if let Some(dw) = dw {
+                        add_grad_shaped(slots, pool, *w, Tensor::matrix(4 * hidden, width, dw));
+                    }
+                    if let Some(db) = db {
+                        add_grad_owned(slots, &marks, pool, *b, db);
+                    }
+                    add_grad_owned(slots, &marks, pool, *x, dx);
+                    add_grad_owned(slots, &marks, pool, *h_prev, dh);
+                    add_grad_owned(slots, &marks, pool, *c_prev, dc);
                 }
                 Op::Sigmoid(a) => {
-                    let mut d = self.pool.take(grad.len());
+                    let mut d = pool.take(grad.len());
                     d.extend(
                         grad.data()
                             .iter()
                             .zip(node.value.data())
                             .map(|(g, y)| g * y * (1.0 - y)),
                     );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *a, d);
+                    add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Tanh(a) => {
-                    let mut d = self.pool.take(grad.len());
+                    let mut d = pool.take(grad.len());
                     d.extend(
                         grad.data()
                             .iter()
                             .zip(node.value.data())
                             .map(|(g, y)| g * (1.0 - y * y)),
                     );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *a, d);
+                    add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Relu(a) => {
-                    let mut d = self.pool.take(grad.len());
+                    let mut d = pool.take(grad.len());
                     d.extend(
                         grad.data()
                             .iter()
                             .zip(self.nodes[a.0].value.data())
                             .map(|(g, x)| if *x > 0.0 { *g } else { 0.0 }),
                     );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *a, d);
+                    add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Abs(a) => {
-                    let mut d = self.pool.take(grad.len());
+                    let mut d = pool.take(grad.len());
                     d.extend(
                         grad.data()
                             .iter()
                             .zip(self.nodes[a.0].value.data())
                             .map(|(g, x)| if *x >= 0.0 { *g } else { -*g }),
                     );
-                    add_grad_owned(&mut node_grads, &mut self.pool, *a, d);
+                    add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Concat(parts) => {
                     let mut offset = 0;
                     for part in parts {
                         let len = self.nodes[part.0].value.len();
                         add_grad(
-                            &mut node_grads,
-                            &mut self.pool,
+                            slots,
+                            &marks,
+                            pool,
                             *part,
                             &grad.data()[offset..offset + len],
                             1.0,
@@ -801,10 +865,10 @@ impl<'p> Graph<'p> {
                 }
                 Op::Slice { src, start, len } => {
                     let total = self.nodes[src.0].value.len();
-                    let mut d = self.pool.take(total);
+                    let mut d = pool.take(total);
                     d.resize(total, 0.0);
                     d[*start..*start + *len].copy_from_slice(grad.data());
-                    add_grad_owned(&mut node_grads, &mut self.pool, *src, d);
+                    add_grad_owned(slots, &marks, pool, *src, d);
                 }
                 Op::Row { table, row } => {
                     // Fast path: embedding tables are parameter leaves, so the
@@ -824,37 +888,33 @@ impl<'p> Graph<'p> {
                         let shape = table_node.value.shape().to_vec();
                         let total = table_node.value.len();
                         let cols = table_node.value.cols();
-                        let mut d = self.pool.take(total);
+                        let mut d = pool.take(total);
                         d.resize(total, 0.0);
                         d[row * cols..row * cols + grad.len()].copy_from_slice(grad.data());
-                        add_grad_shaped(
-                            &mut node_grads,
-                            &mut self.pool,
-                            *table,
-                            Tensor::from_vec(d, shape),
-                        );
+                        add_grad_shaped(slots, pool, *table, Tensor::from_vec(d, shape));
                     }
                 }
                 Op::Sum(a) => {
                     let g = grad.item();
                     let len = self.nodes[a.0].value.len();
-                    let mut d = self.pool.take(len);
+                    let mut d = pool.take(len);
                     d.resize(len, g);
-                    add_grad_owned(&mut node_grads, &mut self.pool, *a, d);
+                    add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Mean(a) => {
                     let len = self.nodes[a.0].value.len().max(1);
                     let g = grad.item() / len as f32;
                     let len = self.nodes[a.0].value.len();
-                    let mut d = self.pool.take(len);
+                    let mut d = pool.take(len);
                     d.resize(len, g);
-                    add_grad_owned(&mut node_grads, &mut self.pool, *a, d);
+                    add_grad_owned(slots, &marks, pool, *a, d);
                 }
             }
             self.pool.put_tensor(grad);
         }
         node_grads.clear();
         self.scratch = node_grads;
+        self.marks = marks;
     }
 
     /// Number of nodes recorded on the tape.
@@ -869,14 +929,19 @@ impl<'p> Graph<'p> {
 }
 
 /// Adds `values * scale` into a node-gradient slot, drawing any fresh buffer
-/// from the pool.
+/// from the pool. A no-op for an operand that cannot reach a collected
+/// parameter (`marks[var]` is false).
 fn add_grad(
     slots: &mut [Option<Tensor>],
+    marks: &[bool],
     pool: &mut BufferPool,
     var: Var,
     values: &[f32],
     scale: f32,
 ) {
+    if !marks[var.0] {
+        return;
+    }
     match &mut slots[var.0] {
         Some(existing) => {
             for (dst, src) in existing.data_mut().iter_mut().zip(values) {
@@ -892,8 +957,19 @@ fn add_grad(
 }
 
 /// Adds an owned, already-scaled vector buffer into a node-gradient slot,
-/// recycling it into the pool when the slot is already populated.
-fn add_grad_owned(slots: &mut [Option<Tensor>], pool: &mut BufferPool, var: Var, data: Vec<f32>) {
+/// recycling it into the pool when the slot is already populated or the
+/// operand cannot reach a collected parameter.
+fn add_grad_owned(
+    slots: &mut [Option<Tensor>],
+    marks: &[bool],
+    pool: &mut BufferPool,
+    var: Var,
+    data: Vec<f32>,
+) {
+    if !marks[var.0] {
+        pool.put(data);
+        return;
+    }
     match &mut slots[var.0] {
         Some(existing) => {
             for (dst, src) in existing.data_mut().iter_mut().zip(&data) {

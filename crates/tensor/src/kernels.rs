@@ -64,7 +64,8 @@ pub fn matvec(w: &[f32], x: &[f32], m: usize, n: usize, out: &mut [f32]) {
 }
 
 /// Backward of [`matvec`]: accumulates `dw += g ⊗ x` and `dx += wᵀ g` into
-/// caller-zeroed buffers.
+/// caller-zeroed buffers. With `dw = None` the weight gradient is not
+/// computed; `dx` gets the same bits either way.
 ///
 /// Rows whose output gradient is exactly `0.0` are skipped, matching the
 /// tape's historical behavior (and avoiding `0 * inf = NaN` pollution from
@@ -76,13 +77,15 @@ pub fn matvec_grad(
     g: &[f32],
     m: usize,
     n: usize,
-    dw: &mut [f32],
+    mut dw: Option<&mut [f32]>,
     dx: &mut [f32],
 ) {
     assert_eq!(w.len(), m * n, "matvec_grad weight shape mismatch");
     assert_eq!(x.len(), n, "matvec_grad input shape mismatch");
     assert_eq!(g.len(), m, "matvec_grad output-grad shape mismatch");
-    assert_eq!(dw.len(), m * n, "matvec_grad dw shape mismatch");
+    if let Some(dw) = &dw {
+        assert_eq!(dw.len(), m * n, "matvec_grad dw shape mismatch");
+    }
     assert_eq!(dx.len(), n, "matvec_grad dx shape mismatch");
     for i in 0..m {
         let gi = g[i];
@@ -90,10 +93,19 @@ pub fn matvec_grad(
             continue;
         }
         let row = &w[i * n..(i + 1) * n];
-        let drow = &mut dw[i * n..(i + 1) * n];
-        for j in 0..n {
-            drow[j] += gi * x[j];
-            dx[j] += gi * row[j];
+        match dw.as_deref_mut() {
+            Some(dw) => {
+                let drow = &mut dw[i * n..(i + 1) * n];
+                for j in 0..n {
+                    drow[j] += gi * x[j];
+                    dx[j] += gi * row[j];
+                }
+            }
+            None => {
+                for (d, wj) in dx.iter_mut().zip(row) {
+                    *d += gi * wj;
+                }
+            }
         }
     }
 }
@@ -116,7 +128,7 @@ pub fn linear(w: &[f32], b: &[f32], x: &[f32], m: usize, n: usize, out: &mut [f3
 /// Backward of [`linear`]: accumulates `dw += g ⊗ x`, `db += g`, and
 /// `dx += wᵀ g` into caller-zeroed buffers, with the same zero-gradient row
 /// skip as [`matvec_grad`] for `dw`/`dx` (`db` always accumulates, matching
-/// the unfused add's backward).
+/// the unfused add's backward). `None` skips that weight or bias gradient.
 #[inline]
 #[allow(clippy::too_many_arguments)] // a flat slice signature keeps both engines' call sites identical
 pub fn linear_grad(
@@ -125,13 +137,15 @@ pub fn linear_grad(
     g: &[f32],
     m: usize,
     n: usize,
-    dw: &mut [f32],
-    db: &mut [f32],
+    dw: Option<&mut [f32]>,
+    db: Option<&mut [f32]>,
     dx: &mut [f32],
 ) {
-    assert_eq!(db.len(), m, "linear_grad db shape mismatch");
-    for (db_i, gi) in db.iter_mut().zip(g) {
-        *db_i += gi;
+    if let Some(db) = db {
+        assert_eq!(db.len(), m, "linear_grad db shape mismatch");
+        for (db_i, gi) in db.iter_mut().zip(g) {
+            *db_i += gi;
+        }
     }
     matvec_grad(w, x, g, m, n, dw, dx);
 }
@@ -223,7 +237,8 @@ pub fn lstm_step(
 /// (`0..hidden`) and `c` segment (`hidden..2*hidden`) are read — the gate
 /// segments are internal to the fused op and never exposed as graph outputs.
 /// All five output buffers accumulate (`+=`) and must be zeroed by the
-/// caller.
+/// caller. `dw`/`db` may be `None` when the weights need no gradient; `dx`,
+/// `dh_prev` and `dc_prev` get the same bits either way.
 #[inline]
 #[allow(clippy::too_many_arguments)] // a flat slice signature keeps both engines' call sites identical
 pub fn lstm_step_grad(
@@ -235,8 +250,8 @@ pub fn lstm_step_grad(
     g_packed: &[f32],
     hidden: usize,
     input: usize,
-    dw: &mut [f32],
-    db: &mut [f32],
+    mut dw: Option<&mut [f32]>,
+    mut db: Option<&mut [f32]>,
     dx: &mut [f32],
     dh_prev: &mut [f32],
     dc_prev: &mut [f32],
@@ -257,8 +272,12 @@ pub fn lstm_step_grad(
         lstm_packed_len(hidden),
         "lstm_step_grad grad shape mismatch"
     );
-    assert_eq!(dw.len(), w.len(), "lstm_step_grad dw shape mismatch");
-    assert_eq!(db.len(), 4 * hidden, "lstm_step_grad db shape mismatch");
+    if let Some(dw) = &dw {
+        assert_eq!(dw.len(), w.len(), "lstm_step_grad dw shape mismatch");
+    }
+    if let Some(db) = &db {
+        assert_eq!(db.len(), 4 * hidden, "lstm_step_grad db shape mismatch");
+    }
     assert_eq!(dx.len(), input, "lstm_step_grad dx shape mismatch");
     assert_eq!(
         dh_prev.len(),
@@ -290,19 +309,28 @@ pub fn lstm_step_grad(
         for (gate, d_pre_gate) in d_pre.iter().enumerate() {
             let d = *d_pre_gate;
             let row_index = gate * hidden + k;
-            db[row_index] += d;
+            if let Some(db) = db.as_deref_mut() {
+                db[row_index] += d;
+            }
             if d == 0.0 {
                 continue;
             }
             let row = &w[row_index * width..(row_index + 1) * width];
-            let drow = &mut dw[row_index * width..(row_index + 1) * width];
-            for j in 0..input {
-                drow[j] += d * x[j];
-                dx[j] += d * row[j];
+            if let Some(dw) = dw.as_deref_mut() {
+                let (dw_x, dw_h) =
+                    dw[row_index * width..(row_index + 1) * width].split_at_mut(input);
+                for (dst, xj) in dw_x.iter_mut().zip(x) {
+                    *dst += d * xj;
+                }
+                for (dst, hj) in dw_h.iter_mut().zip(h_prev) {
+                    *dst += d * hj;
+                }
             }
-            for j in 0..hidden {
-                drow[input + j] += d * h_prev[j];
-                dh_prev[j] += d * row[input + j];
+            for (dst, wj) in dx.iter_mut().zip(&row[..input]) {
+                *dst += d * wj;
+            }
+            for (dst, wj) in dh_prev.iter_mut().zip(&row[input..]) {
+                *dst += d * wj;
             }
         }
     }
@@ -349,10 +377,109 @@ mod tests {
         let g = [0.0, 1.0];
         let mut dw = [0.0; 4];
         let mut dx = [0.0; 2];
-        matvec_grad(&w, &x, &g, 2, 2, &mut dw, &mut dx);
+        matvec_grad(&w, &x, &g, 2, 2, Some(&mut dw), &mut dx);
         // The infinite first row is skipped because its gradient is zero.
         assert_eq!(dw, [0.0, 0.0, 0.5, 0.25]);
         assert_eq!(dx, [2.0, 3.0]);
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn matvec_and_linear_grad_without_weight_grads_give_the_same_dx() {
+        // An infinite weight in a zero-gradient row must stay skipped on both
+        // paths, or `dx` picks up `0 * inf = NaN`.
+        let w = [f32::INFINITY, 1.0, -2.0, 0.5, 3.0, -0.25, 1.5, -4.0, 0.75];
+        let x = [0.5, -0.25, 2.0];
+        let g = [0.0, 1.5, -0.75];
+        let (mut dw, mut db, mut dx) = ([0.0; 9], [0.0; 3], [0.0; 3]);
+        matvec_grad(&w, &x, &g, 3, 3, Some(&mut dw), &mut dx);
+        let mut dx_none = [0.0; 3];
+        matvec_grad(&w, &x, &g, 3, 3, None, &mut dx_none);
+        assert_eq!(bits(&dx), bits(&dx_none));
+        assert!(dx.iter().all(|v| v.is_finite()), "{dx:?}");
+        assert_eq!(dw[..3], [0.0; 3], "the zero-gradient row is skipped");
+
+        let mut dx_linear = [0.0; 3];
+        linear_grad(
+            &w,
+            &x,
+            &g,
+            3,
+            3,
+            Some(&mut dw),
+            Some(&mut db),
+            &mut dx_linear,
+        );
+        for (dw_given, db_given) in [(true, false), (false, true), (false, false)] {
+            let (mut dw2, mut db2, mut dx2) = ([0.0; 9], [0.0; 3], [0.0; 3]);
+            linear_grad(
+                &w,
+                &x,
+                &g,
+                3,
+                3,
+                dw_given.then_some(&mut dw2[..]),
+                db_given.then_some(&mut db2[..]),
+                &mut dx2,
+            );
+            assert_eq!(bits(&dx_linear), bits(&dx2));
+        }
+        assert_eq!(bits(&dx_linear), bits(&dx));
+    }
+
+    #[test]
+    fn lstm_step_grad_without_weight_grads_gives_the_same_state_grads() {
+        let hidden = 3;
+        let input = 2;
+        let width = input + hidden;
+        let mut w: Vec<f32> = (0..4 * hidden * width)
+            .map(|i| ((i * 7 % 19) as f32 - 9.0) * 0.13)
+            .collect();
+        let b: Vec<f32> = (0..4 * hidden).map(|i| 0.2 - (i as f32) * 0.04).collect();
+        let x = [0.7, -0.4];
+        let h_prev = [0.2, -0.1, 0.3];
+        let c_prev = [0.0, 0.5, -0.6];
+        let mut packed = vec![0.0; lstm_packed_len(hidden)];
+        lstm_step(&w, &b, &x, &h_prev, &c_prev, hidden, input, &mut packed);
+        // Unit 0's cell state receives no gradient and its hidden state none
+        // either, so every gate pre-activation gradient of unit 0 is exactly
+        // zero; an infinite weight in its input-gate row must stay skipped.
+        let mut g_packed = vec![0.0; lstm_packed_len(hidden)];
+        g_packed[1] = 0.8;
+        g_packed[2] = -0.3;
+        g_packed[hidden + 1] = 0.25;
+        g_packed[hidden + 2] = -1.1;
+        w[0] = f32::INFINITY;
+        let run = |weights: bool| {
+            let (mut dw, mut db) = (vec![0.0; w.len()], vec![0.0; 4 * hidden]);
+            let (mut dx, mut dh, mut dc) = (vec![0.0; input], vec![0.0; hidden], vec![0.0; hidden]);
+            lstm_step_grad(
+                &w,
+                &x,
+                &h_prev,
+                &c_prev,
+                &packed,
+                &g_packed,
+                hidden,
+                input,
+                weights.then_some(&mut dw[..]),
+                weights.then_some(&mut db[..]),
+                &mut dx,
+                &mut dh,
+                &mut dc,
+            );
+            (bits(&dx), bits(&dh), bits(&dc), dw)
+        };
+        let (dx, dh, dc, dw) = run(true);
+        let (dx_none, dh_none, dc_none, _) = run(false);
+        assert_eq!(dx, dx_none);
+        assert_eq!(dh, dh_none);
+        assert_eq!(dc, dc_none);
+        assert!(dx.iter().chain(&dh).all(|v| f32::from_bits(*v).is_finite()));
+        assert_eq!(dw[0], 0.0, "the zero-gradient gate row is skipped");
     }
 
     #[test]

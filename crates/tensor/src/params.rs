@@ -87,16 +87,67 @@ impl Params {
 /// Buffers are allocated lazily on first accumulation and reused across
 /// samples, so per-sample backward passes do not reallocate large embedding
 /// gradients.
+///
+/// A store **collects** a set of parameters: [`Grads::new`] collects every
+/// parameter, [`Grads::only`] a subset. Accumulation into a parameter the
+/// store does not collect is ignored, so its slot stays `None`, and
+/// [`Graph::backward`](crate::Graph::backward) skips every tape node whose
+/// gradient cannot reach a collected parameter. Collected slots hold the
+/// same bits either way: a subset store is a full store with the other
+/// slots never written.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Grads {
     slots: Vec<Option<Tensor>>,
+    /// `None` collects every parameter; `Some(mask)` collects the ids whose
+    /// entry is `true` (ids past the mask's end are not collected).
+    collected: Option<Vec<bool>>,
 }
 
 impl Grads {
-    /// Creates a gradient store matching a parameter store.
+    /// Creates a gradient store matching a parameter store that collects
+    /// every parameter.
     pub fn new(params: &Params) -> Self {
         Grads {
             slots: vec![None; params.len()],
+            collected: None,
+        }
+    }
+
+    /// Creates a gradient store that collects only the parameters in `ids`,
+    /// which must belong to `params`.
+    ///
+    /// Use it when a loss is differentiated with respect to a few parameters
+    /// while the rest stay frozen: the backward pass then does no work for
+    /// the frozen ones.
+    pub fn only(params: &Params, ids: &[ParamId]) -> Self {
+        let mut collected = vec![false; params.len()];
+        for id in ids {
+            collected[id.0] = true;
+        }
+        Grads {
+            slots: vec![None; params.len()],
+            collected: Some(collected),
+        }
+    }
+
+    /// True if this store collects gradients for `id`.
+    pub(crate) fn collects(&self, id: ParamId) -> bool {
+        self.collected
+            .as_ref()
+            .is_none_or(|mask| mask.get(id.0).copied().unwrap_or(false))
+    }
+
+    /// Makes this store collect the same set as `other`, dropping the slots
+    /// of parameters it no longer collects. The [`Batch`](crate::Batch)
+    /// engine gives its per-chunk stores the destination store's set.
+    pub(crate) fn collect_like(&mut self, other: &Grads) {
+        if self.collected != other.collected {
+            self.collected.clone_from(&other.collected);
+            for (index, slot) in self.slots.iter_mut().enumerate() {
+                if !other.collects(ParamId(index)) {
+                    *slot = None;
+                }
+            }
         }
     }
 
@@ -105,8 +156,12 @@ impl Grads {
         self.slots.get(id.0).and_then(Option::as_ref)
     }
 
-    /// Adds `value * scale` into the gradient slot for `id`.
+    /// Adds `value * scale` into the gradient slot for `id`; a no-op if the
+    /// store does not collect `id`.
     pub fn accumulate(&mut self, id: ParamId, value: &Tensor, scale: f32) {
+        if !self.collects(id) {
+            return;
+        }
         if self.slots.len() <= id.0 {
             self.slots.resize(id.0 + 1, None);
         }
@@ -122,7 +177,8 @@ impl Grads {
 
     /// Adds a single scaled value into one element of the gradient slot,
     /// allocating the slot (with the given shape) if needed. Used for sparse
-    /// updates such as embedding rows.
+    /// updates such as embedding rows. A no-op if the store does not collect
+    /// `id`.
     pub fn accumulate_at(
         &mut self,
         id: ParamId,
@@ -131,6 +187,9 @@ impl Grads {
         values: &[f32],
         scale: f32,
     ) {
+        if !self.collects(id) {
+            return;
+        }
         if self.slots.len() <= id.0 {
             self.slots.resize(id.0 + 1, None);
         }
@@ -149,12 +208,12 @@ impl Grads {
     }
 
     /// Resizes the slot table to match `params` and zeroes every already
-    /// allocated buffer, keeping the allocations for reuse. The deterministic
-    /// [`Batch`](crate::Batch) engine calls this between batches so gradient
-    /// slots stop allocating after the first batch. The store must keep
-    /// being used with parameters of the same shapes; reusing it across
-    /// different models panics on the first shape mismatch, as accumulation
-    /// always has.
+    /// allocated buffer, keeping the allocations for reuse and the collected
+    /// set. The deterministic [`Batch`](crate::Batch) engine calls this
+    /// between batches so gradient slots stop allocating after the first
+    /// batch. The store must keep being used with parameters of the same
+    /// shapes; reusing it across different models panics on the first shape
+    /// mismatch, as accumulation always has.
     ///
     /// Note the difference from a fresh [`Grads::new`]: a slot that was ever
     /// populated stays `Some` (holding zeros) rather than reverting to
@@ -170,7 +229,8 @@ impl Grads {
         self.zero();
     }
 
-    /// Merges another gradient store into this one (summing overlapping slots).
+    /// Merges another gradient store into this one (summing overlapping
+    /// slots). Slots of parameters this store does not collect are ignored.
     pub fn merge(&mut self, other: &Grads) {
         if self.slots.len() < other.slots.len() {
             self.slots.resize(other.slots.len(), None);
@@ -247,6 +307,35 @@ mod tests {
             g1.get(table).unwrap().data(),
             &[0.0, 0.0, 6.0, 7.0, 0.0, 0.0]
         );
+    }
+
+    #[test]
+    fn a_subset_store_ignores_what_it_does_not_collect() {
+        let mut params = Params::new();
+        let a = params.add("a", Tensor::vector(vec![0.0, 0.0]));
+        let table = params.add("table", Tensor::matrix(2, 2, vec![0.0; 4]));
+        let mut full = Grads::new(&params);
+        full.accumulate(a, &Tensor::vector(vec![1.0, 2.0]), 1.0);
+        full.accumulate_at(table, &[2, 2], 2, &[3.0, 4.0], 1.0);
+
+        let mut only_a = Grads::only(&params, &[a]);
+        assert!(only_a.collects(a) && !only_a.collects(table));
+        only_a.accumulate(a, &Tensor::vector(vec![1.0, 2.0]), 1.0);
+        only_a.accumulate(table, &Tensor::matrix(2, 2, vec![1.0; 4]), 1.0);
+        only_a.accumulate_at(table, &[2, 2], 2, &[3.0, 4.0], 1.0);
+        assert_eq!(only_a.get(a), full.get(a));
+        assert!(only_a.get(table).is_none());
+
+        only_a.reset(&params);
+        only_a.merge(&full);
+        assert_eq!(only_a.get(a), full.get(a));
+        assert!(only_a.get(table).is_none(), "reset keeps the set");
+
+        // A per-chunk store taking over a destination's set drops the slots
+        // it no longer collects.
+        full.collect_like(&only_a);
+        assert!(full.get(table).is_none() && full.get(a).is_some());
+        assert!(Grads::only(&params, &[a, table]).collects(table));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: the [`Batch`] engine's gradients are bit-identical for
-//! every worker count, across random models, batch sizes, and seeds. The
+//! every worker count, across random models, batch sizes, seeds, and
+//! collected parameter sets. The
 //! properties sweep worker widths themselves (serial vs 2..8 workers), so
 //! one run of this suite covers the whole width range; CI's `determinism`
 //! job runs it once, alongside the env-driven pipeline suite in
@@ -70,34 +71,78 @@ fn loss_of(w: ParamId, table: ParamId) -> impl Fn(&mut Graph<'_>, &Vec<f32>) -> 
     }
 }
 
-fn run(threads: usize, model_seed: u64, count: usize, grad_seed: f32) -> (f64, Grads) {
+/// Which parameters a run's gradient store collects.
+#[derive(Debug, Clone, Copy)]
+enum Collect {
+    All,
+    OnlyW,
+    OnlyTable,
+}
+
+fn run(
+    threads: usize,
+    model_seed: u64,
+    count: usize,
+    grad_seed: f32,
+    collect: Collect,
+) -> (f64, Grads, [ParamId; 2]) {
     let hidden = 5;
     let features = 4;
     let (params, w, table) = build_params(model_seed, hidden, features);
     let samples = random_samples(model_seed, count, features);
     let mut engine = Batch::new(threads);
-    let mut grads = Grads::new(&params);
+    let mut grads = match collect {
+        Collect::All => Grads::new(&params),
+        Collect::OnlyW => Grads::only(&params, &[w]),
+        Collect::OnlyTable => Grads::only(&params, &[table]),
+    };
     let total = engine.accumulate(&params, &samples, loss_of(w, table), grad_seed, &mut grads);
-    (total, grads)
+    (total, grads, [w, table])
+}
+
+/// A store's slots as bit patterns, `None` where nothing was written.
+fn slot_bits(grads: &Grads, ids: [ParamId; 2]) -> Vec<Option<Vec<u32>>> {
+    ids.into_iter()
+        .map(|id| {
+            grads
+                .get(id)
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// For any model, batch size, and gradient seed, every worker count
-    /// produces the same loss and gradient bits as a single worker.
+    /// For any model, batch size, gradient seed and collected set, every
+    /// worker count produces the same loss and gradient bits as a single
+    /// worker, and a subset store's slots are the full store's bits.
     #[test]
     fn parallel_gradients_are_bit_equal_to_serial(
         model_seed in 0u64..1_000,
         count in 1usize..48,
         threads in 2usize..8,
         seed_scale in 1u32..16,
+        collect in 0usize..3,
     ) {
+        let collect = [Collect::All, Collect::OnlyW, Collect::OnlyTable][collect];
         let grad_seed = 1.0 / seed_scale as f32;
-        let (serial_loss, serial_grads) = run(1, model_seed, count, grad_seed);
-        let (parallel_loss, parallel_grads) = run(threads, model_seed, count, grad_seed);
+        let (serial_loss, serial_grads, ids) = run(1, model_seed, count, grad_seed, collect);
+        let (parallel_loss, parallel_grads, _) = run(threads, model_seed, count, grad_seed, collect);
         prop_assert_eq!(serial_loss.to_bits(), parallel_loss.to_bits());
-        prop_assert_eq!(serial_grads, parallel_grads);
+        prop_assert_eq!(&serial_grads, &parallel_grads);
+        let (_, full, _) = run(1, model_seed, count, grad_seed, Collect::All);
+        let kept = match collect {
+            Collect::All => [true, true],
+            Collect::OnlyW => [true, false],
+            Collect::OnlyTable => [false, true],
+        };
+        let expected: Vec<_> = slot_bits(&full, ids)
+            .into_iter()
+            .zip(kept)
+            .map(|(bits, keep)| bits.filter(|_| keep))
+            .collect();
+        prop_assert_eq!(slot_bits(&parallel_grads, ids), expected);
     }
 }
 
