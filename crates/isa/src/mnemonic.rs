@@ -90,6 +90,12 @@ macro_rules! mnemonics {
                 match self { $(Mnemonic::$variant => $att),+ }
             }
 
+            /// The mnemonic whose AT&T base name is exactly `name` (lower
+            /// case, no width suffix): the inverse of [`Mnemonic::att_name`].
+            pub(crate) fn from_att_name(name: &str) -> Option<Mnemonic> {
+                match name { $($att => Some(Mnemonic::$variant),)+ _ => None }
+            }
+
             /// The coarse operation class.
             pub fn class(self) -> OpClass {
                 match self { $(Mnemonic::$variant => $class),+ }
@@ -333,6 +339,7 @@ mod tests {
                 "duplicate AT&T name {}",
                 m.att_name()
             );
+            assert_eq!(Mnemonic::from_att_name(m.att_name()), Some(m));
         }
         assert!(Mnemonic::ALL.len() >= 100, "expected a rich mnemonic set");
     }

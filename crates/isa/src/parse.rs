@@ -5,6 +5,7 @@
 //! common spellings that appear in the paper's case studies (`pushq %rbx`,
 //! `xorl %r13d, %r13d`, `addl %eax, 16(%rsp)`, `shrq $5, 16(%rsp)`, ...).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::opcode::{Form, Opcode, OperandKind, Width};
@@ -70,7 +71,7 @@ pub fn parse_inst(line: &str) -> Result<Inst, ParseError> {
 
     let att_operands = split_operands(rest)
         .into_iter()
-        .map(|s| parse_operand(&s))
+        .map(parse_operand)
         .collect::<Result<Vec<_>, _>>()?;
     // AT&T order is source-first; internal order is destination-first.
     let mut operands = att_operands;
@@ -91,36 +92,30 @@ pub fn parse_inst(line: &str) -> Result<Inst, ParseError> {
 
     let (mnemonic, width) = resolve_mnemonic(mnemonic_text, &operands)?;
     let form = infer_form(&operands).ok_or_else(|| ParseError::BadLine(line.to_string()))?;
-    let id = lookup_opcode(mnemonic, width, form, &operands)
+    let id = lookup_opcode(mnemonic, width, form)
         .ok_or_else(|| ParseError::UnsupportedOpcode(format!("{mnemonic_text} ({line})")))?;
     Ok(Inst::new(id, operands))
 }
 
 /// Splits an operand list on commas that are not inside parentheses.
-fn split_operands(rest: &str) -> Vec<String> {
+fn split_operands(rest: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut depth = 0usize;
-    let mut current = String::new();
-    for c in rest.chars() {
+    let mut start = 0;
+    for (index, c) in rest.char_indices() {
         match c {
-            '(' => {
-                depth += 1;
-                current.push(c);
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                current.push(c);
-            }
+            '(' => depth += 1,
+            ')' => depth = depth.saturating_sub(1),
             ',' if depth == 0 => {
-                out.push(current.trim().to_string());
-                current.clear();
+                out.push(rest[start..index].trim());
+                start = index + 1;
             }
-            _ => current.push(c),
+            _ => {}
         }
     }
-    let last = current.trim();
+    let last = rest[start..].trim();
     if !last.is_empty() {
-        out.push(last.to_string());
+        out.push(last);
     }
     out
 }
@@ -208,22 +203,24 @@ fn has_vector_operand(operands: &[Operand]) -> bool {
 
 /// Resolves a mnemonic spelling plus operand list into a mnemonic and width.
 fn resolve_mnemonic(text: &str, operands: &[Operand]) -> Result<(Mnemonic, Width), ParseError> {
-    let lower = text.to_ascii_lowercase();
+    let lower: Cow<'_, str> = if text.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(text.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(text)
+    };
+    let lower = lower.as_ref();
+    let ymm = operands
+        .iter()
+        .any(|o| matches!(o, Operand::Reg(r) if r.width() == Width::B256));
 
     // Exact match against mnemonics with no width suffix (SSE/AVX, setcc, nop, ...).
-    for &m in Mnemonic::ALL {
-        if !m.has_width_suffix() && m.att_name() == lower {
-            // `movq`/`movd` (and `movsd`) are ambiguous between the SSE move and
-            // a scalar integer spelling: prefer the vector reading only if a
-            // vector register is actually involved.
-            let ambiguous = matches!(m, Mnemonic::Movq | Mnemonic::Movd | Mnemonic::Movsd);
-            if ambiguous && !has_vector_operand(operands) {
-                continue;
-            }
-            let width = if operands
-                .iter()
-                .any(|o| matches!(o, Operand::Reg(r) if r.width() == Width::B256))
-            {
+    if let Some(m) = Mnemonic::from_att_name(lower).filter(|m| !m.has_width_suffix()) {
+        // `movq`/`movd` (and `movsd`) are ambiguous between the SSE move and
+        // a scalar integer spelling: prefer the vector reading only if a
+        // vector register is actually involved.
+        let ambiguous = matches!(m, Mnemonic::Movq | Mnemonic::Movd | Mnemonic::Movsd);
+        if !ambiguous || has_vector_operand(operands) {
+            let width = if ymm {
                 Width::B256
             } else if m.class().is_vector() {
                 Width::B128
@@ -235,20 +232,12 @@ fn resolve_mnemonic(text: &str, operands: &[Operand]) -> Result<(Mnemonic, Width
     }
 
     // AVX `v`-prefixed spellings of SSE mnemonics (`vaddps`, `vpxor`, ...).
-    if let Some(stripped) = lower.strip_prefix('v') {
-        for &m in Mnemonic::ALL {
-            if !m.has_width_suffix() && m.class().is_vector() && m.att_name() == stripped {
-                let width = if operands
-                    .iter()
-                    .any(|o| matches!(o, Operand::Reg(r) if r.width() == Width::B256))
-                {
-                    Width::B256
-                } else {
-                    Width::B128
-                };
-                return Ok((m, width));
-            }
-        }
+    if let Some(m) = lower
+        .strip_prefix('v')
+        .and_then(Mnemonic::from_att_name)
+        .filter(|m| !m.has_width_suffix() && m.class().is_vector())
+    {
+        return Ok((m, if ymm { Width::B256 } else { Width::B128 }));
     }
 
     // Suffix-carrying scalar mnemonics (including SSE spellings with a vector operand,
@@ -279,24 +268,21 @@ fn resolve_mnemonic(text: &str, operands: &[Operand]) -> Result<(Mnemonic, Width
 
     let (base, explicit_width) = match lower.chars().last().and_then(suffix_width) {
         Some(width) if lower.len() > 1 => (&lower[..lower.len() - 1], Some(width)),
-        _ => (lower.as_str(), None),
+        _ => (lower, None),
     };
 
-    let candidates = [base, lower.as_str()];
-    for candidate in candidates {
-        for &m in Mnemonic::ALL {
-            if m.has_width_suffix() && m.att_name() == candidate {
-                let width = explicit_width
-                    .filter(|_| candidate == base)
-                    .or_else(|| {
-                        operands.iter().find_map(|o| match o {
-                            Operand::Reg(r) if !r.width().is_vector() => Some(r.width()),
-                            _ => None,
-                        })
+    for candidate in [base, lower] {
+        if let Some(m) = Mnemonic::from_att_name(candidate).filter(|m| m.has_width_suffix()) {
+            let width = explicit_width
+                .filter(|_| candidate == base)
+                .or_else(|| {
+                    operands.iter().find_map(|o| match o {
+                        Operand::Reg(r) if !r.width().is_vector() => Some(r.width()),
+                        _ => None,
                     })
-                    .unwrap_or(Width::B32);
-                return Ok((m, width));
-            }
+                })
+                .unwrap_or(Width::B32);
+            return Ok((m, width));
         }
     }
 
@@ -334,12 +320,7 @@ fn infer_form(operands: &[Operand]) -> Option<Form> {
 /// Looks up the opcode, correcting widths for mnemonics whose registry widths
 /// differ from the operand-derived width (e.g. `cdq` is registered at 32 bits,
 /// setcc at 8 bits, `push`/`pop` at 16/64 bits).
-fn lookup_opcode(
-    mnemonic: Mnemonic,
-    width: Width,
-    form: Form,
-    operands: &[Operand],
-) -> Option<OpcodeId> {
+fn lookup_opcode(mnemonic: Mnemonic, width: Width, form: Form) -> Option<OpcodeId> {
     let registry = OpcodeRegistry::global();
     let direct = registry.lookup(Opcode {
         mnemonic,
@@ -350,18 +331,13 @@ fn lookup_opcode(
         return direct;
     }
     // Fall back to any registered width for this mnemonic/form combination,
-    // preferring widths closest to the requested one.
-    let mut best: Option<(u32, OpcodeId)> = None;
-    for (id, info) in registry.iter() {
-        if info.mnemonic() == mnemonic && info.form() == form {
-            let distance = info.width().bits().abs_diff(width.bits());
-            if best.is_none_or(|(d, _)| distance < d) {
-                best = Some((distance, id));
-            }
-        }
-    }
-    let _ = operands;
-    best.map(|(_, id)| id)
+    // preferring widths closest to the requested one (the first in registry
+    // order on a tie).
+    registry
+        .widths_of(mnemonic, form)
+        .iter()
+        .copied()
+        .min_by_key(|&id| registry.info(id).width().bits().abs_diff(width.bits()))
 }
 
 #[cfg(test)]
@@ -466,5 +442,202 @@ mod tests {
             let reparsed = parse(&inst.to_string());
             assert_eq!(reparsed, inst);
         }
+    }
+
+    /// The linear-scan resolver this module used before [`resolve_mnemonic`]
+    /// looked names up with [`Mnemonic::from_att_name`], kept as the oracle
+    /// the exhaustive test compares against.
+    fn scanning_resolve_mnemonic(
+        text: &str,
+        operands: &[Operand],
+    ) -> Result<(Mnemonic, Width), ParseError> {
+        let lower = text.to_ascii_lowercase();
+
+        // Exact match against mnemonics with no width suffix (SSE/AVX, setcc, nop, ...).
+        for &m in Mnemonic::ALL {
+            if !m.has_width_suffix() && m.att_name() == lower {
+                // `movq`/`movd` (and `movsd`) are ambiguous between the SSE move and
+                // a scalar integer spelling: prefer the vector reading only if a
+                // vector register is actually involved.
+                let ambiguous = matches!(m, Mnemonic::Movq | Mnemonic::Movd | Mnemonic::Movsd);
+                if ambiguous && !has_vector_operand(operands) {
+                    continue;
+                }
+                let width = if operands
+                    .iter()
+                    .any(|o| matches!(o, Operand::Reg(r) if r.width() == Width::B256))
+                {
+                    Width::B256
+                } else if m.class().is_vector() {
+                    Width::B128
+                } else {
+                    Width::B8
+                };
+                return Ok((m, width));
+            }
+        }
+
+        // AVX `v`-prefixed spellings of SSE mnemonics (`vaddps`, `vpxor`, ...).
+        if let Some(stripped) = lower.strip_prefix('v') {
+            for &m in Mnemonic::ALL {
+                if !m.has_width_suffix() && m.class().is_vector() && m.att_name() == stripped {
+                    let width = if operands
+                        .iter()
+                        .any(|o| matches!(o, Operand::Reg(r) if r.width() == Width::B256))
+                    {
+                        Width::B256
+                    } else {
+                        Width::B128
+                    };
+                    return Ok((m, width));
+                }
+            }
+        }
+
+        // Suffix-carrying scalar mnemonics (including SSE spellings with a vector operand,
+        // which were handled above).
+        let suffix_width = |c: char| match c {
+            'b' => Some(Width::B8),
+            'w' => Some(Width::B16),
+            'l' => Some(Width::B32),
+            'q' => Some(Width::B64),
+            _ => None,
+        };
+
+        // movz/movs encode both source and destination widths (e.g. `movzbl`);
+        // the destination width is the final suffix character.
+        for prefix in ["movz", "movs"] {
+            if lower.starts_with(prefix) && lower.len() > prefix.len() + 1 {
+                let dest = lower.chars().last().and_then(suffix_width);
+                if let Some(width) = dest {
+                    let m = if prefix == "movz" {
+                        Mnemonic::Movzx
+                    } else {
+                        Mnemonic::Movsx
+                    };
+                    return Ok((m, width));
+                }
+            }
+        }
+
+        let (base, explicit_width) = match lower.chars().last().and_then(suffix_width) {
+            Some(width) if lower.len() > 1 => (&lower[..lower.len() - 1], Some(width)),
+            _ => (lower.as_str(), None),
+        };
+
+        let candidates = [base, lower.as_str()];
+        for candidate in candidates {
+            for &m in Mnemonic::ALL {
+                if m.has_width_suffix() && m.att_name() == candidate {
+                    let width = explicit_width
+                        .filter(|_| candidate == base)
+                        .or_else(|| {
+                            operands.iter().find_map(|o| match o {
+                                Operand::Reg(r) if !r.width().is_vector() => Some(r.width()),
+                                _ => None,
+                            })
+                        })
+                        .unwrap_or(Width::B32);
+                    return Ok((m, width));
+                }
+            }
+        }
+
+        Err(ParseError::UnknownMnemonic(text.to_string()))
+    }
+
+    /// Every spelling the resolver is meant to accept: each mnemonic bare,
+    /// with each width suffix it takes, `v`-prefixed, and every
+    /// two-letter `movz*`/`movs*` form, in lower and upper case, plus a few
+    /// names that must be rejected.
+    fn resolver_spellings() -> Vec<String> {
+        let mut spellings = Vec::new();
+        for &m in Mnemonic::ALL {
+            let name = m.att_name();
+            spellings.push(name.to_string());
+            if m.has_width_suffix() {
+                spellings.extend(["b", "w", "l", "q"].map(|suffix| format!("{name}{suffix}")));
+            }
+            // Only vector mnemonics take a `v` prefix; the rest must fail.
+            spellings.push(format!("v{name}"));
+        }
+        for prefix in ["movz", "movs"] {
+            for source in ["b", "w", "l", "q"] {
+                for dest in ["b", "w", "l", "q"] {
+                    spellings.push(format!("{prefix}{source}{dest}"));
+                }
+            }
+        }
+        let upper: Vec<String> = spellings.iter().map(|s| s.to_ascii_uppercase()).collect();
+        spellings.extend(upper);
+        spellings.extend(
+            ["", "v", "q", "frobnicate", "vadd", "vaddq", "movz", "movzb"].map(String::from),
+        );
+        spellings
+    }
+
+    #[test]
+    fn the_lookup_resolver_agrees_with_the_linear_scan_on_every_spelling() {
+        let reg = |name: &str| Operand::Reg(name.parse().expect("register parses"));
+        let mem = Operand::Mem(MemRef {
+            base: Some("%rdi".parse().expect("register parses")),
+            index: None,
+            scale: 1,
+            disp: 8,
+        });
+        let operand_lists: Vec<Vec<Operand>> = vec![
+            vec![],
+            vec![reg("%rax")],
+            vec![reg("%ecx"), reg("%edx")],
+            vec![reg("%bx"), mem],
+            vec![mem, reg("%al")],
+            vec![reg("%xmm0"), reg("%xmm1")],
+            vec![reg("%ymm0"), mem],
+            vec![reg("%rax"), reg("%xmm2")],
+            vec![Operand::Imm(7)],
+            vec![mem, Operand::Imm(-1)],
+        ];
+        let spellings = resolver_spellings();
+        for spelling in &spellings {
+            for operands in &operand_lists {
+                assert_eq!(
+                    resolve_mnemonic(spelling, operands),
+                    scanning_resolve_mnemonic(spelling, operands),
+                    "`{spelling}` with {operands:?}"
+                );
+            }
+        }
+        assert!(spellings.len() > 2 * Mnemonic::ALL.len());
+    }
+
+    #[test]
+    fn operands_split_on_top_level_commas_only() {
+        assert_eq!(
+            split_operands(" %rax ,8(%rdi, %rcx,4),  $5 "),
+            ["%rax", "8(%rdi, %rcx,4)", "$5"]
+        );
+        assert_eq!(split_operands("%rax,,%rbx"), ["%rax", "", "%rbx"]);
+        assert_eq!(split_operands("%rax,"), ["%rax"]);
+        assert!(split_operands("   ").is_empty());
+    }
+
+    #[test]
+    fn the_width_fallback_picks_the_closest_registered_width() {
+        // `push` exists at 16 and 64 bits: 32 and 8 are closest to 16, 128
+        // to 64.
+        let name = |width| {
+            lookup_opcode(Mnemonic::Push, width, Form::R)
+                .map(|id| OpcodeRegistry::global().info(id).name())
+        };
+        assert_eq!(name(Width::B32), Some("PUSH16r"));
+        assert_eq!(name(Width::B8), Some("PUSH16r"));
+        assert_eq!(name(Width::B128), Some("PUSH64r"));
+        // `bswap` exists at 32 and 64: 16 is closer to 32.
+        assert_eq!(
+            lookup_opcode(Mnemonic::Bswap, Width::B16, Form::R)
+                .map(|id| OpcodeRegistry::global().info(id).name()),
+            Some("BSWAP32r")
+        );
+        assert_eq!(lookup_opcode(Mnemonic::Lea, Width::B64, Form::Rr), None);
     }
 }

@@ -39,6 +39,8 @@ pub struct OpcodeRegistry {
     infos: Vec<OpcodeInfo>,
     by_name: HashMap<String, OpcodeId>,
     by_opcode: HashMap<Opcode, OpcodeId>,
+    /// Every width of a `(mnemonic, form)` pair, in id order.
+    by_mnemonic_form: HashMap<(Mnemonic, Form), Vec<OpcodeId>>,
 }
 
 const SCALAR_WIDTHS: &[Width] = &[Width::B8, Width::B16, Width::B32, Width::B64];
@@ -199,6 +201,7 @@ impl OpcodeRegistry {
         let mut infos = Vec::new();
         let mut by_name = HashMap::new();
         let mut by_opcode = HashMap::new();
+        let mut by_mnemonic_form: HashMap<_, Vec<_>> = HashMap::new();
         for &mnemonic in Mnemonic::ALL {
             let (widths, forms) = valid_combos(mnemonic);
             for &width in widths {
@@ -222,6 +225,10 @@ impl OpcodeRegistry {
                     let id = OpcodeId(infos.len() as u16);
                     by_name.insert(info.name().to_string(), id);
                     by_opcode.insert(opcode, id);
+                    by_mnemonic_form
+                        .entry((mnemonic, form))
+                        .or_default()
+                        .push(id);
                     infos.push(info);
                 }
             }
@@ -230,6 +237,7 @@ impl OpcodeRegistry {
             infos,
             by_name,
             by_opcode,
+            by_mnemonic_form,
         }
     }
 
@@ -269,6 +277,14 @@ impl OpcodeRegistry {
     /// Looks up an opcode id by its structured identity.
     pub fn lookup(&self, opcode: Opcode) -> Option<OpcodeId> {
         self.by_opcode.get(&opcode).copied()
+    }
+
+    /// Every opcode of `mnemonic` at `form`, one per registered width, in id
+    /// order (empty when the pair has no opcode).
+    pub(crate) fn widths_of(&self, mnemonic: Mnemonic, form: Form) -> &[OpcodeId] {
+        self.by_mnemonic_form
+            .get(&(mnemonic, form))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Iterates over all `(id, info)` pairs in id order.
@@ -315,6 +331,9 @@ mod tests {
         for (id, info) in registry.iter() {
             assert_eq!(registry.by_name(info.name()), Some(id));
             assert_eq!(registry.lookup(info.opcode()), Some(id));
+            assert!(registry
+                .widths_of(info.mnemonic(), info.form())
+                .contains(&id));
         }
     }
 

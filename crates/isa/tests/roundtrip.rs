@@ -85,4 +85,36 @@ proptest! {
             prop_assert_eq!(&single.iter().next().unwrap().to_string(), &line);
         }
     }
+
+    /// Spelling variants of a printed block (upper-case mnemonics, spaces
+    /// around every comma, tabs and padding, `;` separators) parse to the
+    /// same block, so `render(parse(variant(render(b)))) == render(b)`.
+    #[test]
+    fn spelling_variants_parse_back_to_the_printed_block(
+        seed in 0u64..100_000,
+        profile in 0usize..4,
+        len in 1usize..12,
+    ) {
+        let generator = BlockGenerator::new(config_for(profile, 0.5, 0.5));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let block = generator.generate_with_len(&mut rng, len);
+        let text = block.to_string();
+        let variant = text
+            .lines()
+            .map(|line| {
+                let (mnemonic, operands) = line.split_once(' ').unwrap_or((line, ""));
+                format!(
+                    "  {} \t {} ",
+                    mnemonic.to_ascii_uppercase(),
+                    operands.replace(',', " , ")
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(";");
+        let reparsed: BasicBlock = variant
+            .parse()
+            .unwrap_or_else(|error| panic!("variant failed to parse: {error}\n{variant}"));
+        prop_assert_eq!(&reparsed, &block, "variant:\n{}", variant);
+        prop_assert_eq!(reparsed.to_string(), text);
+    }
 }

@@ -31,6 +31,7 @@
 //! silently serving wrong timings.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -453,7 +454,7 @@ impl BackendRegistry {
         registry
     }
 
-    fn register(&mut self, backend: Backend) {
+    pub(crate) fn register(&mut self, backend: Backend) {
         self.backends.insert(backend.id.clone(), Arc::new(backend));
     }
 
@@ -883,11 +884,40 @@ impl BackendRegistry {
     }
 }
 
-/// FNV-1a fingerprint of a block's canonical text — the first half of the
-/// prediction-cache key. Canonical text (rather than the client's spelling)
-/// lets differently formatted requests for the same block share an entry.
+/// FNV-1a fingerprint of a block's canonical text. Canonical text (rather
+/// than the client's spelling) lets differently formatted requests for the
+/// same block share a fingerprint. The server keys its cache with
+/// [`block_key`] instead, which hashes the parsed block without rendering it.
 pub fn block_fingerprint(canonical_text: &str) -> u64 {
     fnv1a(canonical_text.bytes())
+}
+
+/// The block half of the prediction-cache key: FNV-1a over the parsed
+/// block's structure (its derived [`Hash`]), with no text rendering. Blocks
+/// that parse to the same structure get the same key, however the client
+/// spelled them. The key is stable within one build of the server; it never
+/// leaves the process.
+pub fn block_key(block: &BasicBlock) -> u64 {
+    let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
+    block.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// A fixed-state FNV-1a [`Hasher`] (the same constants as
+/// [`fnv1a`]), so [`block_key`] does not depend on a per-process seed.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -927,6 +957,41 @@ mod tests {
             table_fingerprint: fingerprint_table(&table),
             learned_table: table.to_flat(),
         }
+    }
+
+    #[test]
+    fn block_keys_follow_structure_not_spelling() {
+        let key = |text: &str| block_key(&text.parse().expect("block parses"));
+        let canonical = "addq %rax, 8(%rdi,%rcx,4)\nmovl $-1, %eax";
+        let base = key(canonical);
+        for variant in [
+            "  addq   %rax ,8( %rdi , %rcx , 4 )\n\tmovl\t$-1,%eax  ",
+            "ADDQ %rax, 8(%rdi,%rcx,4); MOVL $-1, %eax",
+            "addq %rax, 0x8(%rdi,%rcx,4)\n# comment\n\nmovl $-0x1, %eax",
+        ] {
+            assert_eq!(key(variant), base, "{variant:?}");
+        }
+        for different in [
+            "addq %rbx, 8(%rdi,%rcx,4)\nmovl $-1, %eax",
+            "addq %rax, 8(%rdi,%rcx,2)\nmovl $-1, %eax",
+            "addq %rax, 16(%rdi,%rcx,4)\nmovl $-1, %eax",
+            "addq %rax, 8(%rdi,%rcx,4)\nmovl $1, %eax",
+            "subq %rax, 8(%rdi,%rcx,4)\nmovl $-1, %eax",
+            "addl %eax, 8(%rdi,%rcx,4)\nmovl $-1, %eax",
+            "movl $-1, %eax\naddq %rax, 8(%rdi,%rcx,4)",
+            "addq %rax, 8(%rdi,%rcx,4)",
+        ] {
+            assert_ne!(key(different), base, "{different:?}");
+        }
+        // The structural key agrees with the text fingerprint on which
+        // blocks are the same.
+        let block: BasicBlock = canonical.parse().unwrap();
+        let reparsed: BasicBlock = block.to_string().parse().unwrap();
+        assert_eq!(block_key(&reparsed), base);
+        assert_eq!(
+            block_fingerprint(&reparsed.to_string()),
+            block_fingerprint(&block.to_string())
+        );
     }
 
     #[test]

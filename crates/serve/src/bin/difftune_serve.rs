@@ -15,7 +15,9 @@
 //!                [--max-requests-per-connection N] [--list-backends]
 //! ```
 //!
-//! Shard count defaults to `DIFFTUNE_THREADS` (unset = all cores), mirroring
+//! `--shards N` sets the number of cache stripes and of the worker threads
+//! that answer their misses (cache hits are answered on the connection
+//! thread). It defaults to `DIFFTUNE_THREADS` (unset = all cores), mirroring
 //! the training binaries; shard count and cache state never change response
 //! bytes, only latency. `POST /reload` rescans exactly the `--tables` and
 //! `--checkpoint` locations given here, under strict verification.

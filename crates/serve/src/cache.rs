@@ -2,11 +2,11 @@
 //!
 //! Every `(block, backend)` pair maps to exactly one prediction — simulators
 //! are pure functions — so serving can memoize aggressively: the cache key is
-//! the FNV-1a fingerprint of the block's canonical text crossed with the
-//! backend's fingerprint (simulator kind × table digest), and the value is
-//! the predicted timing. Because a hit returns the same `f64` the simulator
-//! would recompute, the cache affects latency only, never response bytes —
-//! the cold-vs-warm bit-identity the e2e suite asserts.
+//! the block's structural FNV-1a key ([`crate::backend::block_key`]) crossed
+//! with the backend's fingerprint (simulator kind × table digest), and the
+//! value is the predicted timing. Because a hit returns the same `f64` the
+//! simulator would recompute, the cache affects latency only, never response
+//! bytes — the cold-vs-warm bit-identity the e2e suite asserts.
 //!
 //! The implementation is a hand-rolled LRU (no external crates in this
 //! workspace): a `HashMap` index into a slab of doubly-linked slots, O(1)

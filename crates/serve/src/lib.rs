@@ -21,8 +21,9 @@
 //!   → surrogate → full simulator, gated by `--error-budget`), the default
 //!   answer for sourceless requests;
 //! * [`cache`] — the fingerprint-keyed LRU prediction cache;
-//! * [`server`] — the request handler: the shard-per-worker predict pool
-//!   batching through [`Simulator::predict_batch`], and the ops endpoints
+//! * [`server`] — the request handler: cache hits answered on the
+//!   connection thread, per-shard miss workers batching through
+//!   [`Simulator::predict_batch`], and the ops endpoints
 //!   (`POST /reload` hot table swap, `POST /drain` graceful exit);
 //! * [`metrics`] — request/cache/latency counters behind `GET /metrics`;
 //! * [`client`] — the minimal blocking client used by `difftune-loadtest`

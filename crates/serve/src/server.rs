@@ -1,24 +1,33 @@
 //! The prediction server: the request handler behind the shared
-//! [`serve_connections`] loop, and the shard-per-worker predict pool.
+//! [`serve_connections`] loop, the per-shard prediction caches, and the
+//! shard workers that answer cache misses.
 //!
 //! # Architecture
 //!
 //! ```text
-//! acceptor ──► connection threads (parse HTTP, resolve backend)
-//!                   │ ShardMessage (mpsc)
+//! acceptor ──► connection threads (parse HTTP, resolve backend, cache keys)
+//!                   │ lock the shard's LruCache: every block hits?
+//!                   ├── yes ──► respond from the connection thread
+//!                   │ no: ShardMessage (mpsc)
 //!                   ▼
 //!              shard workers ──► LruCache ──► Predictor::predict_batch
+//!                                  (locked per pass, never across a batch)
 //! ```
 //!
-//! Each worker shard owns its prediction cache outright (no locks): a backend
-//! is pinned to one shard by its fingerprint ([`Backend::shard_index`]), so
-//! one table's cache entries never split across shards. A shard drains every
-//! queued job before predicting, groups the in-flight requests by backend,
-//! deduplicates repeated blocks, and answers all cache misses of a group with
-//! a single [`Predictor::predict_batch`](crate::backend::Predictor) call —
-//! for table backends the same batched simulator hot path the evaluation
-//! pipeline uses, for surrogate backends one forward pass of the surrogate
-//! per block.
+//! A backend is pinned to one shard by its fingerprint
+//! ([`Backend::shard_index`]), so one table's cache entries never split
+//! across shards. Each shard is a cache stripe plus a miss worker. A request
+//! whose every block hits its shard's cache is answered on the connection
+//! thread, with no queue hop. Any miss sends the whole request to the shard
+//! worker, which does its own lookups. The worker drains every queued job
+//! before predicting, groups the in-flight requests by backend, deduplicates
+//! repeated blocks, and answers all cache misses of a group with a single
+//! [`Predictor::predict_batch`](crate::backend::Predictor) call — for table
+//! backends the same batched simulator hot path the evaluation pipeline
+//! uses, for surrogate backends one forward pass of the surrogate per block.
+//! The worker holds the cache lock for its lookup pass and again for its
+//! insert pass, never across `predict_batch`, so a slow miss batch never
+//! stalls the hits on its shard. Only workers insert and purge.
 //!
 //! # Ops primitives
 //!
@@ -43,12 +52,13 @@
 //!
 //! A `/predict` response body is a pure function of `(blocks, backend)`:
 //! simulators are pure, `predict_batch` is defined to equal the per-block
-//! loop, cache hits return the exact `f64` a miss would recompute, and JSON
-//! floats print in Rust's shortest-exact form. Shard count, request grouping,
-//! cache state, reloads (same artifacts), and connection caps change wall
-//! time only — `tests/serve_e2e.rs` asserts the bytes. Policy backends
-//! extend this (invariant #8): the tier answering each block is a pure
-//! function of the block and the policy's frozen metadata, so the same
+//! loop, cache hits return the exact `f64` a miss would recompute (whether a
+//! connection thread or a shard worker reads it), and JSON floats print in
+//! Rust's shortest-exact form. Shard count, request grouping, cache state,
+//! which thread answers, reloads (same artifacts), and connection caps
+//! change wall time only — `tests/serve_e2e.rs` asserts the bytes. Policy
+//! backends extend this (invariant #8): the tier answering each block is a
+//! pure function of the block and the policy's frozen metadata, so the same
 //! holds across tier configurations given the same `--error-budget`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -61,9 +71,7 @@ use difftune::BackendId;
 use difftune_isa::BasicBlock;
 use serde::Value;
 
-use crate::backend::{
-    block_fingerprint, Backend, BackendQuery, BackendRegistry, ReloadSpec, Source,
-};
+use crate::backend::{block_key, Backend, BackendQuery, BackendRegistry, ReloadSpec, Source};
 use crate::cache::{CacheKey, LruCache};
 use crate::http::{
     endpoint_path, serve_connections, Acceptor, Handler, HttpError, HttpLimits, Request, Response,
@@ -79,7 +87,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Port to bind; `0` picks an ephemeral port (the handle reports it).
     pub port: u16,
-    /// Prediction worker shards; `0` means all available cores.
+    /// Prediction shards; `0` means all available cores. Each shard is one
+    /// cache stripe (the backends pinned to it by
+    /// [`Backend::shard_index`]) plus one worker thread answering that
+    /// stripe's misses. Hits never reach a worker.
     pub shards: usize,
     /// Prediction-cache capacity **per shard** (entries, one per
     /// `(block, backend)` pair); `0` disables caching.
@@ -140,6 +151,16 @@ enum ShardMessage {
     },
 }
 
+/// One shard's prediction cache, shared by its worker (lookups, inserts,
+/// purges) and every connection thread (lookups only).
+type SharedCache = Arc<Mutex<LruCache>>;
+
+/// Locks a shard cache. No holder can panic mid-update (the LRU's methods
+/// do not panic), so poisoning means a bug, not a recoverable state.
+fn lock(cache: &Mutex<LruCache>) -> std::sync::MutexGuard<'_, LruCache> {
+    cache.lock().expect("shard cache lock poisoned")
+}
+
 /// The server's [`Handler`]: everything a connection thread needs.
 struct ConnectionContext {
     /// The hot-swappable registry: readers clone the inner `Arc` once per
@@ -147,6 +168,8 @@ struct ConnectionContext {
     registry: Arc<RwLock<Arc<BackendRegistry>>>,
     metrics: Arc<Metrics>,
     senders: Vec<mpsc::Sender<ShardMessage>>,
+    /// Each shard's cache, indexed like `senders`.
+    caches: Vec<SharedCache>,
     max_blocks: usize,
     shard_count: usize,
     /// Set by `POST /drain`; checked by the acceptor, connections, and
@@ -266,11 +289,13 @@ pub fn spawn(config: ServeConfig, registry: BackendRegistry) -> std::io::Result<
     let drain = Arc::new(AtomicBool::new(false));
 
     let mut senders = Vec::with_capacity(shard_count);
+    let mut caches = Vec::with_capacity(shard_count);
     let mut workers = Vec::with_capacity(shard_count);
     for shard in 0..shard_count {
         let (tx, rx) = mpsc::channel::<ShardMessage>();
         senders.push(tx);
-        let cache = LruCache::new(config.cache_capacity);
+        let cache = Arc::new(Mutex::new(LruCache::new(config.cache_capacity)));
+        caches.push(Arc::clone(&cache));
         let metrics = Arc::clone(&metrics);
         workers.push(
             std::thread::Builder::new()
@@ -283,6 +308,7 @@ pub fn spawn(config: ServeConfig, registry: BackendRegistry) -> std::io::Result<
         registry,
         metrics: Arc::clone(&metrics),
         senders: senders.clone(),
+        caches,
         max_blocks: config.max_blocks_per_request,
         shard_count,
         drain: Arc::clone(&drain),
@@ -470,7 +496,7 @@ fn handle_predict(request: &Request, context: &ConnectionContext) -> Result<Resp
         .iter()
         .map(|block| {
             (
-                block_fingerprint(&block.to_string()),
+                block_key(block),
                 backend.cache_fingerprint,
                 backend.predictor.tier_tag(block),
             )
@@ -490,26 +516,51 @@ fn handle_predict(request: &Request, context: &ConnectionContext) -> Result<Resp
         backend.kind()
     };
     let shard = backend.shard_index(context.shard_count);
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = PredictJob {
-        backend: Arc::clone(&backend),
-        blocks,
-        keys,
-        reply: reply_tx,
+
+    // All hits: answer here, metered exactly as the worker would meter them.
+    // Any miss: the whole request goes to the shard, which looks up and
+    // meters every block itself, so nothing is counted twice.
+    let cached: Option<Vec<f64>> = {
+        let mut cache = lock(&context.caches[shard]);
+        keys.iter().map(|key| cache.get(key)).collect()
     };
-    context.senders[shard]
-        .send(ShardMessage::Job(job))
-        .map_err(|_| HttpError {
-            status: 503,
-            message: "prediction shard is gone (server shutting down)".to_string(),
-        })?;
-    let predictions = reply_rx.recv().map_err(|_| HttpError {
-        status: 500,
-        message: "prediction shard dropped the request".to_string(),
-    })?;
+    let predictions = match cached {
+        Some(values) => {
+            meter_lookups(&context.metrics, &backend, values.len(), &[]);
+            values
+        }
+        None => {
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let job = PredictJob {
+                backend: Arc::clone(&backend),
+                blocks,
+                keys,
+                reply: reply_tx,
+            };
+            context.senders[shard]
+                .send(ShardMessage::Job(job))
+                .map_err(|_| HttpError {
+                    status: 503,
+                    message: "prediction shard is gone (server shutting down)".to_string(),
+                })?;
+            reply_rx.recv().map_err(|_| HttpError {
+                status: 500,
+                message: "prediction shard dropped the request".to_string(),
+            })?
+        }
+    };
 
     context.metrics.on_predict(predictions.len());
-    let body = serde_json::to_string(&Value::Map(vec![
+    Ok(Response::json(
+        200,
+        prediction_body(&backend, source_kind, predictions),
+    ))
+}
+
+/// The `/predict` response body. Both the connection-thread hit path and
+/// the shard path end here, so the bytes are built in one place.
+fn prediction_body(backend: &Backend, source_kind: &str, predictions: Vec<f64>) -> String {
+    serde_json::to_string(&Value::Map(vec![
         ("backend".to_string(), Value::Str(backend.id.clone())),
         (
             "source_kind".to_string(),
@@ -524,8 +575,24 @@ fn handle_predict(request: &Request, context: &ConnectionContext) -> Result<Resp
             Value::Seq(predictions.into_iter().map(Value::Float).collect()),
         ),
     ]))
-    .expect("a prediction body always serializes");
-    Ok(Response::json(200, body))
+    .expect("a prediction body always serializes")
+}
+
+/// Meters one backend's cache pass: `hits` blocks answered from the cache,
+/// plus the deduplicated misses in `miss_keys`. Policy backends also count
+/// blocks per tier: hits are tier 1, and each miss carries its tier in the
+/// cache key's tag.
+fn meter_lookups(metrics: &Metrics, backend: &Backend, hits: usize, miss_keys: &[CacheKey]) {
+    metrics.on_cache(hits, miss_keys.len());
+    if backend.source == Source::Policy {
+        let surrogate = miss_keys
+            .iter()
+            .filter(|&&(_, _, tier)| tier == TIER_SURROGATE)
+            .count();
+        metrics.on_policy_tier(0, hits);
+        metrics.on_policy_tier(1, surrogate);
+        metrics.on_policy_tier(2, miss_keys.len() - surrogate);
+    }
 }
 
 /// Rebuilds the registry from the startup [`ReloadSpec`] and swaps it in.
@@ -690,7 +757,11 @@ pub fn parse_backend_query(map: &[(String, Value)]) -> Result<BackendQuery, Http
 
 /// One shard's loop: drain queued messages, group jobs by backend, answer
 /// misses with one `predict_batch` per group, then apply any purges.
-fn worker_loop(rx: mpsc::Receiver<ShardMessage>, mut cache: LruCache, metrics: Arc<Metrics>) {
+///
+/// The cache lock is taken for each group's lookup pass and again for its
+/// insert pass, and never held across `predict_batch`: connection threads
+/// answer hits from the same cache while a miss batch runs.
+fn worker_loop(rx: mpsc::Receiver<ShardMessage>, cache: SharedCache, metrics: Arc<Metrics>) {
     while let Ok(first) = rx.recv() {
         let mut jobs = Vec::new();
         let mut purges = Vec::new();
@@ -722,39 +793,35 @@ fn worker_loop(rx: mpsc::Receiver<ShardMessage>, mut cache: LruCache, metrics: A
             let mut miss_index: HashMap<CacheKey, usize> = HashMap::new();
             let mut miss_slots: Vec<(usize, usize, usize)> = Vec::new();
             let mut hits = 0usize;
-            for &job_index in indices {
-                let job = &jobs[job_index];
-                for (block_index, (block, key)) in job.blocks.iter().zip(&job.keys).enumerate() {
-                    if let Some(value) = cache.get(key) {
-                        replies[job_index][block_index] = value;
-                        hits += 1;
-                        continue;
+            {
+                let mut cache = lock(&cache);
+                for &job_index in indices {
+                    let job = &jobs[job_index];
+                    for (block_index, (block, key)) in job.blocks.iter().zip(&job.keys).enumerate()
+                    {
+                        if let Some(value) = cache.get(key) {
+                            replies[job_index][block_index] = value;
+                            hits += 1;
+                            continue;
+                        }
+                        let slot = *miss_index.entry(*key).or_insert_with(|| {
+                            miss_blocks.push(block.clone());
+                            miss_keys.push(*key);
+                            miss_blocks.len() - 1
+                        });
+                        miss_slots.push((job_index, block_index, slot));
                     }
-                    let slot = *miss_index.entry(*key).or_insert_with(|| {
-                        miss_blocks.push(block.clone());
-                        miss_keys.push(*key);
-                        miss_blocks.len() - 1
-                    });
-                    miss_slots.push((job_index, block_index, slot));
                 }
             }
-            metrics.on_cache(hits, miss_blocks.len());
-            if backend.source == Source::Policy {
-                // Tier attribution: hits are tier 1; each deduplicated miss
-                // carries its tier in the cache key's tag.
-                let surrogate = miss_keys
-                    .iter()
-                    .filter(|&&(_, _, tier)| tier == TIER_SURROGATE)
-                    .count();
-                metrics.on_policy_tier(0, hits);
-                metrics.on_policy_tier(1, surrogate);
-                metrics.on_policy_tier(2, miss_blocks.len() - surrogate);
-            }
+            meter_lookups(&metrics, &backend, hits, &miss_keys);
 
             if !miss_blocks.is_empty() {
                 let values = backend.predictor.predict_batch(&miss_blocks);
-                for (key, value) in miss_keys.iter().zip(&values) {
-                    cache.insert(*key, *value);
+                {
+                    let mut cache = lock(&cache);
+                    for (key, value) in miss_keys.iter().zip(&values) {
+                        cache.insert(*key, *value);
+                    }
                 }
                 for (job_index, block_index, slot) in miss_slots {
                     replies[job_index][block_index] = values[slot];
@@ -771,11 +838,216 @@ fn worker_loop(rx: mpsc::Receiver<ShardMessage>, mut cache: LruCache, metrics: A
         // reload ran against the old registry and may have populated old
         // entries — they go too.
         for (backends, done) in purges {
-            let mut removed = 0usize;
-            for backend in backends {
-                removed += cache.purge_backend(backend);
-            }
+            let removed: usize = {
+                let mut cache = lock(&cache);
+                backends
+                    .into_iter()
+                    .map(|backend| cache.purge_backend(backend))
+                    .sum()
+            };
             let _ = done.send(removed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::Predictor;
+    use crate::client::HttpClient;
+    use crate::policy::TIER_SIMULATOR;
+    use difftune_cpu::{default_params, Microarch};
+
+    /// How long any step of a test may wait before it counts as stuck.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// How long a gated batch waits for its release before giving up: far
+    /// longer than [`PATIENCE`], so a request stuck behind the gate times
+    /// out first.
+    const GATE_LIMIT: Duration = Duration::from_secs(120);
+
+    /// A predictor whose batches wait on a gate whenever they contain
+    /// `gated`, and announce that they are waiting. Its answers are a pure
+    /// function of the block, offset per predictor, and it tags every block
+    /// with a non-zero tier so a key that drops the tag cannot hit.
+    #[derive(Debug)]
+    struct GatedPredictor {
+        offset: f64,
+        gated: Option<BasicBlock>,
+        entered: Mutex<mpsc::Sender<()>>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Predictor for GatedPredictor {
+        fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<f64> {
+            if self
+                .gated
+                .as_ref()
+                .is_some_and(|gated| blocks.contains(gated))
+            {
+                let _ = self.entered.lock().unwrap().send(());
+                let _ = self.gate.lock().unwrap().recv_timeout(GATE_LIMIT);
+            }
+            blocks
+                .iter()
+                .map(|block| self.offset + (block_key(block) % 1024) as f64 / 8.0)
+                .collect()
+        }
+
+        fn fingerprint(&self) -> &str {
+            "0x0000000000000001"
+        }
+
+        fn kind(&self) -> &'static str {
+            "table"
+        }
+
+        fn tier_tag(&self, _block: &BasicBlock) -> u8 {
+            TIER_SIMULATOR
+        }
+    }
+
+    /// The gate controls of one registry's gated backend.
+    struct Gate {
+        entered: mpsc::Receiver<()>,
+        release: mpsc::Sender<()>,
+    }
+
+    /// A registry of two backends: `default:mca:haswell` (gated on `gated`)
+    /// and `default:uop:haswell` (never gated, different answers). Dropping
+    /// the [`Gate`] opens the gate for good.
+    fn gated_registry(gated: &str) -> (BackendRegistry, Gate) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, gate_rx) = mpsc::channel();
+        let (idle_tx, _) = mpsc::channel();
+        let (_, idle_rx) = mpsc::channel();
+        let mut registry = BackendRegistry::new();
+        for (simulator, predictor, cache_fingerprint) in [
+            (
+                SimulatorKind::Mca,
+                GatedPredictor {
+                    offset: 1.0,
+                    gated: Some(gated.parse().unwrap()),
+                    entered: Mutex::new(entered_tx),
+                    gate: Mutex::new(gate_rx),
+                },
+                0xa,
+            ),
+            (
+                SimulatorKind::Uop,
+                GatedPredictor {
+                    offset: 1000.0,
+                    gated: None,
+                    entered: Mutex::new(idle_tx),
+                    gate: Mutex::new(idle_rx),
+                },
+                0xb,
+            ),
+        ] {
+            registry.register(Backend {
+                id: format!("default:{}:haswell", simulator.key()),
+                source: Source::Default,
+                simulator_kind: simulator,
+                uarch: Microarch::Haswell,
+                spec: None,
+                table_fingerprint: predictor.fingerprint().to_string(),
+                predictor: Box::new(predictor),
+                table: default_params(Microarch::Haswell),
+                cache_fingerprint,
+            });
+        }
+        (registry, Gate { entered, release })
+    }
+
+    fn predict_body(sim: &str, blocks: &[&str]) -> String {
+        serde_json::to_string(&Value::Map(vec![
+            (
+                "blocks".to_string(),
+                Value::Seq(blocks.iter().map(|b| Value::Str(b.to_string())).collect()),
+            ),
+            ("source".to_string(), Value::Str("default".to_string())),
+            ("sim".to_string(), Value::Str(sim.to_string())),
+        ]))
+        .unwrap()
+    }
+
+    fn predict(client: &mut HttpClient, sim: &str, blocks: &[&str]) -> String {
+        let response = client
+            .post_json("/predict", &predict_body(sim, blocks))
+            .expect("answers");
+        assert_eq!(response.status, 200, "{}", response.body_text());
+        response.body_text()
+    }
+
+    #[test]
+    fn all_hit_requests_answer_while_the_shard_is_busy_with_a_miss() {
+        const X: &str = "addq %rax, %rbx";
+        const Y: &str = "imulq %rcx, %rdx";
+        const Z: &str = "subl %esi, %edi";
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let (registry, gate) = gated_registry(Y);
+        let handle = spawn(config.clone(), registry).expect("binds");
+        let addr = handle.addr().to_string();
+        let metrics = handle.metrics();
+
+        // Warm X.
+        let mut first = HttpClient::connect(&addr).unwrap();
+        let cold_x = predict(&mut first, "mca", &[X]);
+
+        // Put the only shard on a miss that waits on the gate.
+        let gated = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = HttpClient::connect(&addr).unwrap();
+                predict(&mut client, "mca", &[Y])
+            })
+        };
+        let entered = gate.entered.recv_timeout(PATIENCE);
+
+        // An all-hit request on a second connection answers meanwhile.
+        let mut second = HttpClient::connect(&addr).unwrap();
+        second.set_read_timeout(Some(PATIENCE)).unwrap();
+        let hit = entered
+            .is_ok()
+            .then(|| second.post_json("/predict", &predict_body("mca", &[X])));
+        let hits_while_gated = metrics.cache_hits();
+        // Release the gate before asserting, so a failure cannot hang the
+        // server's shutdown.
+        let _ = gate.release.send(());
+        entered.expect("the shard entered the gated batch");
+        let hit = hit
+            .unwrap()
+            .expect("an all-hit request answered while the shard was busy");
+        assert_eq!(hit.body_text(), cold_x);
+        assert_eq!(hits_while_gated, 1);
+
+        // The gated miss answers once released, with a cold server's bytes.
+        let gated_body = gated.join().expect("the gated request answers");
+        let cold = spawn(config, gated_registry(Y).0).expect("binds");
+        let mut reference = HttpClient::connect(&cold.addr().to_string()).unwrap();
+        let cold_uop_x = predict(&mut reference, "uop", &[X]);
+        let cold_xz = predict(&mut reference, "mca", &[X, Z]);
+        assert_eq!(predict(&mut reference, "mca", &[Y]), gated_body);
+
+        // The same block on another backend of the same shard is its own
+        // entry.
+        assert_eq!(predict(&mut second, "uop", &[X]), cold_uop_x);
+        assert_ne!(cold_uop_x, cold_x);
+
+        // A partial hit goes through the shard, which looks up (and meters)
+        // every block itself: one hit and one miss, counted once.
+        let (hits, misses) = (metrics.cache_hits(), metrics.cache_misses());
+        assert_eq!(predict(&mut second, "mca", &[X, Z]), cold_xz);
+        assert_eq!(
+            (metrics.cache_hits() - hits, metrics.cache_misses() - misses),
+            (1, 1)
+        );
+
+        drop((first, second, reference));
+        handle.shutdown();
+        cold.shutdown();
     }
 }
