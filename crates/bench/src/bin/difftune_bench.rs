@@ -15,10 +15,10 @@
 //! rerunning fit/optimize with one thread, recording the speedup and failing
 //! if the tables' fingerprints diverge.
 //!
-//! `--engine` picks the execution engine for surrogate training (`compiled`
-//! records one schedule per graph structure and replays it; `taped` rebuilds
-//! a tape per sample). The engines are bit-identical; `--compare-taped`
-//! proves it by rerunning the pipeline on the tape at the same thread count,
+//! Surrogate training runs on the compiled engine, which records one
+//! schedule per graph structure and replays it; the taped engine rebuilds a
+//! tape per sample. The engines are bit-identical; `--compare-taped` proves
+//! it by rerunning the pipeline on the tape at the same thread count,
 //! failing if the learned tables' fingerprints diverge, and recording the
 //! compiled engine's fit-stage speedup — a ratio that, unlike
 //! `--compare-serial`'s, is meaningful on 1-core machines. The speedup is
@@ -29,8 +29,7 @@
 //!
 //! ```text
 //! difftune-bench [--scale smoke|small|paper] [--seed N] [--json]
-//!                [--out-dir DIR] [--engine taped|compiled]
-//!                [--compare-serial] [--compare-taped]
+//!                [--out-dir DIR] [--compare-serial] [--compare-taped]
 //!                [--max-seconds STAGE=SECS]... [--min-speedup STAGE=RATIO]...
 //!                [--min-taped-speedup STAGE=RATIO]...
 //! ```
@@ -54,7 +53,6 @@ struct Args {
     seed: u64,
     json: bool,
     out_dir: String,
-    engine: Engine,
     compare_serial: bool,
     compare_taped: bool,
     /// `(stage, ceiling_seconds)` pairs from `--max-seconds`.
@@ -70,19 +68,11 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: difftune-bench [--scale smoke|small|paper] [--seed N] [--json] \
-         [--out-dir DIR] [--engine taped|compiled] [--compare-serial] \
-         [--compare-taped] [--max-seconds STAGE=SECS]... \
+         [--out-dir DIR] [--compare-serial] [--compare-taped] \
+         [--max-seconds STAGE=SECS]... \
          [--min-speedup STAGE=RATIO]... [--min-taped-speedup STAGE=RATIO]..."
     );
     std::process::exit(2);
-}
-
-/// The record-facing name of an engine.
-fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Taped => "taped",
-        Engine::Compiled => "compiled",
-    }
 }
 
 /// Parses a repeatable `STAGE=NUMBER` flag operand.
@@ -104,7 +94,6 @@ fn parse_args() -> Args {
         seed: 0,
         json: false,
         out_dir: ".".to_string(),
-        engine: Engine::default(),
         compare_serial: false,
         compare_taped: false,
         ceilings: Vec::new(),
@@ -130,17 +119,6 @@ fn parse_args() -> Args {
             }
             "--json" => args.json = true,
             "--out-dir" => args.out_dir = value("--out-dir"),
-            "--engine" => {
-                let raw = value("--engine");
-                args.engine = match raw.as_str() {
-                    "taped" => Engine::Taped,
-                    "compiled" => Engine::Compiled,
-                    other => {
-                        eprintln!("--engine must be taped or compiled, got {other:?}");
-                        usage()
-                    }
-                };
-            }
             "--compare-serial" => args.compare_serial = true,
             "--compare-taped" => args.compare_taped = true,
             "--max-seconds" => {
@@ -270,23 +248,18 @@ fn main() {
     });
     // The records report the worker count the stages actually ran with, so
     // resolve the knob's "0 = all cores" before building them.
-    let record_threads = if threads == 0 {
-        difftune_bench::record::available_cores()
-    } else {
-        threads
-    };
+    let record_threads = difftune_tensor::resolve_threads(threads);
     let seed = args.seed;
 
     eprintln!(
-        "[difftune-bench] scale {} seed {seed} threads {} ({} cores) engine {}",
+        "[difftune-bench] scale {} seed {seed} threads {} ({} cores)",
         scale.name(),
         if threads == 0 {
             "all".to_string()
         } else {
             threads.to_string()
         },
-        difftune_bench::record::available_cores(),
-        engine_name(args.engine),
+        difftune_tensor::resolve_threads(0),
     );
 
     let corpus_start = Instant::now();
@@ -302,7 +275,14 @@ fn main() {
     );
 
     let simulator = mca();
-    let times = run_pipeline(&simulator, scale, seed, threads, args.engine, &train_pairs);
+    let times = run_pipeline(
+        &simulator,
+        scale,
+        seed,
+        threads,
+        Engine::Compiled,
+        &train_pairs,
+    );
     let fingerprint = fingerprint_table(&times.learned);
 
     let mut generate = BenchRecord::stage(
@@ -330,9 +310,9 @@ fn main() {
         times.optimize_samples,
     );
     optimize.table_fingerprint = Some(fingerprint.clone());
-    // Only the fit stage has an engine choice: generate/optimize/simulate
-    // run the same code under either engine.
-    fit.engine = Some(engine_name(args.engine).to_string());
+    // Only the fit stage names its engine: generate/optimize/simulate run
+    // the same code under either engine.
+    fit.engine = Some("compiled".to_string());
 
     // Determinism violations are reported *after* the records are written:
     // when a check trips in CI, the measurements (and all fingerprints)
@@ -340,7 +320,7 @@ fn main() {
     let mut violations = Vec::new();
     if args.compare_serial {
         eprintln!("[difftune-bench] rerunning with 1 thread for the determinism/speedup check");
-        let serial = run_pipeline(&simulator, scale, seed, 1, args.engine, &train_pairs);
+        let serial = run_pipeline(&simulator, scale, seed, 1, Engine::Compiled, &train_pairs);
         let serial_fingerprint = fingerprint_table(&serial.learned);
         if serial_fingerprint == fingerprint {
             eprintln!("[difftune-bench] learned tables bit-identical across thread counts ✓");
@@ -385,12 +365,18 @@ fn main() {
                 engines_match = false;
                 violations.push(format!(
                     "DETERMINISM VIOLATION: the learned table depends on the execution engine \
-                     (taped {taped_fingerprint}, {} {fingerprint})",
-                    engine_name(args.engine)
+                     (taped {taped_fingerprint}, compiled {fingerprint})"
                 ));
                 break;
             }
-            let rerun = run_pipeline(&simulator, scale, seed, threads, args.engine, &train_pairs);
+            let rerun = run_pipeline(
+                &simulator,
+                scale,
+                seed,
+                threads,
+                Engine::Compiled,
+                &train_pairs,
+            );
             ratios.push(taped.fit_seconds / rerun.fit_seconds);
         }
         if engines_match {

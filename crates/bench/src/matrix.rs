@@ -59,12 +59,6 @@ use crate::{pairs, Scale};
 
 pub use difftune::{SimulatorKind, SpecKind};
 
-/// The short microarchitecture name used in cell keys and file names
-/// (an alias for [`Microarch::key`], kept for existing callers).
-pub fn uarch_key(uarch: Microarch) -> &'static str {
-    uarch.key()
-}
-
 /// One cell of the scenario matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellKey {
@@ -82,7 +76,7 @@ impl CellKey {
         format!(
             "{}:{}:{}",
             self.simulator.key(),
-            uarch_key(self.uarch),
+            self.uarch.key(),
             self.spec.key()
         )
     }
@@ -99,7 +93,7 @@ impl CellKey {
 
     /// The cell's record file name (`MATRIX_<sim>_<uarch>_<spec>.json`).
     pub fn file_name(&self) -> String {
-        matrix_cell_file_name(self.simulator.key(), uarch_key(self.uarch), self.spec.key())
+        matrix_cell_file_name(self.simulator.key(), self.uarch.key(), self.spec.key())
     }
 
     /// The cell's mid-run checkpoint file name.
@@ -107,7 +101,7 @@ impl CellKey {
         format!(
             "MATRIX_ckpt_{}_{}_{}.json",
             self.simulator.key(),
-            uarch_key(self.uarch),
+            self.uarch.key(),
             self.spec.key()
         )
     }
@@ -379,7 +373,7 @@ pub fn run_cell_with(
         schema: MATRIX_SCHEMA.to_string(),
         cell: key.id(),
         simulator: key.simulator.key().to_string(),
-        uarch: uarch_key(key.uarch).to_string(),
+        uarch: key.uarch.key().to_string(),
         spec: key.spec.key().to_string(),
         scale: scale.name().to_string(),
         seed,
@@ -558,15 +552,9 @@ pub fn run_matrix(options: &MatrixOptions) -> Result<MatrixOutcome, String> {
             .or_insert_with(|| dataset_for_cell(key.uarch, options.scale));
     }
 
-    let workers = if options.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        options.threads
-    }
-    .min(to_run.len())
-    .max(1);
+    let workers = difftune_tensor::resolve_threads(options.threads)
+        .min(to_run.len())
+        .max(1);
 
     // Work-stealing over the cell list: workers pull the next unclaimed index.
     // Scheduling affects only wall time — each cell's output is a pure

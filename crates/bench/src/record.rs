@@ -113,7 +113,7 @@ impl BenchRecord {
             stage: stage.to_string(),
             scale: Some(scale.to_string()),
             threads,
-            cpu_cores: available_cores(),
+            cpu_cores: difftune_tensor::resolve_threads(0),
             seed,
             wall_time_seconds,
             samples,
@@ -354,13 +354,6 @@ impl MatrixSummary {
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|error| format!("{error:?}"))
     }
-}
-
-/// The machine's available core count (1 if it cannot be determined).
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Order-sensitive FNV-1a hash of a byte stream, stable across processes and

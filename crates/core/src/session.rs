@@ -91,8 +91,8 @@ pub struct RunCheckpoint {
     /// The model configuration `surrogate_params` was trained under, in the
     /// artifact-side rendering — enough for a serving process to rebuild the
     /// architecture and load the weights without the run's `DiffTuneConfig`.
-    /// `None` in checkpoints written before this field existed (those cells
-    /// serve table-only).
+    /// Required in the JSON: `None` only when no surrogate was fitted. A
+    /// checkpoint written before this field existed does not deserialize.
     pub surrogate_config: Option<difftune_surrogate::ModelConfig>,
     /// Surrogate training statistics (present once `fit_surrogate` has run).
     pub surrogate_report: Option<TrainReport>,
@@ -151,24 +151,10 @@ impl RunCheckpoint {
     }
 
     /// Deserializes a checkpoint from JSON.
-    ///
-    /// Fields added after the first checkpoint schema (`surrogate_config`)
-    /// are backfilled with `null` when absent, so old checkpoints keep
-    /// loading.
     pub fn from_json(json: &str) -> Result<Self, DiffTuneError> {
-        let corrupt = |error: String| DiffTuneError::Checkpoint {
-            message: format!("deserialization failed: {error}"),
-        };
-        let mut value =
-            serde_json::from_str_value(json).map_err(|error| corrupt(format!("{error:?}")))?;
-        if let serde::Value::Map(entries) = &mut value {
-            for key in ["surrogate_config"] {
-                if !entries.iter().any(|(name, _)| name == key) {
-                    entries.push((key.to_string(), serde::Value::Null));
-                }
-            }
-        }
-        <Self as Deserialize>::deserialize(&value).map_err(|error| corrupt(format!("{error:?}")))
+        serde_json::from_str(json).map_err(|error| DiffTuneError::Checkpoint {
+            message: format!("deserialization failed: {error:?}"),
+        })
     }
 }
 

@@ -87,13 +87,7 @@ pub fn generate_simulated_dataset_observed(
     let vocab = Vocab::new();
     let tokenized: Vec<_> = blocks.iter().map(|b| vocab.tokenize_block(b)).collect();
 
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
+    let threads = difftune_tensor::resolve_threads(threads);
 
     // Generates one fixed range's samples from its own rng stream. Range
     // boundaries and seeds depend only on `size`, never on the worker count,

@@ -29,6 +29,16 @@
 //! insert pass, never across `predict_batch`, so a slow miss batch never
 //! stalls the hits on its shard. Only workers insert and purge.
 //!
+//! Misses stay on the shard workers for memory, not speed. A prototype that
+//! answered misses on the connection threads (no shard workers, one
+//! mutex-guarded surrogate engine per backend) read 16.3–19.9 MB resident on
+//! perfbench's `serve-lstm-miss` workload against 14.8–15.3 MB for this
+//! design (6 run pairs, 2-vCPU container), 26.0 MB in a run that also kept
+//! the engine pool, and 12.4 MB under `MALLOC_ARENA_MAX=1`: the growth is
+//! the allocator's per-thread arenas, one for each connection thread that
+//! runs a prediction. A few long-lived workers bound how many threads
+//! allocate prediction scratch.
+//!
 //! # Ops primitives
 //!
 //! Two endpoints exist for the routing tier ([`crate::client`] consumers):
@@ -276,13 +286,7 @@ pub fn spawn(config: ServeConfig, registry: BackendRegistry) -> std::io::Result<
     let listener = TcpListener::bind((config.addr.as_str(), config.port))?;
     let addr = listener.local_addr()?;
 
-    let shard_count = if config.shards == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.shards
-    };
+    let shard_count = difftune_tensor::resolve_threads(config.shards);
 
     let registry = Arc::new(RwLock::new(Arc::new(registry)));
     let metrics = Arc::new(Metrics::new());

@@ -280,24 +280,19 @@ pub fn train_observed<M: SurrogateModel>(
 
             grads.reset(model.params());
             let model_ref: &M = &*model;
-            let batch_loss = match config.engine {
-                Engine::Taped => engine.accumulate(
-                    model_ref.params(),
-                    &batch_samples,
-                    |graph, sample| sample_loss(model_ref, graph, sample),
-                    seed,
-                    &mut grads,
-                ),
-                Engine::Compiled => engine.accumulate_compiled(
-                    model_ref.params(),
-                    &batch_samples,
-                    &mut cache,
-                    |sample| sample_program_key(model_ref, sample),
-                    |graph, sample| sample_loss(model_ref, graph, sample),
-                    seed,
-                    &mut grads,
-                ),
-            };
+            // The taped engine is the same loop with no sample keyed.
+            let batch_loss = engine.accumulate_compiled(
+                model_ref.params(),
+                &batch_samples,
+                &mut cache,
+                |sample| match config.engine {
+                    Engine::Taped => None,
+                    Engine::Compiled => sample_program_key(model_ref, sample),
+                },
+                |graph, sample| sample_loss(model_ref, graph, sample),
+                seed,
+                &mut grads,
+            );
 
             if config.grad_clip > 0.0 {
                 let norm = grads.global_norm();

@@ -12,10 +12,15 @@
 //! produce exactly the same bits (property-tested in
 //! `tests/batch_determinism.rs`).
 //!
-//! The engine owns one [`TapeArena`] per worker and one [`Grads`] slot per
-//! chunk, all reused across batches, so a training loop that calls
-//! [`Batch::accumulate`] in its inner loop stops allocating after the first
-//! batch.
+//! One worker loop serves both entry points. Each sample either replays its
+//! compiled schedule ([`Batch::accumulate_compiled`] with a key) or builds a
+//! tape ([`Batch::accumulate`], or a sample whose key is `None`); the
+//! chunking, worker split and merge never depend on which.
+//!
+//! The engine owns one [`TapeArena`] and one [`ReplayBuffers`] per worker
+//! and one [`Grads`] slot per chunk, all reused across batches, so a
+//! training loop that calls the engine in its inner loop stops allocating
+//! after the first batch.
 
 use std::sync::Arc;
 
@@ -36,9 +41,25 @@ pub const REDUCTION_CHUNK: usize = 8;
 /// where the work runs.
 const MIN_PARALLEL_SAMPLES: usize = 8;
 
-/// One reduction chunk of the compiled path: the chunk's samples alongside
-/// each sample's resolved program (`None` = tape fallback for that sample).
+/// One reduction chunk: the chunk's samples alongside each sample's resolved
+/// program (`None` = the tape for that sample).
 type CompiledChunk<'a, S> = (&'a [S], &'a [Option<Arc<CompiledProgram>>]);
+
+/// Resolves a worker-count setting: `0` means every core this process may
+/// use (`1` if that cannot be determined); any other value is taken as is.
+///
+/// This is the workspace's one "0 = all cores" rule — the gradient engine,
+/// dataset generation, the scenario matrix and the server's shard count all
+/// resolve their knob here.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
 
 /// A reusable, deterministic batch-gradient accumulator.
 ///
@@ -79,15 +100,8 @@ impl Batch {
     /// Creates an engine with `threads` workers (`0` means all available
     /// cores).
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
         Batch {
-            threads,
+            threads: resolve_threads(threads),
             slots: Vec::new(),
             losses: Vec::new(),
             arenas: Vec::new(),
@@ -100,7 +114,7 @@ impl Batch {
         self.threads
     }
 
-    /// Computes the loss and gradients of a batch of samples.
+    /// Computes the loss and gradients of a batch of samples on the tape.
     ///
     /// `loss_of` builds one sample's forward pass and returns its scalar loss
     /// node; the engine runs it once per sample (possibly on worker threads),
@@ -115,6 +129,10 @@ impl Batch {
     /// The per-chunk stores collect the same parameters as `grads` (see
     /// [`Grads::only`]), so a subset store skips the other parameters'
     /// gradient work on every worker.
+    ///
+    /// This is [`Batch::accumulate_compiled`] with no sample keyed, so every
+    /// sample takes the tape: the tape is the per-sample reference the
+    /// compiled replay is checked against, run by the same worker loop.
     pub fn accumulate<S: Sync>(
         &mut self,
         params: &Params,
@@ -123,83 +141,15 @@ impl Batch {
         seed: f32,
         grads: &mut Grads,
     ) -> f64 {
-        let n = samples.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let chunks: Vec<&[S]> = samples.chunks(REDUCTION_CHUNK).collect();
-        let workers = if n < MIN_PARALLEL_SAMPLES {
-            1
-        } else {
-            self.threads.min(chunks.len())
-        };
-        if self.slots.len() < chunks.len() {
-            let missing = chunks.len() - self.slots.len();
-            self.slots
-                .extend(std::iter::repeat_with(|| Grads::new(params)).take(missing));
-        }
-        if self.arenas.len() < workers {
-            let missing = workers - self.arenas.len();
-            self.arenas
-                .extend(std::iter::repeat_with(TapeArena::new).take(missing));
-        }
-        self.losses.clear();
-        self.losses.resize(chunks.len(), 0.0);
-        let slots = &mut self.slots[..chunks.len()];
-        let losses = &mut self.losses[..chunks.len()];
-        for slot in slots.iter_mut() {
-            slot.collect_like(grads);
-            slot.reset(params);
-        }
-
-        let loss_of = &loss_of;
-        if workers == 1 {
-            run_shard(
-                params,
-                &chunks,
-                slots,
-                losses,
-                &mut self.arenas[0],
-                loss_of,
-                seed,
-            );
-        } else {
-            let per_worker = chunks.len().div_ceil(workers);
-            let arenas = &mut self.arenas[..workers];
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .chunks(per_worker)
-                    .zip(slots.chunks_mut(per_worker))
-                    .zip(losses.chunks_mut(per_worker))
-                    .zip(arenas.iter_mut())
-                    .map(|(((shard, shard_slots), shard_losses), arena)| {
-                        scope.spawn(move || {
-                            run_shard(
-                                params,
-                                shard,
-                                shard_slots,
-                                shard_losses,
-                                arena,
-                                loss_of,
-                                seed,
-                            )
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("batch gradient worker panicked");
-                }
-            });
-        }
-
-        // The deterministic reduction: chunk gradients and losses are merged
-        // in chunk order, regardless of which worker produced them.
-        let mut total = 0.0;
-        for (slot, loss) in self.slots[..chunks.len()].iter().zip(&self.losses) {
-            grads.merge(slot);
-            total += loss;
-        }
-        total
+        self.accumulate_compiled(
+            params,
+            samples,
+            &mut ProgramCache::new(),
+            |_| None,
+            loss_of,
+            seed,
+            grads,
+        )
     }
 
     /// Like [`Batch::accumulate`], but replays samples through compiled
@@ -210,14 +160,15 @@ impl Batch {
     /// [`ProgramKey`]); samples mapping to the same key share one schedule,
     /// recorded on the calling thread the first time the key appears (so
     /// cache contents never depend on worker scheduling). A sample whose key
-    /// is `None` — dynamic structure the caller cannot key — falls back to
-    /// the tape inside the same chunk, preserving the reduction order.
+    /// is `None` — dynamic structure the caller cannot key — takes the tape
+    /// inside the same chunk, preserving the reduction order.
     ///
-    /// The chunking, sample order, and merge order are identical to
-    /// [`Batch::accumulate`], and compiled replay is bit-identical to the
-    /// tape, so this produces exactly the same gradients and loss — for
-    /// every thread count and for any mix of compiled and fallback samples.
-    #[allow(clippy::too_many_arguments)] // mirrors accumulate's signature plus the cache and key function
+    /// This is the engine's only worker loop ([`Batch::accumulate`] calls it
+    /// with no key), and compiled replay is bit-identical to the tape, so it
+    /// produces exactly the same gradients and loss as [`Batch::accumulate`]
+    /// — for every thread count and for any mix of compiled and taped
+    /// samples.
+    #[allow(clippy::too_many_arguments)] // accumulate's signature plus the cache and key function
     pub fn accumulate_compiled<S: Sync>(
         &mut self,
         params: &Params,
@@ -325,34 +276,11 @@ impl Batch {
     }
 }
 
-/// Processes a contiguous run of fixed-size chunks: one tape per sample in
-/// the worker's arena, each chunk's gradients accumulated (in sample order)
-/// into the chunk's own slot.
-fn run_shard<S>(
-    params: &Params,
-    chunks: &[&[S]],
-    slots: &mut [Grads],
-    losses: &mut [f64],
-    arena: &mut TapeArena,
-    loss_of: &(impl Fn(&mut Graph<'_>, &S) -> Var + Sync),
-    seed: f32,
-) {
-    for ((chunk, slot), loss_out) in chunks.iter().zip(slots).zip(losses) {
-        for sample in *chunk {
-            *loss_out += arena.scoped(params, |graph| {
-                let loss = loss_of(graph, sample);
-                let value = f64::from(graph.value(loss)[0]);
-                graph.backward_scaled(loss, slot, seed);
-                value
-            });
-        }
-    }
-}
-
-/// The compiled counterpart of [`run_shard`]: replays each sample against
-/// its shared schedule with the worker's own [`ReplayBuffers`], dropping to
-/// the worker's tape arena for samples without a program.
-#[allow(clippy::too_many_arguments)] // run_shard's parameter list plus the worker's replay buffers
+/// Processes a contiguous run of fixed-size chunks, each chunk's gradients
+/// accumulated (in sample order) into the chunk's own slot: a sample with a
+/// program replays it with the worker's own [`ReplayBuffers`], a sample
+/// without one builds a tape in the worker's arena.
+#[allow(clippy::too_many_arguments)] // the chunks and their outputs, the worker's two buffers, and the loss
 fn run_shard_compiled<S>(
     params: &Params,
     chunks: &[CompiledChunk<'_, S>],
@@ -609,7 +537,10 @@ mod tests {
 
     #[test]
     fn zero_threads_resolves_to_available_cores() {
-        let engine = Batch::new(0);
-        assert!(engine.threads() >= 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), cores);
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(Batch::new(0).threads(), cores);
+        assert_eq!(Batch::new(3).threads(), 3);
     }
 }

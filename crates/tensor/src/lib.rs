@@ -61,7 +61,7 @@ pub mod optim;
 mod params;
 mod tensor;
 
-pub use batch::{Batch, REDUCTION_CHUNK};
+pub use batch::{resolve_threads, Batch, REDUCTION_CHUNK};
 pub use compile::{CompiledProgram, ProgramCache, ProgramKey, ReplayBuffers};
 pub use graph::{Graph, TapeArena, Var};
 pub use params::{Grads, ParamId, Params};

@@ -483,6 +483,29 @@ fn pipelined_requests_on_one_connection_all_answer_in_order() {
 }
 
 /// A defaults-plus-matrix server whose `POST /reload` rescans `dir`.
+#[test]
+fn checkpoints_without_a_surrogate_config_field_are_refused() {
+    let dir = fresh_dir("old-checkpoint");
+    let key = CellKey::parse("mca:haswell:write_latency_only").unwrap();
+    let (path, _) = write_checkpoint(&dir);
+    let mut registry = BackendRegistry::with_defaults();
+    registry
+        .add_checkpoint(&key, &path)
+        .expect("checkpoint loads");
+
+    // A checkpoint written before `surrogate_config` existed is not
+    // backfilled: `--checkpoint` and `/reload` refuse it.
+    let json = fs::read_to_string(&path).expect("checkpoint is on disk");
+    let older = json.replacen("\"surrogate_config\"", "\"retired_field\"", 1);
+    assert_ne!(older, json);
+    fs::write(&path, older).expect("checkpoint rewrites");
+    let error = BackendRegistry::with_defaults()
+        .add_checkpoint(&key, &path)
+        .unwrap_err();
+    assert!(error.contains("not a RunCheckpoint"), "{error}");
+    fs::remove_dir_all(&dir).ok();
+}
+
 fn serve_reloadable(dir: &std::path::Path) -> ServerHandle {
     let mut registry = BackendRegistry::with_defaults();
     registry.add_matrix_dir(dir).expect("matrix dir loads");

@@ -386,6 +386,17 @@ fn checkpoints_from_a_different_setup_are_rejected() {
         Err(DiffTuneError::Checkpoint { .. })
     ));
 
+    // A checkpoint missing a field (written before `surrogate_config`
+    // existed) is unreadable, not backfilled.
+    let json = checkpoint.to_json().unwrap();
+    assert!(RunCheckpoint::from_json(&json).is_ok());
+    let older = json.replacen("\"surrogate_config\"", "\"retired_field\"", 1);
+    assert_ne!(older, json);
+    assert!(matches!(
+        RunCheckpoint::from_json(&older),
+        Err(DiffTuneError::Checkpoint { .. })
+    ));
+
     // A diverged run (non-finite learned state) is rejected at save time —
     // JSON cannot represent NaN, so the snapshot would otherwise save fine
     // and fail to reload.
