@@ -18,12 +18,14 @@
 //! [`ProgressEvent`]s throughout, so long runs stream telemetry instead of
 //! going dark.
 
+use std::collections::HashMap;
+
 use difftune_isa::{BasicBlock, OpcodeId};
 use difftune_sim::{SimParams, Simulator};
 use difftune_surrogate::train::{train_observed, TrainEvent, TrainReport};
-use difftune_surrogate::{SurrogateModel, TokenizedBlock, Vocab};
+use difftune_surrogate::{SurrogateModel, TokenizedBlock, TokenizedInst, Vocab};
 use difftune_tensor::optim::{Adam, Optimizer};
-use difftune_tensor::{Batch, Grads, Params, Tensor};
+use difftune_tensor::{resolve_threads, Batch, Grads, Params, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -545,7 +547,9 @@ impl<'a> Session<'a> {
 
     /// Stage 3 (Equation 3): optimizes θ through the frozen surrogate and
     /// returns the per-epoch losses. Emits [`ProgressEvent::TableBatch`] and
-    /// [`ProgressEvent::TableEpoch`] as training proceeds.
+    /// [`ProgressEvent::TableEpoch`] as training proceeds. Each distinct
+    /// training instruction is encoded once for the whole stage, not once
+    /// per occurrence per epoch.
     pub fn optimize_table(&mut self) -> Result<&[f64], DiffTuneError> {
         self.expect_stage(Stage::OptimizeTable)?;
         Self::emit(
@@ -650,6 +654,15 @@ impl<'a> Session<'a> {
     }
 
     /// Equation 3: gradient descent on θ through the frozen surrogate.
+    ///
+    /// Before epoch 0 the surrogate's instruction encoder (for the LSTM, the
+    /// embedding and token-level LSTM, which never read θ) runs once per
+    /// distinct instruction of the training set (see
+    /// [`instruction_summaries`]); every sample then runs only the
+    /// block-level model through [`SurrogateModel::forward_frozen`]. The
+    /// predictions and θ's gradients are bit-equal to running `forward` per
+    /// sample, so the learned table is too. Per-sample gradients go through
+    /// the deterministic batch engine on `config.threads` workers.
     fn train_table(&mut self, surrogate: &dyn SurrogateModel) -> (ThetaTable, Vec<f64>, SimParams) {
         let config = &self.config;
         let spec = &self.spec;
@@ -670,13 +683,27 @@ impl<'a> Session<'a> {
         let mut optimizer = Adam::new(config.table_learning_rate);
 
         let vocab = Vocab::new();
-        let samples: Vec<(TokenizedBlock, Vec<OpcodeId>, f64)> = self
+        let blocks: Vec<TokenizedBlock> = self
             .pairs
             .iter()
-            .map(|(block, timing)| {
-                let tokenized = vocab.tokenize_block(block);
-                let opcodes = tokenized.insts.iter().map(|inst| inst.opcode).collect();
-                (tokenized, opcodes, *timing)
+            .map(|(block, _)| vocab.tokenize_block(block))
+            .collect();
+        // The surrogate's weights are frozen, so an instruction encoder that
+        // never reads θ gives the same vector every epoch: encode each
+        // distinct instruction once, before epoch 0, and run only the
+        // block-level model per sample.
+        let summaries = instruction_summaries(surrogate, &blocks, config.threads);
+        let samples: Vec<TableSample<'_>> = blocks
+            .iter()
+            .zip(&self.pairs)
+            .enumerate()
+            .map(|(index, (block, (_, timing)))| TableSample {
+                block,
+                opcodes: block.insts.iter().map(|inst| inst.opcode).collect(),
+                encoded: summaries.as_ref().map_or_else(Vec::new, |(table, ids)| {
+                    ids[index].iter().map(|&id| &table[id]).collect()
+                }),
+                timing: *timing,
             })
             .collect();
 
@@ -696,7 +723,7 @@ impl<'a> Session<'a> {
             let mut epoch_loss = 0.0;
             for (batch_index, batch) in order.chunks(config.table_batch_size).enumerate() {
                 let seed = 1.0 / batch.len() as f32;
-                let batch_refs: Vec<&(TokenizedBlock, Vec<OpcodeId>, f64)> =
+                let batch_refs: Vec<&TableSample<'_>> =
                     batch.iter().map(|&i| &samples[i]).collect();
 
                 grads.reset(&store);
@@ -704,13 +731,17 @@ impl<'a> Session<'a> {
                     &store,
                     &batch_refs,
                     |graph, sample| {
-                        let (block, opcodes, timing) = &**sample;
                         let theta_var = graph.param(theta_id);
                         let (features, global) =
-                            ThetaTable::feature_vars(graph, theta_var, opcodes);
-                        let prediction =
-                            surrogate.forward(graph, block, Some(&features), Some(global));
-                        let target = timing.max(1e-3) as f32;
+                            ThetaTable::feature_vars(graph, theta_var, &sample.opcodes);
+                        let prediction = surrogate.forward_frozen(
+                            graph,
+                            sample.block,
+                            &sample.encoded,
+                            Some(&features),
+                            Some(global),
+                        );
+                        let target = sample.timing.max(1e-3) as f32;
                         let target_var = graph.input(Tensor::scalar(target));
                         let diff = graph.sub(prediction, target_var);
                         let abs = graph.abs(diff);
@@ -757,6 +788,79 @@ impl<'a> Session<'a> {
         let final_theta = ThetaTable::from_tensor(store.get(theta_id));
         (final_theta, losses, initial)
     }
+}
+
+/// One table-optimization sample: a training block, its opcodes (θ's rows),
+/// each instruction's frozen encoding (empty for a surrogate without an
+/// instruction encoder), and the measured timing.
+struct TableSample<'a> {
+    block: &'a TokenizedBlock,
+    opcodes: Vec<OpcodeId>,
+    encoded: Vec<&'a Tensor>,
+    timing: f64,
+}
+
+/// Distinct instructions encoded on one graph when building the summary
+/// table, so the encoder's parameters are bound once per group. Groups are a
+/// fixed partition of the distinct instructions, whatever the worker count.
+const ENCODE_GROUP: usize = 64;
+
+/// The frozen surrogate's instruction encodings for a training set: one
+/// vector per distinct token sequence, in first-encounter order, and for
+/// each block its instructions' indices into those vectors. Groups of
+/// [`ENCODE_GROUP`] instructions are encoded on up to `threads` workers
+/// (`0` = all cores); each vector depends only on its own tokens, so the
+/// table is the same for every worker count.
+///
+/// Returns `None` when the surrogate has no instruction encoder (see
+/// [`SurrogateModel::encode_instructions`]).
+fn instruction_summaries(
+    surrogate: &dyn SurrogateModel,
+    blocks: &[TokenizedBlock],
+    threads: usize,
+) -> Option<(Vec<Tensor>, Vec<Vec<usize>>)> {
+    let mut index: HashMap<&[usize], usize> = HashMap::new();
+    let mut distinct: Vec<&TokenizedInst> = Vec::new();
+    let ids: Vec<Vec<usize>> = blocks
+        .iter()
+        .map(|block| {
+            block
+                .insts
+                .iter()
+                .map(|inst| {
+                    *index.entry(&inst.tokens).or_insert_with(|| {
+                        distinct.push(inst);
+                        distinct.len() - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let groups: Vec<&[&TokenizedInst]> = distinct.chunks(ENCODE_GROUP).collect();
+    // Contiguous runs of groups, one per worker, concatenated in group order.
+    let per_worker = groups.len().div_ceil(resolve_threads(threads)).max(1);
+    let summaries: Vec<Tensor> = std::thread::scope(|scope| {
+        let handles: Vec<_> = groups
+            .chunks(per_worker)
+            .map(|run| {
+                scope.spawn(move || -> Option<Vec<Tensor>> {
+                    let mut out = Vec::new();
+                    for group in run {
+                        out.extend(surrogate.encode_instructions(group)?);
+                    }
+                    Some(out)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("instruction encoder worker panicked"))
+            .collect::<Option<Vec<Vec<Tensor>>>>()
+    })?
+    .into_iter()
+    .flatten()
+    .collect();
+    Some((summaries, ids))
 }
 
 /// Order-sensitive FNV-1a fingerprint of the training pairs, used to bind a

@@ -94,23 +94,33 @@ impl PolicyPredictor {
 
 impl Predictor for PolicyPredictor {
     /// Routes every block to its tier's predictor and merges the answers
-    /// back in request order. Each sub-predictor sees one batch per call,
-    /// and both sub-predictors are themselves deterministic and
-    /// batch-composition-independent, so the merged answer is too.
+    /// back in request order. A batch that one tier answers whole goes to
+    /// that tier untouched; only a mixed batch is split. Each sub-predictor
+    /// sees one batch per call, and both sub-predictors are themselves
+    /// deterministic and batch-composition-independent, so the merged
+    /// answer is too.
     fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<f64> {
         let tiers: Vec<u8> = blocks.iter().map(|block| self.tier_for(block)).collect();
+        let backend_for = |tier: u8| match tier {
+            TIER_SURROGATE => self
+                .surrogate
+                .as_ref()
+                .expect("tier 2 is only assigned when the surrogate exists"),
+            _ => &self.table,
+        };
+        if let Some(&tier) = tiers.first() {
+            if tiers.iter().all(|&other| other == tier) {
+                return backend_for(tier).predictor.predict_batch(blocks);
+            }
+        }
         let mut out = vec![0.0_f64; blocks.len()];
-        for (tier, backend) in [
-            (TIER_SURROGATE, self.surrogate.as_ref()),
-            (TIER_SIMULATOR, Some(&self.table)),
-        ] {
+        for tier in [TIER_SURROGATE, TIER_SIMULATOR] {
             let indices: Vec<usize> = (0..blocks.len()).filter(|&i| tiers[i] == tier).collect();
             if indices.is_empty() {
                 continue;
             }
-            let backend = backend.expect("a tier is only assigned when its backend exists");
             let batch: Vec<BasicBlock> = indices.iter().map(|&i| blocks[i].clone()).collect();
-            let answers = backend.predictor.predict_batch(&batch);
+            let answers = backend_for(tier).predictor.predict_batch(&batch);
             for (&index, answer) in indices.iter().zip(answers) {
                 out[index] = answer;
             }

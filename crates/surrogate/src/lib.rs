@@ -45,7 +45,7 @@ pub use feature::{FeatureMlpConfig, FeatureMlpModel};
 pub use infer::SurrogateForward;
 pub use model::{IthemalConfig, IthemalModel};
 
-use difftune_tensor::{Graph, ProgramKey, Var};
+use difftune_tensor::{Graph, ProgramKey, Tensor, Var};
 
 /// A differentiable surrogate model: predicts a block timing from a tokenized
 /// block and (optionally) parameter features already present in the graph.
@@ -67,6 +67,42 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
         per_inst_features: Option<&[Var]>,
         global_feature_var: Option<Var>,
     ) -> Var;
+
+    /// Encodes instructions under the current weights into the vectors the
+    /// block-level model reads (for the LSTM surrogate, each instruction's
+    /// token-LSTM summary): one tensor per instruction, in order, built on
+    /// one graph that binds the encoder's parameters once for the group.
+    /// An instruction's encoding depends only on its token sequence, so a
+    /// caller may encode each distinct sequence once.
+    ///
+    /// Returns `None` for a model without a per-instruction encoder — the
+    /// default — whose [`forward_frozen`](SurrogateModel::forward_frozen) is
+    /// plain [`forward`](SurrogateModel::forward).
+    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
+        let _ = insts;
+        None
+    }
+
+    /// [`forward`](SurrogateModel::forward) under frozen weights, with each
+    /// instruction's encoding precomputed by
+    /// [`encode_instructions`](SurrogateModel::encode_instructions):
+    /// `encoded[i]` is bound as a graph input in place of instruction `i`'s
+    /// encoder, whose parameters are not bound at all. The prediction and
+    /// every gradient that reaches the parameter features are bit-equal to
+    /// `forward`'s; the encoder's weights get no gradient.
+    ///
+    /// The default ignores `encoded` and runs `forward`.
+    fn forward_frozen(
+        &self,
+        graph: &mut Graph<'_>,
+        block: &TokenizedBlock,
+        encoded: &[&Tensor],
+        per_inst_features: Option<&[Var]>,
+        global_feature_var: Option<Var>,
+    ) -> Var {
+        let _ = encoded;
+        self.forward(graph, block, per_inst_features, global_feature_var)
+    }
 
     /// The trainable parameter store backing this model.
     fn params(&self) -> &difftune_tensor::Params;
@@ -99,6 +135,21 @@ impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
         global_feature_var: Option<Var>,
     ) -> Var {
         (**self).forward(graph, block, per_inst_features, global_feature_var)
+    }
+
+    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
+        (**self).encode_instructions(insts)
+    }
+
+    fn forward_frozen(
+        &self,
+        graph: &mut Graph<'_>,
+        block: &TokenizedBlock,
+        encoded: &[&Tensor],
+        per_inst_features: Option<&[Var]>,
+        global_feature_var: Option<Var>,
+    ) -> Var {
+        (**self).forward_frozen(graph, block, encoded, per_inst_features, global_feature_var)
     }
 
     fn params(&self) -> &difftune_tensor::Params {

@@ -3,10 +3,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use difftune_tensor::nn::{Embedding, Linear, StackedLstm};
+use difftune_tensor::nn::{Embedding, EmbeddingBinding, Linear, StackedLstm, StackedLstmBinding};
 use difftune_tensor::{Graph, Params, Tensor, Var};
 
-use crate::encode::{TokenizedBlock, Vocab, GLOBAL_FEATURES, PER_INST_FEATURES};
+use crate::encode::{TokenizedBlock, TokenizedInst, Vocab, GLOBAL_FEATURES, PER_INST_FEATURES};
 use crate::SurrogateModel;
 
 /// Hyperparameters of the [`IthemalModel`].
@@ -140,16 +140,14 @@ impl IthemalModel {
         let out = self.forward(&mut graph, block, feature_vars.as_deref(), global_var);
         f64::from(graph.value(out)[0])
     }
-}
 
-impl SurrogateModel for IthemalModel {
-    fn forward(
+    /// Checks that `block` and the parameter inputs fit this model.
+    fn check_inputs(
         &self,
-        graph: &mut Graph<'_>,
         block: &TokenizedBlock,
         per_inst_features: Option<&[Var]>,
         global_feature_var: Option<Var>,
-    ) -> Var {
+    ) {
         assert!(
             !block.is_empty(),
             "cannot run the surrogate on an empty block"
@@ -164,27 +162,48 @@ impl SurrogateModel for IthemalModel {
                 "surrogate mode requires global features"
             );
         }
+    }
 
-        // Hoist every layer's parameters onto the graph once; per-token and
-        // per-instruction work then only emits compute nodes.
-        let embedding = self.embedding.bind(graph);
-        let instr_lstm = self.instr_lstm.bind(graph);
-        let block_lstm = self.block_lstm.bind(graph);
+    /// The instruction encoder: token embeddings → instruction-level LSTM
+    /// summary.
+    fn encode(
+        graph: &mut Graph<'_>,
+        embedding: &EmbeddingBinding,
+        instr_lstm: &StackedLstmBinding,
+        inst: &TokenizedInst,
+    ) -> Var {
+        let embedded: Vec<Var> = inst
+            .tokens
+            .iter()
+            .map(|&token| embedding.lookup(graph, token))
+            .collect();
+        instr_lstm.run(graph, &embedded)
+    }
 
-        let mut instruction_vectors = Vec::with_capacity(block.len());
-        for (index, inst) in block.insts.iter().enumerate() {
-            // Token embeddings → instruction-level LSTM summary.
-            let embedded: Vec<Var> = inst
-                .tokens
-                .iter()
-                .map(|&token| embedding.lookup(graph, token))
-                .collect();
-            let inst_vec = instr_lstm.run(graph, &embedded);
+    /// The block-level body shared by [`SurrogateModel::forward`] and
+    /// [`SurrogateModel::forward_frozen`]: each instruction's vector,
+    /// concatenated with its parameter features → block LSTM → head → ReLU.
+    ///
+    /// `instruction` puts instruction `index`'s vector on the graph when the
+    /// body reaches it, so `forward` interleaves each encoder with its
+    /// concat exactly as a single loop would.
+    fn block_body(
+        &self,
+        graph: &mut Graph<'_>,
+        block_lstm: &StackedLstmBinding,
+        len: usize,
+        per_inst_features: Option<&[Var]>,
+        global_feature_var: Option<Var>,
+        mut instruction: impl FnMut(&mut Graph<'_>, usize) -> Var,
+    ) -> Var {
+        let mut instruction_vectors = Vec::with_capacity(len);
+        for index in 0..len {
+            let inst_vec = instruction(graph, index);
             // Concatenate the proposed parameters for this instruction plus the
             // global parameters (Figure 3).
             let combined = if self.config.parameter_inputs {
-                let features = per_inst_features.expect("checked above")[index];
-                let global = global_feature_var.expect("checked above");
+                let features = per_inst_features.expect("checked by check_inputs")[index];
+                let global = global_feature_var.expect("checked by check_inputs");
                 graph.concat(&[inst_vec, features, global])
             } else {
                 inst_vec
@@ -197,6 +216,72 @@ impl SurrogateModel for IthemalModel {
         // Timings are non-negative; a softplus-like clamp keeps optimization
         // well-behaved without flattening gradients the way abs() would at 0.
         graph.relu(prediction)
+    }
+}
+
+impl SurrogateModel for IthemalModel {
+    fn forward(
+        &self,
+        graph: &mut Graph<'_>,
+        block: &TokenizedBlock,
+        per_inst_features: Option<&[Var]>,
+        global_feature_var: Option<Var>,
+    ) -> Var {
+        self.check_inputs(block, per_inst_features, global_feature_var);
+        // Hoist every layer's parameters onto the graph once; per-token and
+        // per-instruction work then only emits compute nodes.
+        let embedding = self.embedding.bind(graph);
+        let instr_lstm = self.instr_lstm.bind(graph);
+        let block_lstm = self.block_lstm.bind(graph);
+        self.block_body(
+            graph,
+            &block_lstm,
+            block.len(),
+            per_inst_features,
+            global_feature_var,
+            |graph, index| Self::encode(graph, &embedding, &instr_lstm, &block.insts[index]),
+        )
+    }
+
+    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
+        let mut graph = Graph::new(&self.params);
+        let embedding = self.embedding.bind(&mut graph);
+        let instr_lstm = self.instr_lstm.bind(&mut graph);
+        let summaries: Vec<Var> = insts
+            .iter()
+            .map(|inst| Self::encode(&mut graph, &embedding, &instr_lstm, inst))
+            .collect();
+        Some(
+            summaries
+                .iter()
+                .map(|&summary| graph.value_tensor(summary).clone())
+                .collect(),
+        )
+    }
+
+    fn forward_frozen(
+        &self,
+        graph: &mut Graph<'_>,
+        block: &TokenizedBlock,
+        encoded: &[&Tensor],
+        per_inst_features: Option<&[Var]>,
+        global_feature_var: Option<Var>,
+    ) -> Var {
+        self.check_inputs(block, per_inst_features, global_feature_var);
+        assert_eq!(
+            encoded.len(),
+            block.len(),
+            "the frozen forward needs one encoded vector per instruction"
+        );
+        let block_lstm = self.block_lstm.bind(graph);
+        self.block_body(
+            graph,
+            &block_lstm,
+            block.len(),
+            per_inst_features,
+            global_feature_var,
+            |graph, index| graph.input_ref(encoded[index]),
+        )
     }
 
     fn params(&self) -> &Params {
@@ -361,6 +446,66 @@ mod tests {
             nonzero,
             "parameter-input gradients should not be identically zero"
         );
+    }
+
+    #[test]
+    fn the_frozen_forward_matches_forward_bit_for_bit_on_theta_features() {
+        let model = IthemalModel::new(tiny_config());
+        let block = tokenized(
+            "addq %rax, %rbx\nmulsd %xmm0, %xmm1\naddq %rax, %rbx\nsubq %rcx, %rdx",
+            model.vocab(),
+        );
+        let sim_params = SimParams::uniform_default();
+        let features = block_param_features(&sim_params, &block);
+        let global = global_features(&sim_params);
+        let mut store = model.params().clone();
+        let feature_ids: Vec<_> = features
+            .iter()
+            .enumerate()
+            .map(|(i, f)| store.add(format!("theta.features.{i}"), f.clone()))
+            .collect();
+        let global_id = store.add("theta.global", global);
+        let mut theta_ids = feature_ids.clone();
+        theta_ids.push(global_id);
+
+        let insts: Vec<&TokenizedInst> = block.insts.iter().collect();
+        let encoded = model.encode_instructions(&insts).unwrap();
+        let encoded: Vec<&Tensor> = encoded.iter().collect();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Both a θ-only store (as table optimization collects) and a full
+        // store must see the same θ-feature bits from either entry point.
+        for full in [false, true] {
+            let run = |frozen: bool| {
+                let mut graph = Graph::new(&store);
+                let feature_vars: Vec<Var> =
+                    feature_ids.iter().map(|&id| graph.param(id)).collect();
+                let global_var = graph.param(global_id);
+                let out = if frozen {
+                    model.forward_frozen(
+                        &mut graph,
+                        &block,
+                        &encoded,
+                        Some(&feature_vars),
+                        Some(global_var),
+                    )
+                } else {
+                    model.forward(&mut graph, &block, Some(&feature_vars), Some(global_var))
+                };
+                let value = graph.value(out)[0];
+                let mut grads = if full {
+                    Grads::new(&store)
+                } else {
+                    Grads::only(&store, &theta_ids)
+                };
+                graph.backward_scaled(out, &mut grads, 0.25);
+                let theta_bits: Vec<Vec<u32>> = theta_ids
+                    .iter()
+                    .map(|&id| bits(grads.get(id).expect("θ gets a gradient")))
+                    .collect();
+                (value.to_bits(), theta_bits)
+            };
+            assert_eq!(run(true), run(false), "full store: {full}");
+        }
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //! `tests/batch_determinism.rs`).
 //!
 //! One worker loop serves both entry points. Each sample either replays its
-//! compiled schedule ([`Batch::accumulate_compiled`] with a key) or builds a
-//! tape ([`Batch::accumulate`], or a sample whose key is `None`); the
-//! chunking, worker split and merge never depend on which.
+//! compiled schedule ([`Batch::accumulate_compiled`] with a cached key) or
+//! builds a tape ([`Batch::accumulate`], a sample whose key is `None`, or a
+//! key with no program yet); the chunking, worker split and merge never
+//! depend on which. A batch's first sample of an uncached key is the one
+//! that records its program: its worker freezes the tape it just ran, so no
+//! sample is computed twice, and the calling thread inserts the new
+//! programs in sample order after the join.
 //!
 //! The engine owns one [`TapeArena`] and one [`ReplayBuffers`] per worker
 //! and one [`Grads`] slot per chunk, all reused across batches, so a
@@ -41,9 +45,31 @@ pub const REDUCTION_CHUNK: usize = 8;
 /// where the work runs.
 const MIN_PARALLEL_SAMPLES: usize = 8;
 
-/// One reduction chunk: the chunk's samples alongside each sample's resolved
-/// program (`None` = the tape for that sample).
-type CompiledChunk<'a, S> = (&'a [S], &'a [Option<Arc<CompiledProgram>>]);
+/// How one sample of a batch runs.
+#[derive(Debug)]
+enum Plan {
+    /// Replay the cached program for the sample's key.
+    Replay(Arc<CompiledProgram>),
+    /// Build a tape: the sample has no key, or an earlier sample of the
+    /// batch is recording its key's program.
+    Tape,
+    /// Build a tape and freeze it into the program for the sample's key,
+    /// which the cache does not hold yet: the batch's first sample of that
+    /// key.
+    Record,
+}
+
+/// One reduction chunk: the chunk's samples alongside each sample's plan.
+type CompiledChunk<'a, S> = (&'a [S], &'a [Plan]);
+
+/// What a reduction chunk hands back besides its gradient slot: the sum of
+/// its samples' losses, and the programs its [`Plan::Record`] samples froze,
+/// in sample order.
+#[derive(Debug, Default)]
+struct ChunkOutput {
+    loss: f64,
+    recorded: Vec<Arc<CompiledProgram>>,
+}
 
 /// Resolves a worker-count setting: `0` means every core this process may
 /// use (`1` if that cannot be determined); any other value is taken as is.
@@ -91,7 +117,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 pub struct Batch {
     threads: usize,
     slots: Vec<Grads>,
-    losses: Vec<f64>,
+    outputs: Vec<ChunkOutput>,
     arenas: Vec<TapeArena>,
     replay: Vec<ReplayBuffers>,
 }
@@ -103,7 +129,7 @@ impl Batch {
         Batch {
             threads: resolve_threads(threads),
             slots: Vec::new(),
-            losses: Vec::new(),
+            outputs: Vec::new(),
             arenas: Vec::new(),
             replay: Vec::new(),
         }
@@ -157,11 +183,17 @@ impl Batch {
     /// sample.
     ///
     /// `key_of` names each sample's graph structure (see
-    /// [`ProgramKey`]); samples mapping to the same key share one schedule,
-    /// recorded on the calling thread the first time the key appears (so
-    /// cache contents never depend on worker scheduling). A sample whose key
-    /// is `None` — dynamic structure the caller cannot key — takes the tape
-    /// inside the same chunk, preserving the reduction order.
+    /// [`ProgramKey`]); samples mapping to the same key share one schedule.
+    /// Cache hits are resolved on the calling thread before any work starts.
+    /// The batch's first sample of a key the cache does not hold runs on the
+    /// tape, forward and backward, on whichever worker owns its chunk, and
+    /// that worker freezes the same tape into the key's program
+    /// ([`CompiledProgram::record`] run on that sample would build an equal
+    /// one); later samples of the key in the batch take the tape as well.
+    /// After the join the calling thread inserts the new programs in sample
+    /// order, so cache contents never depend on worker scheduling. A sample
+    /// whose key is `None` — dynamic structure the caller cannot key — takes
+    /// the tape inside the same chunk, preserving the reduction order.
     ///
     /// This is the engine's only worker loop ([`Batch::accumulate`] calls it
     /// with no key), and compiled replay is bit-identical to the tape, so it
@@ -183,17 +215,27 @@ impl Batch {
         if n == 0 {
             return 0.0;
         }
-        // Resolve every sample's program up front, in sample order.
-        let programs: Vec<Option<Arc<CompiledProgram>>> = samples
+        // Resolve cache hits up front, in sample order. A key the cache does
+        // not hold is recorded by the worker that tapes its first sample;
+        // later samples of that key in this batch take the tape too.
+        let mut fresh: Vec<ProgramKey> = Vec::new();
+        let plans: Vec<Plan> = samples
             .iter()
-            .map(|sample| {
-                key_of(sample)
-                    .map(|key| cache.get_or_record(key, params, |graph| loss_of(graph, sample)))
+            .map(|sample| match key_of(sample) {
+                None => Plan::Tape,
+                Some(key) => match cache.lookup(&key) {
+                    Some(program) => Plan::Replay(program),
+                    None if fresh.contains(&key) => Plan::Tape,
+                    None => {
+                        fresh.push(key);
+                        Plan::Record
+                    }
+                },
             })
             .collect();
         let chunks: Vec<CompiledChunk<'_, S>> = samples
             .chunks(REDUCTION_CHUNK)
-            .zip(programs.chunks(REDUCTION_CHUNK))
+            .zip(plans.chunks(REDUCTION_CHUNK))
             .collect();
         let workers = if n < MIN_PARALLEL_SAMPLES {
             1
@@ -215,10 +257,10 @@ impl Batch {
             self.replay
                 .extend(std::iter::repeat_with(ReplayBuffers::new).take(missing));
         }
-        self.losses.clear();
-        self.losses.resize(chunks.len(), 0.0);
+        self.outputs.clear();
+        self.outputs.resize_with(chunks.len(), ChunkOutput::default);
         let slots = &mut self.slots[..chunks.len()];
-        let losses = &mut self.losses[..chunks.len()];
+        let outputs = &mut self.outputs[..];
         for slot in slots.iter_mut() {
             slot.collect_like(grads);
             slot.reset(params);
@@ -230,7 +272,7 @@ impl Batch {
                 params,
                 &chunks,
                 slots,
-                losses,
+                outputs,
                 &mut self.arenas[0],
                 &mut self.replay[0],
                 loss_of,
@@ -244,22 +286,24 @@ impl Batch {
                 let handles: Vec<_> = chunks
                     .chunks(per_worker)
                     .zip(slots.chunks_mut(per_worker))
-                    .zip(losses.chunks_mut(per_worker))
+                    .zip(outputs.chunks_mut(per_worker))
                     .zip(arenas.iter_mut().zip(replay.iter_mut()))
-                    .map(|(((shard, shard_slots), shard_losses), (arena, buffers))| {
-                        scope.spawn(move || {
-                            run_shard_compiled(
-                                params,
-                                shard,
-                                shard_slots,
-                                shard_losses,
-                                arena,
-                                buffers,
-                                loss_of,
-                                seed,
-                            )
-                        })
-                    })
+                    .map(
+                        |(((shard, shard_slots), shard_outputs), (arena, buffers))| {
+                            scope.spawn(move || {
+                                run_shard_compiled(
+                                    params,
+                                    shard,
+                                    shard_slots,
+                                    shard_outputs,
+                                    arena,
+                                    buffers,
+                                    loss_of,
+                                    seed,
+                                )
+                            })
+                        },
+                    )
                     .collect();
                 for handle in handles {
                     handle.join().expect("batch gradient worker panicked");
@@ -267,10 +311,17 @@ impl Batch {
             });
         }
 
+        // Chunks, and each chunk's recordings, are in sample order, as is
+        // `fresh`, so each new program pairs up with its key.
+        let mut fresh = fresh.into_iter();
         let mut total = 0.0;
-        for (slot, loss) in self.slots[..chunks.len()].iter().zip(&self.losses) {
+        for (slot, output) in self.slots[..chunks.len()].iter().zip(&mut self.outputs) {
             grads.merge(slot);
-            total += loss;
+            total += output.loss;
+            for program in output.recorded.drain(..) {
+                let key = fresh.next().expect("one new key per recorded program");
+                cache.insert(key, program);
+            }
         }
         total
     }
@@ -278,29 +329,33 @@ impl Batch {
 
 /// Processes a contiguous run of fixed-size chunks, each chunk's gradients
 /// accumulated (in sample order) into the chunk's own slot: a sample with a
-/// program replays it with the worker's own [`ReplayBuffers`], a sample
-/// without one builds a tape in the worker's arena.
+/// program replays it with the worker's own [`ReplayBuffers`], any other
+/// sample builds a tape in the worker's arena, and a [`Plan::Record`]
+/// sample also freezes its tape into the chunk's output.
 #[allow(clippy::too_many_arguments)] // the chunks and their outputs, the worker's two buffers, and the loss
 fn run_shard_compiled<S>(
     params: &Params,
     chunks: &[CompiledChunk<'_, S>],
     slots: &mut [Grads],
-    losses: &mut [f64],
+    outputs: &mut [ChunkOutput],
     arena: &mut TapeArena,
     buffers: &mut ReplayBuffers,
     loss_of: &(impl Fn(&mut Graph<'_>, &S) -> Var + Sync),
     seed: f32,
 ) {
-    for (((samples, programs), slot), loss_out) in chunks.iter().zip(slots).zip(losses) {
-        for (sample, program) in samples.iter().zip(programs.iter()) {
-            *loss_out += match program {
-                Some(program) => {
+    for (((samples, plans), slot), output) in chunks.iter().zip(slots).zip(outputs) {
+        for (sample, plan) in samples.iter().zip(plans.iter()) {
+            output.loss += match plan {
+                Plan::Replay(program) => {
                     program.replay(params, buffers, slot, seed, |graph| loss_of(graph, sample))
                 }
-                None => arena.scoped(params, |graph| {
+                Plan::Tape | Plan::Record => arena.scoped(params, |graph| {
                     let loss = loss_of(graph, sample);
                     let value = f64::from(graph.value(loss)[0]);
                     graph.backward_scaled(loss, slot, seed);
+                    if matches!(plan, Plan::Record) {
+                        output.recorded.push(CompiledProgram::freeze(graph, loss));
+                    }
                     value
                 }),
             };
@@ -473,6 +528,82 @@ mod tests {
             if batch.len() == 17 {
                 assert_eq!(reference, grads);
             }
+        }
+    }
+
+    /// Sorts the test samples into a handful of classes, most of them
+    /// holding several samples.
+    fn class(sample: &[f32]) -> u32 {
+        (sample[0].abs() * 10.0) as u32 % 7
+    }
+
+    #[allow(clippy::ptr_arg)] // the engine hands `key_of` a `&Vec<f32>`
+    fn class_key(sample: &Vec<f32>) -> Option<ProgramKey> {
+        Some(vec![class(sample)])
+    }
+
+    /// [`sample_loss`] followed by one extra op per class step, so each
+    /// class key names a different structure: a program filed under the
+    /// wrong key fails its next replay.
+    #[allow(clippy::ptr_arg)]
+    fn class_loss(graph: &mut Graph<'_>, sample: &Vec<f32>) -> Var {
+        let mut loss = sample_loss(graph, sample);
+        for _ in 0..class(sample) {
+            loss = graph.add_scalar(loss, 0.25);
+        }
+        loss
+    }
+
+    #[test]
+    fn worker_recorded_programs_keep_the_tapes_bits_and_record_each_key_once() {
+        let params = model_params();
+        let data = samples(33);
+        let mut taped = Grads::new(&params);
+        let taped_loss =
+            Batch::new(1).accumulate(&params, &data, class_loss, 1.0 / 33.0, &mut taped);
+        let distinct: std::collections::HashSet<ProgramKey> =
+            data.iter().filter_map(class_key).collect();
+        assert!(distinct.len() > 1 && distinct.len() < data.len());
+        for threads in [1, 4] {
+            let mut engine = Batch::new(threads);
+            let mut cache = ProgramCache::new();
+            // The first batch records every key; the identical second batch
+            // replays them all and records nothing.
+            for round in 0..2 {
+                let mut grads = Grads::new(&params);
+                let loss = engine.accumulate_compiled(
+                    &params,
+                    &data,
+                    &mut cache,
+                    class_key,
+                    class_loss,
+                    1.0 / 33.0,
+                    &mut grads,
+                );
+                let context = format!("round {round}, {threads} threads");
+                assert_eq!(loss.to_bits(), taped_loss.to_bits(), "{context}");
+                assert_eq!(grads, taped, "{context}");
+                assert_eq!(cache.recorded(), distinct.len(), "{context}");
+                assert_eq!(cache.len(), distinct.len(), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_frozen_program_equals_the_one_record_builds() {
+        let params = model_params();
+        let data = samples(33);
+        let mut engine = Batch::new(4);
+        let mut cache = ProgramCache::new();
+        let mut grads = Grads::new(&params);
+        engine.accumulate_compiled(
+            &params, &data, &mut cache, class_key, class_loss, 0.5, &mut grads,
+        );
+        for sample in &data {
+            let key = class_key(sample).unwrap();
+            let frozen = cache.lookup(&key).expect("every key was recorded");
+            let recorded = CompiledProgram::record(&params, |graph| class_loss(graph, sample));
+            assert_eq!(*frozen, *recorded, "key {key:?}");
         }
     }
 

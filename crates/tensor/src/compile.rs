@@ -18,9 +18,13 @@
 //! Inference takes the forward-only entry point, [`ProgramCache::forward`]:
 //! a hit replays the bind pass and the forward sweep, and a miss returns the
 //! value of the taped pass that records the program, so every sample is
-//! computed once. Serving engines bound their cache
-//! ([`ProgramCache::bounded`], least recently used out first); training's
-//! cache is unbounded, since its key space is bounded by the training set.
+//! computed once. Training does the same with gradients: the batch engine
+//! ([`Batch::accumulate_compiled`](crate::Batch::accumulate_compiled)) runs
+//! a batch's first sample of a new key on the tape, forward and backward,
+//! on a worker, and that worker freezes the tape into the program. Serving
+//! engines bound their cache ([`ProgramCache::bounded`], least recently
+//! used out first); training's cache is unbounded, since its key space is
+//! bounded by the training set.
 //!
 //! # Bit-equality with the tape
 //!
@@ -116,7 +120,7 @@ enum CompiledOp {
 ///
 /// Programs are immutable and cheaply shared across worker threads behind an
 /// [`Arc`]; each worker replays against its own [`ReplayBuffers`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct CompiledProgram {
     ops: Vec<CompiledOp>,
     /// Per-node offset into the value and gradient arenas (monotone in node
@@ -150,10 +154,24 @@ impl CompiledProgram {
     ) -> (Arc<Self>, f64) {
         let mut graph = Graph::new(params);
         let loss = build(&mut graph);
-        let root = match graph.value(loss) {
-            [value] => f64::from(*value),
-            _ => panic!("compiled programs require a scalar loss"),
-        };
+        let program = Self::freeze(&graph, loss);
+        (program, f64::from(graph.value(loss)[0]))
+    }
+
+    /// Freezes a tape that is already built — and may already have run its
+    /// backward pass, which leaves the nodes as they were — into the program
+    /// for its structure, rooted at `loss`. This is how a training worker
+    /// that tapes a sample with no program yet records one from the same
+    /// pass: the result equals [`Self::record`] run on the same closure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss` is not a scalar node.
+    pub(crate) fn freeze(graph: &Graph<'_>, loss: Var) -> Arc<Self> {
+        assert!(
+            graph.node_len(loss.0) == 1,
+            "compiled programs require a scalar loss"
+        );
         let count = graph.node_count();
         let mut ops = Vec::with_capacity(count);
         let mut offsets = Vec::with_capacity(count);
@@ -214,14 +232,13 @@ impl CompiledProgram {
             };
             ops.push(op);
         }
-        let program = Arc::new(CompiledProgram {
+        Arc::new(CompiledProgram {
             ops,
             offsets,
             lens,
             values_len,
             loss: loss.0,
-        });
-        (program, root)
+        })
     }
 
     /// Number of scheduled ops.
@@ -1119,11 +1136,16 @@ impl ReplayBuffers {
 /// A cache of compiled programs keyed by graph structure, optionally
 /// bounded with least-recently-used eviction.
 ///
-/// Recording happens on the calling thread in first-encounter order, and
-/// eviction picks the entry with the oldest use stamp — stamps are unique,
-/// so the victim never depends on hash order. Which programs are cached can
-/// never change a result either way: a miss records the program on the tape
-/// and a hit replays it, and the two are bit-equal.
+/// Programs enter the cache on the calling thread, in first-encounter
+/// sample order: [`ProgramCache::forward`] records on a miss, and
+/// [`Batch::accumulate_compiled`](crate::Batch::accumulate_compiled) lets
+/// the worker that tapes a batch's first sample of a new key freeze that
+/// tape, then inserts the new programs in sample order after the join — so
+/// cache contents never depend on worker scheduling. Eviction picks the
+/// entry with the oldest use stamp — stamps are unique, so the victim never
+/// depends on hash order. Which programs are cached can never change a
+/// result either way: a miss records the program on the tape and a hit
+/// replays it, and the two are bit-equal.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
     programs: HashMap<ProgramKey, CachedProgram>,
@@ -1182,21 +1204,6 @@ impl ProgramCache {
         self.recorded
     }
 
-    /// Returns the program for `key`, recording it with `build` on a miss.
-    pub fn get_or_record(
-        &mut self,
-        key: ProgramKey,
-        params: &Params,
-        build: impl FnOnce(&mut Graph<'_>) -> Var,
-    ) -> Arc<CompiledProgram> {
-        if let Some(program) = self.lookup(&key) {
-            return program;
-        }
-        let program = CompiledProgram::record(params, build);
-        self.insert(key, Arc::clone(&program));
-        program
-    }
-
     /// Runs `build` forward-only and returns its scalar root value. A hit
     /// replays the cached program's bind pass and forward sweep, with no
     /// gradient arena and no backward sweep. A miss runs `build` once on the
@@ -1225,16 +1232,16 @@ impl ProgramCache {
     }
 
     /// Finds `key`'s program and stamps it as the most recently used.
-    fn lookup(&mut self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
+    pub(crate) fn lookup(&mut self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
         self.clock += 1;
         let entry = self.programs.get_mut(key)?;
         entry.last_used = self.clock;
         Some(Arc::clone(&entry.program))
     }
 
-    /// Caches a freshly recorded program under the stamp of the lookup that
-    /// missed it, first evicting the least recently used entry if full.
-    fn insert(&mut self, key: ProgramKey, program: Arc<CompiledProgram>) {
+    /// Caches a freshly recorded program under a fresh use stamp, first
+    /// evicting the least recently used entry if full.
+    pub(crate) fn insert(&mut self, key: ProgramKey, program: Arc<CompiledProgram>) {
         if self
             .capacity
             .is_some_and(|capacity| self.programs.len() >= capacity)
@@ -1248,6 +1255,7 @@ impl ProgramCache {
             self.programs.remove(&oldest);
         }
         self.recorded += 1;
+        self.clock += 1;
         self.programs.insert(
             key,
             CachedProgram {
@@ -1385,7 +1393,6 @@ mod tests {
     #[test]
     fn buffers_are_shared_across_different_programs() {
         let params = test_params();
-        let mut cache = ProgramCache::new();
         let mut buffers = ReplayBuffers::new();
         // Two structurally different programs (the second drops the matvec
         // branch) interleaved through one buffer set.
@@ -1395,15 +1402,13 @@ mod tests {
             let t = graph.tanh(r);
             graph.sum(t)
         };
+        let first = &samples()[0];
+        let programs = [
+            CompiledProgram::record(&params, |g| build_loss(g, first)),
+            CompiledProgram::record(&params, |g| small(g, first)),
+        ];
         for sample in &samples() {
-            for key in [0u32, 1u32] {
-                let program = cache.get_or_record(vec![key], &params, |g| {
-                    if key == 0 {
-                        build_loss(g, sample)
-                    } else {
-                        small(g, sample)
-                    }
-                });
+            for (key, program) in programs.iter().enumerate() {
                 let mut compiled = Grads::new(&params);
                 let loss = program.replay(&params, &mut buffers, &mut compiled, 1.0, |g| {
                     if key == 0 {
@@ -1426,7 +1431,6 @@ mod tests {
                 assert_eq!(tape_grads, compiled);
             }
         }
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -9,8 +9,10 @@ use difftune_repro::core::{
     SurrogateKind,
 };
 use difftune_repro::sim::{McaSimulator, SimParams, Simulator};
-use difftune_repro::surrogate::{train::TrainConfig, FeatureMlpConfig};
+use difftune_repro::surrogate::{train::TrainConfig, FeatureMlpConfig, IthemalConfig};
 
+use difftune_repro::bhive::{CorpusConfig, Dataset};
+use difftune_repro::cpu::{default_params, Microarch};
 use difftune_repro::isa::BasicBlock;
 
 fn train_set(simulator: &McaSimulator, truth: &SimParams) -> Vec<(BasicBlock, f64)> {
@@ -422,4 +424,67 @@ fn absurd_thread_counts_are_rejected_by_validation() {
     let mut bad = config(0);
     bad.surrogate_train.threads = 1_000_000;
     assert!(matches!(bad.validate(), Err(DiffTuneError::Surrogate(_))));
+}
+
+/// The learned table of a small LSTM-surrogate run, pinned: the LSTM's
+/// optimize stage (frozen instruction summaries, block-level model per
+/// sample) and fit stage (compiled replay) must keep producing these exact
+/// bits, at every thread count.
+#[test]
+fn a_small_lstm_session_learns_the_pinned_table() {
+    const PINNED: &str = "0x09b1c4f39caed27f";
+    const PINNED_LOSS_BITS: [u64; 2] = [4604967633613225984, 4604864115720759979];
+    let uarch = Microarch::Haswell;
+    let dataset = Dataset::build(
+        uarch,
+        &CorpusConfig {
+            num_blocks: 60,
+            seed: 5,
+            ..CorpusConfig::default()
+        },
+    );
+    let train: Vec<(BasicBlock, f64)> = dataset
+        .train()
+        .iter()
+        .map(|r| (r.block.clone(), r.timing))
+        .collect();
+    let simulator = McaSimulator::default();
+    let defaults = default_params(uarch);
+    for threads in [1, 3] {
+        let config = DiffTuneConfig {
+            surrogate: SurrogateKind::Lstm(IthemalConfig {
+                embed_dim: 8,
+                hidden_dim: 12,
+                instr_layers: 1,
+                block_layers: 1,
+                parameter_inputs: true,
+                seed: 5,
+            }),
+            simulated_multiplier: 4.0,
+            max_simulated: 160,
+            surrogate_train: TrainConfig {
+                epochs: 2,
+                batch_size: 16,
+                threads,
+                ..TrainConfig::default()
+            },
+            table_learning_rate: 0.1,
+            table_epochs: 2,
+            table_batch_size: 8,
+            clamp_to_sampling: true,
+            seed: 5,
+            threads,
+        };
+        let result = DiffTuneBuilder::new(config)
+            .build(&simulator, &ParamSpec::llvm_mca(), &defaults, &train)
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
+        let context = format!("{} training blocks, {threads} threads", train.len());
+        assert_eq!(result.learned.fingerprint_hex(), PINNED, "{context}");
+        // The learned table is rounded to integers, so the per-epoch table
+        // losses pin the surrogate's predictions to the bit as well.
+        let loss_bits: Vec<u64> = result.table_losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(loss_bits, PINNED_LOSS_BITS, "{context}");
+    }
 }
