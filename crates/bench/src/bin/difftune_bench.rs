@@ -42,14 +42,20 @@
 use std::time::Instant;
 
 use difftune::{DiffTuneBuilder, ParamSpec, Session};
+use difftune_bench::cli::{self, Flags};
 use difftune_bench::record::{fingerprint_table, BenchRecord};
 use difftune_bench::{dataset_for, mca, pairs, Scale};
 use difftune_cpu::{default_params, Microarch};
 use difftune_sim::{SimParams, Simulator};
 use difftune_surrogate::train::Engine;
 
+const USAGE: &str = "usage: difftune-bench [--scale smoke|small|paper] [--seed N] [--json] \
+     [--out-dir DIR] [--compare-serial] [--compare-taped] [--max-seconds STAGE=SECS]... \
+     [--min-speedup STAGE=RATIO]... [--min-taped-speedup STAGE=RATIO]...";
+
+#[derive(Debug)]
 struct Args {
-    scale: Option<String>,
+    scale: Option<Scale>,
     seed: u64,
     json: bool,
     out_dir: String,
@@ -65,30 +71,7 @@ struct Args {
     min_taped_speedups: Vec<(String, f64)>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: difftune-bench [--scale smoke|small|paper] [--seed N] [--json] \
-         [--out-dir DIR] [--compare-serial] [--compare-taped] \
-         [--max-seconds STAGE=SECS]... \
-         [--min-speedup STAGE=RATIO]... [--min-taped-speedup STAGE=RATIO]..."
-    );
-    std::process::exit(2);
-}
-
-/// Parses a repeatable `STAGE=NUMBER` flag operand.
-fn parse_stage_number(flag: &str, raw: &str) -> (String, f64) {
-    let Some((stage, number)) = raw.split_once('=') else {
-        eprintln!("{flag} expects STAGE=NUMBER, got {raw:?}");
-        usage()
-    };
-    let Ok(number) = number.parse::<f64>() else {
-        eprintln!("{flag} expects a numeric value, got {raw:?}");
-        usage()
-    };
-    (stage.to_string(), number)
-}
-
-fn parse_args() -> Args {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         scale: None,
         seed: 0,
@@ -100,50 +83,31 @@ fn parse_args() -> Args {
         min_speedups: Vec::new(),
         min_taped_speedups: Vec::new(),
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--scale" => args.scale = Some(value("--scale")),
-            "--seed" => {
-                let raw = value("--seed");
-                args.seed = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be an unsigned integer, got {raw:?}");
-                    usage()
-                });
-            }
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--scale" => args.scale = Some(flags.parse("--scale", Scale::parse)?),
+            "--seed" => args.seed = flags.parse("--seed", str::parse)?,
             "--json" => args.json = true,
-            "--out-dir" => args.out_dir = value("--out-dir"),
+            "--out-dir" => args.out_dir = flags.value("--out-dir")?,
             "--compare-serial" => args.compare_serial = true,
             "--compare-taped" => args.compare_taped = true,
             "--max-seconds" => {
-                let raw = value("--max-seconds");
                 args.ceilings
-                    .push(parse_stage_number("--max-seconds", &raw));
+                    .push(flags.pair("--max-seconds", str::parse, str::parse)?)
             }
             "--min-speedup" => {
-                let raw = value("--min-speedup");
                 args.min_speedups
-                    .push(parse_stage_number("--min-speedup", &raw));
+                    .push(flags.pair("--min-speedup", str::parse, str::parse)?)
             }
-            "--min-taped-speedup" => {
-                let raw = value("--min-taped-speedup");
-                args.min_taped_speedups
-                    .push(parse_stage_number("--min-taped-speedup", &raw));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
+            "--min-taped-speedup" => args.min_taped_speedups.push(flags.pair(
+                "--min-taped-speedup",
+                str::parse,
+                str::parse,
+            )?),
+            other => return Err(cli::unknown(other)),
         }
     }
-    args
+    Ok(args)
 }
 
 /// Wall times and throughput inputs of one full pipeline run.
@@ -234,14 +198,8 @@ fn run_simulate_stage(
 }
 
 fn main() {
-    let args = parse_args();
-    let scale = match &args.scale {
-        Some(raw) => Scale::parse(raw).unwrap_or_else(|error| {
-            eprintln!("{error}");
-            std::process::exit(2);
-        }),
-        None => Scale::from_env_or_exit(),
-    };
+    let args = cli::parse_env(USAGE, parse_args);
+    let scale = args.scale.unwrap_or_else(Scale::from_env_or_exit);
     let threads = difftune::threads_from_env().unwrap_or_else(|error| {
         eprintln!("{error}");
         std::process::exit(2);
@@ -494,5 +452,83 @@ fn main() {
     }
     if !violations.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&mut Flags::new(line.split_whitespace()))
+    }
+
+    fn stages(pairs: &[(String, f64)]) -> Vec<(&str, f64)> {
+        pairs
+            .iter()
+            .map(|(stage, n)| (stage.as_str(), *n))
+            .collect()
+    }
+
+    /// The command lines CI and the README run the bench with.
+    #[test]
+    fn known_command_lines_parse_to_their_values() {
+        // CI's bench-smoke job.
+        let args = parse(
+            "--scale smoke --json --out-dir bench-out --compare-serial \
+             --max-seconds generate=300 --max-seconds fit=900 \
+             --max-seconds optimize=600 --max-seconds simulate=120 --min-speedup fit=1.3",
+        )
+        .unwrap();
+        assert_eq!(args.scale, Some(Scale::Smoke));
+        assert!(args.json && args.compare_serial && !args.compare_taped);
+        assert_eq!(args.out_dir, "bench-out");
+        assert_eq!(
+            stages(&args.ceilings),
+            [
+                ("generate", 300.0),
+                ("fit", 900.0),
+                ("optimize", 600.0),
+                ("simulate", 120.0)
+            ]
+        );
+        assert_eq!(stages(&args.min_speedups), [("fit", 1.3)]);
+        assert!(args.min_taped_speedups.is_empty());
+        assert_eq!(args.seed, 0);
+
+        // CI's fit-perf job.
+        let args = parse(
+            "--scale smoke --json --out-dir fit-perf-out --compare-taped \
+             --max-seconds fit=900 --min-taped-speedup fit=1.5",
+        )
+        .unwrap();
+        assert!(args.compare_taped && !args.compare_serial);
+        assert_eq!(stages(&args.ceilings), [("fit", 900.0)]);
+        assert_eq!(stages(&args.min_taped_speedups), [("fit", 1.5)]);
+
+        // The README's example leaves the scale to DIFFTUNE_SCALE.
+        let args = parse("--json --compare-serial --seed 3").unwrap();
+        assert_eq!(
+            (args.scale, args.seed, args.out_dir.as_str()),
+            (None, 3, ".")
+        );
+    }
+
+    #[test]
+    fn bad_values_exit_naming_their_flag() {
+        for (line, prefix) in [
+            ("--scale papper", "--scale \"papper\": "),
+            ("--seed -1", "--seed \"-1\": "),
+            ("--max-seconds fit", "--max-seconds \"fit\": "),
+            ("--min-speedup fit=fast", "--min-speedup \"fit=fast\": "),
+        ] {
+            let error = parse(line).unwrap_err();
+            assert!(error.starts_with(prefix), "{error}");
+        }
+        assert_eq!(
+            parse("--out-dir").unwrap_err(),
+            "--out-dir requires a value"
+        );
+        assert_eq!(parse("--fast").unwrap_err(), "unknown argument \"--fast\"");
     }
 }

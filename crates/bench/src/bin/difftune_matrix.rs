@@ -31,11 +31,17 @@
 use std::time::Instant;
 
 use difftune::Stage;
+use difftune_bench::cli::{self, Flags};
 use difftune_bench::matrix::{enumerate_cells, run_matrix, CellKey, MatrixOptions};
 use difftune_bench::Scale;
 
+const USAGE: &str = "usage: difftune-matrix [--scale smoke|small|paper] [--out-dir DIR] \
+     [--cell SIM:UARCH:SPEC]... [--max-cells N] [--stop-after generate|fit|optimize] \
+     [--max-seconds cell=SECS] [--max-seconds total=SECS] [--measure-throughput] [--list]";
+
+#[derive(Debug)]
 struct Args {
-    scale: Option<String>,
+    scale: Option<Scale>,
     out_dir: String,
     cells: Vec<CellKey>,
     max_cells: Option<usize>,
@@ -49,18 +55,26 @@ struct Args {
     list: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: difftune-matrix [--scale smoke|small|paper] [--out-dir DIR] \
-         [--cell SIM:UARCH:SPEC]... [--max-cells N] \
-         [--stop-after generate|fit|optimize] \
-         [--max-seconds cell=SECS] [--max-seconds total=SECS] \
-         [--measure-throughput] [--list]"
-    );
-    std::process::exit(2);
+/// A `--stop-after` stage name.
+fn stage(raw: &str) -> Result<Stage, &'static str> {
+    match raw {
+        "generate" => Ok(Stage::GenerateDataset),
+        "fit" => Ok(Stage::FitSurrogate),
+        "optimize" => Ok(Stage::OptimizeTable),
+        _ => Err("valid stages: generate, fit, optimize"),
+    }
 }
 
-fn parse_args() -> Args {
+/// A `--max-seconds` ceiling name: `cell` (true) or `total` (false).
+fn per_cell(raw: &str) -> Result<bool, &'static str> {
+    match raw {
+        "cell" => Ok(true),
+        "total" => Ok(false),
+        _ => Err("valid ceilings: cell, total"),
+    }
+}
+
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         scale: None,
         out_dir: ".".to_string(),
@@ -72,84 +86,27 @@ fn parse_args() -> Args {
         measure_throughput: false,
         list: false,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--scale" => args.scale = Some(value("--scale")),
-            "--out-dir" => args.out_dir = value("--out-dir"),
-            "--cell" => {
-                let raw = value("--cell");
-                match CellKey::parse(&raw) {
-                    Ok(key) => args.cells.push(key),
-                    Err(error) => {
-                        eprintln!("--cell {raw:?}: {error}");
-                        usage()
-                    }
-                }
-            }
-            "--max-cells" => {
-                let raw = value("--max-cells");
-                args.max_cells = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--max-cells must be an unsigned integer, got {raw:?}");
-                    usage()
-                }));
-            }
-            "--stop-after" => {
-                let raw = value("--stop-after");
-                args.stop_after = Some(match raw.as_str() {
-                    "generate" => Stage::GenerateDataset,
-                    "fit" => Stage::FitSurrogate,
-                    "optimize" => Stage::OptimizeTable,
-                    other => {
-                        eprintln!(
-                            "--stop-after names unknown stage {other:?} (valid: generate, \
-                             fit, optimize)"
-                        );
-                        usage()
-                    }
-                });
-            }
-            "--max-seconds" => {
-                let raw = value("--max-seconds");
-                let Some((what, seconds)) = raw.split_once('=') else {
-                    eprintln!("--max-seconds expects cell=SECS or total=SECS, got {raw:?}");
-                    usage()
-                };
-                let Ok(seconds) = seconds.parse::<f64>() else {
-                    eprintln!("--max-seconds expects a numeric value, got {raw:?}");
-                    usage()
-                };
-                match what {
-                    "cell" => args.cell_ceiling = Some(seconds),
-                    "total" => args.total_ceiling = Some(seconds),
-                    other => {
-                        eprintln!(
-                            "--max-seconds names unknown ceiling {other:?} (valid: cell, total)"
-                        );
-                        usage()
-                    }
-                }
-            }
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--scale" => args.scale = Some(flags.parse("--scale", Scale::parse)?),
+            "--out-dir" => args.out_dir = flags.value("--out-dir")?,
+            "--cell" => args.cells.push(flags.parse("--cell", CellKey::parse)?),
+            "--max-cells" => args.max_cells = Some(flags.parse("--max-cells", str::parse)?),
+            "--stop-after" => args.stop_after = Some(flags.parse("--stop-after", stage)?),
+            "--max-seconds" => match flags.pair("--max-seconds", per_cell, str::parse)? {
+                (true, seconds) => args.cell_ceiling = Some(seconds),
+                (false, seconds) => args.total_ceiling = Some(seconds),
+            },
             "--measure-throughput" => args.measure_throughput = true,
             "--list" => args.list = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_env(USAGE, parse_args);
 
     if args.list {
         println!("{:<32} {:>20} status", "cell", "seed");
@@ -167,13 +124,7 @@ fn main() {
         return;
     }
 
-    let scale = match &args.scale {
-        Some(raw) => Scale::parse(raw).unwrap_or_else(|error| {
-            eprintln!("{error}");
-            std::process::exit(2);
-        }),
-        None => Scale::from_env_or_exit(),
-    };
+    let scale = args.scale.unwrap_or_else(Scale::from_env_or_exit);
     let threads = difftune::threads_from_env().unwrap_or_else(|error| {
         eprintln!("{error}");
         std::process::exit(2);
@@ -265,5 +216,65 @@ fn main() {
     }
     if !violations.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&mut Flags::new(line.split_whitespace()))
+    }
+
+    /// The command lines CI and the README run the sweep with.
+    #[test]
+    fn known_command_lines_parse_to_their_values() {
+        // CI's matrix-smoke job, also a README example.
+        let args = parse(
+            "--scale smoke --out-dir matrix-out \
+             --cell mca:haswell:llvm_mca --cell uop:haswell:llvm_sim \
+             --max-seconds cell=900 --max-seconds total=1500",
+        )
+        .unwrap();
+        assert_eq!(args.scale, Some(Scale::Smoke));
+        assert_eq!(args.out_dir, "matrix-out");
+        let cells: Vec<String> = args.cells.iter().map(CellKey::id).collect();
+        assert_eq!(cells, ["mca:haswell:llvm_mca", "uop:haswell:llvm_sim"]);
+        assert_eq!(
+            (args.cell_ceiling, args.total_ceiling),
+            (Some(900.0), Some(1500.0))
+        );
+        assert_eq!((args.max_cells, args.stop_after), (None, None));
+        assert!(!args.measure_throughput && !args.list);
+
+        // The README's full sweep and the serving example's two cells.
+        let args = parse("--out-dir matrix-out").unwrap();
+        assert_eq!((args.scale, args.cells.len()), (None, 0));
+        assert_eq!((args.cell_ceiling, args.total_ceiling), (None, None));
+        let args = parse(
+            "--out-dir matrix-out --cell mca:haswell:llvm_mca --cell uop:haswell:llvm_sim \
+             --max-cells 1 --stop-after fit --measure-throughput --list",
+        )
+        .unwrap();
+        assert_eq!(args.cells.len(), 2);
+        assert_eq!(args.max_cells, Some(1));
+        assert_eq!(args.stop_after, Some(Stage::FitSurrogate));
+        assert!(args.measure_throughput && args.list);
+    }
+
+    #[test]
+    fn bad_values_exit_naming_their_flag() {
+        for (line, prefix) in [
+            ("--scale papper", "--scale \"papper\": "),
+            ("--cell mca:haswell", "--cell \"mca:haswell\": "),
+            ("--max-cells all", "--max-cells \"all\": "),
+            ("--stop-after simulate", "--stop-after \"simulate\": "),
+            ("--max-seconds sweep=10", "--max-seconds \"sweep=10\": "),
+            ("--max-seconds cell=soon", "--max-seconds \"cell=soon\": "),
+        ] {
+            let error = parse(line).unwrap_err();
+            assert!(error.starts_with(prefix), "{error}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Figure 2: timing predicted by the simulator and by a trained surrogate for
 //! the block `shrq $5, 16(%rsp)` while sweeping DispatchWidth from 1 to 10.
 
-use difftune::{build_surrogate, generate_simulated_dataset, ParamSpec};
+use difftune::{generate_simulated_dataset, ParamSpec};
 use difftune_bench::{mca, Scale};
 use difftune_cpu::{default_params, Microarch};
 use difftune_isa::BasicBlock;
@@ -33,7 +33,7 @@ fn main() {
         0,
     )
     .expect("figure 2 uses a non-empty block set");
-    let mut surrogate = build_surrogate(&scale.difftune_config(0).surrogate);
+    let mut surrogate = scale.difftune_config(0).surrogate.build();
     let mut config = scale.difftune_config(0).surrogate_train;
     config.epochs = 4;
     train(&mut surrogate, &samples, &config).expect("figure 2 training config is valid");

@@ -7,6 +7,7 @@
 //! the baseline runners (Ithemal, the IACA-style analytical model, and the
 //! OpenTuner-style black-box tuner with evaluation-budget parity).
 
+pub mod cli;
 pub mod matrix;
 pub mod record;
 
@@ -18,20 +19,18 @@ use difftune_sim::{McaSimulator, ParamBounds, SimParams, Simulator};
 use difftune_surrogate::train::{train, TrainConfig, TrainSample};
 use difftune_surrogate::{IthemalConfig, IthemalModel, Vocab};
 
-/// An unrecognized `DIFFTUNE_SCALE` value.
+/// An unrecognized scale name, from `DIFFTUNE_SCALE` or a `--scale` flag.
+/// Its message lists the valid names; the caller names the source and the
+/// value, as `difftune_bench::cli` does for flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownScale {
-    /// The value the environment supplied.
+    /// The value supplied.
     pub given: String,
 }
 
 impl std::fmt::Display for UnknownScale {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown DIFFTUNE_SCALE {:?}: valid scales are \"smoke\", \"small\", and \"paper\"",
-            self.given
-        )
+        f.write_str("valid scales are \"smoke\", \"small\", and \"paper\"")
     }
 }
 
@@ -84,7 +83,7 @@ impl Scale {
     /// exits with a nonzero status on an unrecognized value.
     pub fn from_env_or_exit() -> Scale {
         Scale::from_env().unwrap_or_else(|error| {
-            eprintln!("{error}");
+            eprintln!("DIFFTUNE_SCALE {:?}: {error}", error.given);
             std::process::exit(2);
         })
     }

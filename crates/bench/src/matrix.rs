@@ -339,7 +339,7 @@ pub fn run_cell_with(
     // `difftune-serve` will answer with.
     let artifact = SurrogateArtifact::new(
         &key.id(),
-        surrogate_kind.into(),
+        surrogate_kind,
         result.surrogate.as_ref(),
         &result.learned,
     );

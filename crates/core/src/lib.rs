@@ -75,7 +75,7 @@ pub use backend_id::{BackendId, SimulatorKind, Source, SpecKind};
 pub use env::{apply_env_threads, threads_from_env, THREADS_ENV_VAR};
 pub use error::DiffTuneError;
 pub use observer::{ProgressEvent, RecordingObserver, RunObserver, Stage};
-pub use pipeline::{build_surrogate, DiffTuneConfig, SurrogateKind};
+pub use pipeline::{DiffTuneConfig, SurrogateKind};
 pub use sampling::sample_table;
 pub use session::{DiffTuneBuilder, DiffTuneResult, RunCheckpoint, Session};
 pub use simdata::{

@@ -4,50 +4,15 @@
 //! [`Session`](crate::Session)) runs the pipeline.
 
 use difftune_surrogate::train::TrainConfig;
-use difftune_surrogate::{
-    FeatureMlpConfig, FeatureMlpModel, IthemalConfig, IthemalModel, SurrogateModel,
-};
+use difftune_surrogate::FeatureMlpConfig;
 
 use crate::error::DiffTuneError;
 
-/// Which surrogate family to use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SurrogateKind {
-    /// The Ithemal-style LSTM surrogate from the paper (Figure 3).
-    Lstm(IthemalConfig),
-    /// The fast feature-MLP surrogate (used for ablations and quick runs).
-    Mlp(FeatureMlpConfig),
-}
-
-/// Builds (but does not train) a surrogate of the given kind.
-pub fn build_surrogate(kind: &SurrogateKind) -> Box<dyn SurrogateModel> {
-    match *kind {
-        SurrogateKind::Lstm(config) => Box::new(IthemalModel::new(config)),
-        SurrogateKind::Mlp(config) => Box::new(FeatureMlpModel::new(config)),
-    }
-}
-
-impl From<SurrogateKind> for difftune_surrogate::ModelConfig {
-    /// The artifact-side rendering of a surrogate kind
-    /// ([`difftune_surrogate::SurrogateArtifact`] stores a serde-capable
-    /// `ModelConfig`; this crate's `SurrogateKind` stays the pipeline-facing
-    /// selector).
-    fn from(kind: SurrogateKind) -> Self {
-        match kind {
-            SurrogateKind::Lstm(config) => difftune_surrogate::ModelConfig::Lstm(config),
-            SurrogateKind::Mlp(config) => difftune_surrogate::ModelConfig::Mlp(config),
-        }
-    }
-}
-
-impl From<difftune_surrogate::ModelConfig> for SurrogateKind {
-    fn from(config: difftune_surrogate::ModelConfig) -> Self {
-        match config {
-            difftune_surrogate::ModelConfig::Lstm(c) => SurrogateKind::Lstm(c),
-            difftune_surrogate::ModelConfig::Mlp(c) => SurrogateKind::Mlp(c),
-        }
-    }
-}
+/// Which surrogate family to use: the Ithemal-style LSTM from the paper
+/// (Figure 3) or the fast feature MLP (ablations and quick runs). It is the
+/// surrogate artifact's [`difftune_surrogate::ModelConfig`]; `.build()`
+/// makes an untrained model.
+pub use difftune_surrogate::ModelConfig as SurrogateKind;
 
 /// Configuration of a DiffTune run.
 #[derive(Debug, Clone, PartialEq)]

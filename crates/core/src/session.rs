@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::DiffTuneError;
 use crate::observer::{ProgressEvent, RunObserver, Stage};
-use crate::pipeline::{build_surrogate, DiffTuneConfig};
+use crate::pipeline::DiffTuneConfig;
 use crate::sampling::sample_table;
 use crate::simdata::generate_simulated_dataset_observed;
 use crate::spec::ParamSpec;
@@ -90,9 +90,9 @@ pub struct RunCheckpoint {
     pub clamp_to_sampling: bool,
     /// Trained surrogate weights (present once `fit_surrogate` has run).
     pub surrogate_params: Option<Params>,
-    /// The model configuration `surrogate_params` was trained under, in the
-    /// artifact-side rendering — enough for a serving process to rebuild the
-    /// architecture and load the weights without the run's `DiffTuneConfig`.
+    /// The model configuration `surrogate_params` was trained under —
+    /// enough for a serving process to rebuild the architecture and load the
+    /// weights without the run's `DiffTuneConfig`.
     /// Required in the JSON: `None` only when no surrogate was fitted. A
     /// checkpoint written before this field existed does not deserialize.
     pub surrogate_config: Option<difftune_surrogate::ModelConfig>,
@@ -333,7 +333,7 @@ impl DiffTuneBuilder {
                             checkpoint.stage
                         ),
                     })?;
-            let mut surrogate = build_surrogate(&self.config.surrogate);
+            let mut surrogate = self.config.surrogate.build();
             check_params_compatible(surrogate.params(), saved_params)?;
             *surrogate.params_mut() = saved_params.clone();
             session.surrogate = Some(surrogate);
@@ -509,7 +509,7 @@ impl<'a> Session<'a> {
             .simulated
             .take()
             .expect("dataset generated in stage 1 (guaranteed by the stage cursor)");
-        let mut surrogate = build_surrogate(&self.config.surrogate);
+        let mut surrogate = self.config.surrogate.build();
         let mut optimizer = Adam::new(self.config.surrogate_train.learning_rate);
         let observers = &mut self.observers;
         let report = train_observed(
@@ -642,10 +642,7 @@ impl<'a> Session<'a> {
             table_batch_size: self.config.table_batch_size,
             clamp_to_sampling: self.config.clamp_to_sampling,
             surrogate_params: self.surrogate.as_ref().map(|s| s.params().clone()),
-            surrogate_config: self
-                .surrogate
-                .as_ref()
-                .map(|_| self.config.surrogate.into()),
+            surrogate_config: self.surrogate.as_ref().map(|_| self.config.surrogate),
             surrogate_report: self.surrogate_report.clone(),
             theta: self.theta.clone(),
             initial: self.initial.clone(),

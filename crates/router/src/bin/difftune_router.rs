@@ -13,151 +13,173 @@
 
 use std::time::Duration;
 
+use difftune_bench::cli::{self, Flags};
 use difftune_router::server::{spawn_router, RouterConfig};
 
+const USAGE: &str = "usage: difftune-router --upstream HOST:PORT [--upstream HOST:PORT]... \
+     [--addr A] [--port P] [--vnodes N] [--idle-timeout S] [--upstream-timeout S] \
+     [--health-interval S] [--max-seconds S]";
+
+#[derive(Debug)]
 struct Args {
-    addr: String,
-    port: u16,
-    upstreams: Vec<String>,
-    vnodes: usize,
-    idle_timeout: Option<f64>,
-    upstream_timeout: Option<f64>,
-    health_interval: Option<f64>,
-    max_seconds: Option<f64>,
+    config: RouterConfig,
+    max_seconds: Option<Duration>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: difftune-router --upstream HOST:PORT [--upstream HOST:PORT]... [--addr A] \
-         [--port P] [--vnodes N] [--idle-timeout S] [--upstream-timeout S] \
-         [--health-interval S] [--max-seconds S]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        addr: "127.0.0.1".to_string(),
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut config = RouterConfig {
         port: 8116,
-        upstreams: Vec::new(),
-        vnodes: 64,
-        idle_timeout: None,
-        upstream_timeout: None,
-        health_interval: None,
-        max_seconds: None,
+        ..RouterConfig::default()
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                usage()
-            })
-        };
-        let seconds = |flag: &str, raw: String| -> f64 {
-            let parsed: f64 = raw.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} must be numeric seconds, got {raw:?}");
-                usage()
-            });
-            if parsed <= 0.0 || parsed.is_nan() {
-                eprintln!("{flag} must be positive, got {raw:?}");
-                usage()
-            }
-            parsed
-        };
-        match arg.as_str() {
-            "--addr" => args.addr = value("--addr"),
-            "--port" => {
-                let raw = value("--port");
-                args.port = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--port must be a port number, got {raw:?}");
-                    usage()
-                });
-            }
-            "--upstream" => args.upstreams.push(value("--upstream")),
-            "--vnodes" => {
-                let raw = value("--vnodes");
-                args.vnodes = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--vnodes must be an unsigned integer, got {raw:?}");
-                    usage()
-                });
-            }
-            "--idle-timeout" => {
-                let raw = value("--idle-timeout");
-                args.idle_timeout = Some(seconds("--idle-timeout", raw));
-            }
+    let mut max_seconds = None;
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => config.addr = flags.value("--addr")?,
+            "--port" => config.port = flags.parse("--port", str::parse)?,
+            "--upstream" => config.upstreams.push(flags.value("--upstream")?),
+            "--vnodes" => config.vnodes = flags.parse("--vnodes", str::parse)?,
+            "--idle-timeout" => config.read_timeout = flags.seconds("--idle-timeout")?,
             "--upstream-timeout" => {
-                let raw = value("--upstream-timeout");
-                args.upstream_timeout = Some(seconds("--upstream-timeout", raw));
+                config.upstream_timeout = flags.seconds("--upstream-timeout")?
             }
-            "--health-interval" => {
-                let raw = value("--health-interval");
-                args.health_interval = Some(seconds("--health-interval", raw));
-            }
-            "--max-seconds" => {
-                let raw = value("--max-seconds");
-                args.max_seconds = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--max-seconds must be numeric, got {raw:?}");
-                    usage()
-                }));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
+            "--health-interval" => config.health_interval = flags.seconds("--health-interval")?,
+            "--max-seconds" => max_seconds = Some(flags.seconds("--max-seconds")?),
+            other => return Err(cli::unknown(other)),
         }
     }
-    if args.upstreams.is_empty() {
-        eprintln!("difftune-router: at least one --upstream is required");
-        usage()
+    if config.upstreams.is_empty() {
+        return Err("difftune-router: at least one --upstream is required".to_string());
     }
-    args
+    Ok(Args {
+        config,
+        max_seconds,
+    })
 }
 
 fn main() {
-    let args = parse_args();
-    let defaults = RouterConfig::default();
-    let config = RouterConfig {
-        addr: args.addr.clone(),
-        port: args.port,
-        upstreams: args.upstreams.clone(),
-        vnodes: args.vnodes,
-        read_timeout: args
-            .idle_timeout
-            .map(Duration::from_secs_f64)
-            .unwrap_or(defaults.read_timeout),
-        upstream_timeout: args
-            .upstream_timeout
-            .map(Duration::from_secs_f64)
-            .unwrap_or(defaults.upstream_timeout),
-        health_interval: args
-            .health_interval
-            .map(Duration::from_secs_f64)
-            .unwrap_or(defaults.health_interval),
-        ..defaults
-    };
+    let Args {
+        config,
+        max_seconds,
+    } = cli::parse_env(USAGE, parse_args);
+    let (addr, port, upstreams) = (config.addr.clone(), config.port, config.upstreams.len());
     let handle = spawn_router(config).unwrap_or_else(|error| {
-        eprintln!(
-            "difftune-router: cannot start on {}:{}: {error}",
-            args.addr, args.port
-        );
+        eprintln!("difftune-router: cannot start on {addr}:{port}: {error}");
         std::process::exit(1);
     });
     println!(
-        "difftune-router listening on http://{} ({} upstreams)",
+        "difftune-router listening on http://{} ({upstreams} upstreams)",
         handle.addr(),
-        args.upstreams.len()
     );
 
-    match args.max_seconds {
+    match max_seconds {
         Some(seconds) => {
-            std::thread::sleep(Duration::from_secs_f64(seconds.max(0.0)));
+            std::thread::sleep(seconds);
             eprintln!("[difftune-router] --max-seconds reached; shutting down");
             handle.shutdown();
         }
         None => loop {
             std::thread::park();
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&mut Flags::new(args.iter().copied()))
+    }
+
+    /// The command lines perfbench, the README and `difftune-loadtest`'s
+    /// fleets start routers with.
+    #[test]
+    fn known_command_lines_parse_to_their_values() {
+        // perfbench's route-hot router.
+        let args = parse(&[
+            "--upstream",
+            "127.0.0.1:40001",
+            "--upstream",
+            "127.0.0.1:40002",
+            "--port",
+            "0",
+            "--max-seconds",
+            "600",
+        ])
+        .unwrap();
+        assert_eq!(
+            args.config.upstreams,
+            ["127.0.0.1:40001", "127.0.0.1:40002"]
+        );
+        assert_eq!(
+            (args.config.addr.as_str(), args.config.port),
+            ("127.0.0.1", 0)
+        );
+        assert_eq!(args.config.vnodes, 64);
+        assert_eq!(args.config.read_timeout, Duration::from_secs(5));
+        assert_eq!(args.config.upstream_timeout, Duration::from_secs(10));
+        assert_eq!(args.config.health_interval, Duration::from_millis(250));
+        assert_eq!(args.max_seconds, Some(Duration::from_secs(600)));
+
+        // The README's fleet.
+        let args = parse(&[
+            "--port",
+            "8116",
+            "--upstream",
+            "127.0.0.1:8117",
+            "--upstream",
+            "127.0.0.1:8118",
+        ])
+        .unwrap();
+        assert_eq!(args.config.port, 8116);
+        assert_eq!(args.config.upstreams, ["127.0.0.1:8117", "127.0.0.1:8118"]);
+        assert_eq!(args.max_seconds, None);
+        assert_eq!(parse(&["--upstream", "a:1"]).unwrap().config.port, 8116);
+
+        // A `difftune-loadtest --via-router` router.
+        let args = parse(&[
+            "--port",
+            "0",
+            "--max-seconds",
+            "900",
+            "--upstream",
+            "127.0.0.1:40001",
+            "--idle-timeout",
+            "0.5",
+            "--upstream-timeout",
+            "2",
+            "--health-interval",
+            "0.1",
+            "--vnodes",
+            "8",
+            "--addr",
+            "0.0.0.0",
+        ])
+        .unwrap();
+        assert_eq!(args.max_seconds, Some(Duration::from_secs(900)));
+        assert_eq!(args.config.read_timeout, Duration::from_millis(500));
+        assert_eq!(args.config.upstream_timeout, Duration::from_secs(2));
+        assert_eq!(args.config.health_interval, Duration::from_millis(100));
+        assert_eq!(args.config.vnodes, 8);
+        assert_eq!(args.config.addr, "0.0.0.0");
+    }
+
+    #[test]
+    fn bad_values_exit_naming_their_flag() {
+        for bad in [
+            ["--health-interval", "1e30"],
+            ["--idle-timeout", "inf"],
+            ["--upstream-timeout", "-1"],
+            ["--max-seconds", "0"],
+            ["--vnodes", "-3"],
+        ] {
+            let error = parse(&["--upstream", "a:1", bad[0], bad[1]]).unwrap_err();
+            assert!(
+                error.starts_with(&format!("{} {:?}: ", bad[0], bad[1])),
+                "{error}"
+            );
+        }
+        let error = parse(&["--port", "0"]).unwrap_err();
+        assert!(error.contains("--upstream is required"), "{error}");
     }
 }

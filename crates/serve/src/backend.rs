@@ -68,16 +68,9 @@ pub trait Predictor: std::fmt::Debug + Send + Sync {
     /// The prediction family: `"table"`, `"surrogate"`, or `"policy"`.
     fn kind(&self) -> &'static str;
 
-    /// Whether `block` takes the surrogate's compiled fast path. `None` for
-    /// predictors with no surrogate notion (tables); surrogate predictors
-    /// answer from the model's program-keying without running a prediction.
-    fn replayable(&self, _block: &BasicBlock) -> Option<bool> {
-        None
-    }
-
     /// The cache-key tier tag for `block`: [`crate::policy::TIER_PLAIN`] for
     /// ordinary predictors; the policy predictor returns the tier (2 =
-    /// surrogate, 3 = simulator) it will answer the block from, so cached
+    /// surrogate, 3 = simulator) its cell answers from, so cached
     /// policy answers stay attributable to the tier that produced them.
     fn tier_tag(&self, _block: &BasicBlock) -> u8 {
         0
@@ -131,10 +124,6 @@ struct SurrogatePredictor {
     /// Idle forward engines. The lock is held only to pop/push; predictions
     /// run outside it.
     engines: Mutex<Vec<SurrogateForward>>,
-    /// A dedicated engine for `&self` structural probes
-    /// ([`SurrogateForward::replayable`]); it never predicts, so it is never
-    /// checked out.
-    probe: SurrogateForward,
     fingerprint: String,
 }
 
@@ -142,14 +131,13 @@ impl SurrogatePredictor {
     fn new(artifact: &SurrogateArtifact) -> Result<Self, String> {
         Ok(SurrogatePredictor {
             engines: Mutex::new(vec![SurrogateForward::from_artifact(artifact)?]),
-            probe: SurrogateForward::from_artifact(artifact)?,
             fingerprint: artifact.fingerprint.clone(),
             artifact: artifact.clone(),
         })
     }
 
     /// Pops an idle engine, or mints a new one when every engine is busy.
-    /// Minting cannot fail: the artifact already built two engines in
+    /// Minting cannot fail: the artifact already built an engine in
     /// [`SurrogatePredictor::new`], so its weights are known-compatible.
     fn checkout(&self) -> SurrogateForward {
         let idle = self
@@ -195,10 +183,6 @@ impl Predictor for SurrogatePredictor {
 
     fn kind(&self) -> &'static str {
         "surrogate"
-    }
-
-    fn replayable(&self, block: &BasicBlock) -> Option<bool> {
-        Some(self.probe.replayable(block))
     }
 }
 
@@ -1485,7 +1469,7 @@ mod tests {
             "tier 3 answers with the learned table's exact bits"
         );
 
-        // Budget 10.0 >= MAPE 5.0: tier 2 opens for replayable blocks.
+        // Budget 10.0 >= MAPE 5.0: tier 2 opens.
         registry.set_error_budget(10.0);
         let policy = registry.resolve(&BackendQuery::default()).unwrap();
         assert_eq!(policy.predictor.tier_tag(&block), TIER_SURROGATE);
@@ -1698,10 +1682,11 @@ mod tests {
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// The tier choice is a pure function of `(block, effective budget,
-        /// cell metadata)`: two independently built policies over the same
-        /// inputs agree on every generated block, repeated queries never
-        /// flip, and running predictions in between changes nothing. The
+        /// The tier choice is a pure function of `(effective budget, cell
+        /// metadata)`: two independently built policies over the same
+        /// inputs agree on every generated block, every block of the cell
+        /// gets the same tier, repeated queries never flip, and running
+        /// predictions in between changes nothing. The
         /// effective budget is the cell's override when one is set
         /// (`--error-budget CELL=BUDGET`) and the global budget otherwise —
         /// mixed-budget fleets gate each cell independently.
@@ -1742,9 +1727,12 @@ mod tests {
 
             let generator = BlockGenerator::new(GeneratorConfig::default());
             let mut rng = StdRng::seed_from_u64(seed);
+            let mut cell_tier = None;
             for _ in 0..8 {
                 let block = generator.generate(&mut rng);
                 let tier = first.predictor.tier_tag(&block);
+                // The tier is the cell's: every block of it gets the same one.
+                proptest::prop_assert_eq!(*cell_tier.get_or_insert(tier), tier);
                 proptest::prop_assert!(tier == TIER_SURROGATE || tier == TIER_SIMULATOR);
                 proptest::prop_assert_eq!(second.predictor.tier_tag(&block), tier);
                 if tier == TIER_SURROGATE {

@@ -57,6 +57,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
+use difftune_bench::cli::{self, Flags};
 use difftune_bench::record::BenchRecord;
 use difftune_isa::{BlockGenerator, GeneratorConfig};
 use difftune_serve::client::HttpClient;
@@ -109,6 +110,13 @@ fn signal_child(pid: u32, signal: &str) -> Result<(), String> {
     }
 }
 
+const USAGE: &str = "usage: difftune-loadtest (--addr HOST:PORT | --via-router N) [--routers M] \
+     [--requests N] [--batch K] [--blocks B] [--connections C] [--collide] [--seed S] [--sim X] \
+     [--uarch X] [--spec X] [--source X] [--expect-source-kind KIND] [--expect-coalescing] \
+     [--json] [--out-dir DIR] [--wait-seconds S] [--max-seconds S] [--check-deterministic] \
+     [--chaos SPEC] [--tables DIR]... [--error-budget SPEC]... [--idle-timeout S]";
+
+#[derive(Debug)]
 struct Args {
     addr: String,
     requests: usize,
@@ -125,7 +133,7 @@ struct Args {
     expect_coalescing: bool,
     json: bool,
     out_dir: String,
-    wait_seconds: f64,
+    wait_seconds: Duration,
     max_seconds: Option<f64>,
     check_deterministic: bool,
     via_router: Option<usize>,
@@ -133,21 +141,10 @@ struct Args {
     chaos: Option<String>,
     tables: Vec<String>,
     error_budget: Vec<String>,
-    idle_timeout: Option<f64>,
+    idle_timeout: Option<Duration>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: difftune-loadtest (--addr HOST:PORT | --via-router N) [--routers M] [--requests N] \
-         [--batch K] [--blocks B] [--connections C] [--collide] [--seed S] [--sim X] [--uarch X] \
-         [--spec X] [--source X] [--expect-source-kind KIND] [--expect-coalescing] [--json] \
-         [--out-dir DIR] [--wait-seconds S] [--max-seconds S] [--check-deterministic] \
-         [--chaos SPEC] [--tables DIR]... [--error-budget SPEC]... [--idle-timeout S]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
         addr: String::new(),
         requests: 64,
@@ -164,7 +161,7 @@ fn parse_args() -> Args {
         expect_coalescing: false,
         json: false,
         out_dir: ".".to_string(),
-        wait_seconds: 30.0,
+        wait_seconds: Duration::from_secs(30),
         max_seconds: None,
         check_deterministic: false,
         via_router: None,
@@ -174,108 +171,69 @@ fn parse_args() -> Args {
         error_budget: Vec::new(),
         idle_timeout: None,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                usage()
-            })
-        };
-        let parse_usize = |flag: &str, raw: String| -> usize {
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} must be an unsigned integer, got {raw:?}");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--addr" => args.addr = value("--addr"),
-            "--requests" => args.requests = parse_usize("--requests", value("--requests")),
-            "--batch" => args.batch = parse_usize("--batch", value("--batch")),
-            "--blocks" => args.blocks = parse_usize("--blocks", value("--blocks")),
-            "--connections" => {
-                args.connections = parse_usize("--connections", value("--connections"))
-            }
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => args.addr = flags.value("--addr")?,
+            "--requests" => args.requests = flags.parse("--requests", str::parse)?,
+            "--batch" => args.batch = flags.parse("--batch", str::parse)?,
+            "--blocks" => args.blocks = flags.parse("--blocks", str::parse)?,
+            "--connections" => args.connections = flags.parse("--connections", str::parse)?,
             "--collide" => args.collide = true,
-            "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--sim" => args.sim = Some(value("--sim")),
-            "--uarch" => args.uarch = Some(value("--uarch")),
-            "--spec" => args.spec = Some(value("--spec")),
-            "--source" => args.source = Some(value("--source")),
-            "--expect-source-kind" => args.expect_source_kind = Some(value("--expect-source-kind")),
+            "--seed" => args.seed = flags.parse("--seed", str::parse)?,
+            "--sim" => args.sim = Some(flags.value("--sim")?),
+            "--uarch" => args.uarch = Some(flags.value("--uarch")?),
+            "--spec" => args.spec = Some(flags.value("--spec")?),
+            "--source" => args.source = Some(flags.value("--source")?),
+            "--expect-source-kind" => {
+                args.expect_source_kind = Some(flags.value("--expect-source-kind")?)
+            }
             "--expect-coalescing" => args.expect_coalescing = true,
             "--json" => args.json = true,
-            "--out-dir" => args.out_dir = value("--out-dir"),
-            "--wait-seconds" => {
-                args.wait_seconds = value("--wait-seconds").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-seconds" => {
-                args.max_seconds = Some(value("--max-seconds").parse().unwrap_or_else(|_| usage()))
-            }
+            "--out-dir" => args.out_dir = flags.value("--out-dir")?,
+            "--wait-seconds" => args.wait_seconds = flags.seconds("--wait-seconds")?,
+            "--max-seconds" => args.max_seconds = Some(flags.parse("--max-seconds", str::parse)?),
             "--check-deterministic" => args.check_deterministic = true,
-            "--via-router" => {
-                args.via_router = Some(parse_usize("--via-router", value("--via-router")))
-            }
-            "--routers" => args.routers = parse_usize("--routers", value("--routers")),
-            "--chaos" => args.chaos = Some(value("--chaos")),
-            "--tables" => args.tables.push(value("--tables")),
-            "--error-budget" => args.error_budget.push(value("--error-budget")),
-            "--idle-timeout" => {
-                args.idle_timeout = Some(value("--idle-timeout").parse().unwrap_or_else(|_| {
-                    eprintln!("--idle-timeout must be numeric seconds");
-                    usage()
-                }))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
+            "--via-router" => args.via_router = Some(flags.parse("--via-router", str::parse)?),
+            "--routers" => args.routers = flags.parse("--routers", str::parse)?,
+            "--chaos" => args.chaos = Some(flags.value("--chaos")?),
+            "--tables" => args.tables.push(flags.value("--tables")?),
+            "--error-budget" => args.error_budget.push(flags.value("--error-budget")?),
+            "--idle-timeout" => args.idle_timeout = Some(flags.seconds("--idle-timeout")?),
+            other => return Err(cli::unknown(other)),
         }
     }
+    let reject = |message: &str| Err(message.to_string());
     match (args.addr.is_empty(), args.via_router) {
-        (true, None) => {
-            eprintln!("one of --addr or --via-router is required");
-            usage()
-        }
+        (true, None) => return reject("one of --addr or --via-router is required"),
         (false, Some(_)) => {
-            eprintln!("--addr and --via-router are mutually exclusive (the router is the target)");
-            usage()
+            return reject(
+                "--addr and --via-router are mutually exclusive (the router is the target)",
+            )
         }
+        (_, Some(0)) => return reject("--via-router needs at least one upstream"),
         _ => {}
     }
-    if let Some(upstreams) = args.via_router {
-        if upstreams == 0 {
-            eprintln!("--via-router needs at least one upstream");
-            usage()
-        }
-    }
     if args.routers == 0 {
-        eprintln!("--routers must be positive");
-        usage()
+        return reject("--routers must be positive");
     }
     if args.routers > 1 && args.via_router.is_none() {
-        eprintln!("--routers requires --via-router (the loadtest spawns them)");
-        usage()
+        return reject("--routers requires --via-router (the loadtest spawns them)");
     }
     if args.chaos.is_some() {
         match args.via_router {
             None => {
-                eprintln!("--chaos requires --via-router (faults apply to spawned children)");
-                usage()
+                return reject("--chaos requires --via-router (faults apply to spawned children)")
             }
             Some(upstreams) if upstreams < 2 => {
-                eprintln!("--chaos needs --via-router >= 2 so kills leave a survivor");
-                usage()
+                return reject("--chaos needs --via-router >= 2 so kills leave a survivor")
             }
             _ => {}
         }
     }
     if args.requests == 0 || args.batch == 0 || args.blocks == 0 || args.connections == 0 {
-        eprintln!("--requests, --batch, --blocks, and --connections must be positive");
-        usage()
+        return reject("--requests, --batch, --blocks, and --connections must be positive");
     }
-    args
+    Ok(args)
 }
 
 /// One spawned child process (a serve upstream or a router) with the
@@ -462,9 +420,9 @@ fn spawn_fleet(args: &Args, upstreams: usize, tables: &[String]) -> Result<Fleet
             child_args.push("--error-budget".to_string());
             child_args.push(budget.clone());
         }
-        if let Some(seconds) = args.idle_timeout {
+        if let Some(timeout) = args.idle_timeout {
             child_args.push("--idle-timeout".to_string());
-            child_args.push(seconds.to_string());
+            child_args.push(timeout.as_secs_f64().to_string());
         }
         fleet.upstreams.push(spawn_child(
             "difftune-serve",
@@ -483,9 +441,9 @@ fn spawn_fleet(args: &Args, upstreams: usize, tables: &[String]) -> Result<Fleet
             router_args.push("--upstream".to_string());
             router_args.push(upstream.addr.clone());
         }
-        if let Some(seconds) = args.idle_timeout {
+        if let Some(timeout) = args.idle_timeout {
             router_args.push("--idle-timeout".to_string());
-            router_args.push(seconds.to_string());
+            router_args.push(timeout.as_secs_f64().to_string());
         }
         fleet.routers.push(spawn_child(
             "difftune-router",
@@ -562,11 +520,8 @@ fn run_pass(args: &Args, bodies: &[String]) -> Result<Vec<String>, String> {
         let handles: Vec<_> = (0..args.connections)
             .map(|connection| {
                 scope.spawn(move || {
-                    let mut client = HttpClient::connect_with_retry(
-                        &args.addr,
-                        Duration::from_secs_f64(args.wait_seconds),
-                    )
-                    .map_err(|error| format!("cannot connect to {}: {error}", args.addr))?;
+                    let mut client = HttpClient::connect_with_retry(&args.addr, args.wait_seconds)
+                        .map_err(|error| format!("cannot connect to {}: {error}", args.addr))?;
                     let mut collected = Vec::new();
                     for (index, body) in bodies.iter().enumerate() {
                         if index % args.connections != connection {
@@ -612,11 +567,8 @@ fn run_collide_pass(args: &Args, bodies: &[String]) -> Result<Vec<String>, Strin
         let handles: Vec<_> = (0..args.connections)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut client = HttpClient::connect_with_retry(
-                        &args.addr,
-                        Duration::from_secs_f64(args.wait_seconds),
-                    )
-                    .map_err(|error| format!("cannot connect to {}: {error}", args.addr))?;
+                    let mut client = HttpClient::connect_with_retry(&args.addr, args.wait_seconds)
+                        .map_err(|error| format!("cannot connect to {}: {error}", args.addr))?;
                     let mut collected = Vec::with_capacity(bodies.len());
                     for (index, body) in bodies.iter().enumerate() {
                         barrier.wait();
@@ -716,7 +668,7 @@ fn apply_fault(
     stalled: &mut Option<u32>,
     scratch_tables: &[String],
 ) -> Result<(), String> {
-    let wait = Duration::from_secs_f64(args.wait_seconds);
+    let wait = args.wait_seconds;
     match fault.kind {
         FaultKind::KillUpstream => {
             let preferred = primary_upstream(&args.addr, &bodies[0], wait)?;
@@ -862,9 +814,9 @@ fn main() {
 }
 
 fn run() -> Result<(), String> {
-    let mut args = parse_args();
+    let mut args = cli::parse_env(USAGE, parse_args);
     let bodies = request_bodies(&args);
-    let wait = Duration::from_secs_f64(args.wait_seconds);
+    let wait = args.wait_seconds;
 
     // Parse the chaos schedule before spawning anything: a bad spec should
     // fail fast, and a corrupt fault redirects the fleet's table dirs to a
@@ -1051,4 +1003,128 @@ fn run() -> Result<(), String> {
         let _ = std::fs::remove_dir_all(root);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&mut Flags::new(line.split_whitespace()))
+    }
+
+    /// The command lines CI and the README run the loadtest with.
+    #[test]
+    fn known_command_lines_parse_to_their_values() {
+        // CI's serve-smoke job.
+        let args = parse(
+            "--addr 127.0.0.1:8117 --requests 64 --batch 4 --blocks 32 --connections 4 \
+             --sim mca --uarch haswell --spec llvm_mca --source matrix \
+             --check-deterministic --json --out-dir serve-out --wait-seconds 60 --max-seconds 120",
+        )
+        .unwrap();
+        assert_eq!(args.addr, "127.0.0.1:8117");
+        assert_eq!(
+            (args.requests, args.batch, args.blocks, args.connections),
+            (64, 4, 32, 4)
+        );
+        assert_eq!(args.sim.as_deref(), Some("mca"));
+        assert_eq!(args.uarch.as_deref(), Some("haswell"));
+        assert_eq!(args.spec.as_deref(), Some("llvm_mca"));
+        assert_eq!(args.source.as_deref(), Some("matrix"));
+        assert!(args.check_deterministic && args.json);
+        assert_eq!(args.out_dir, "serve-out");
+        assert_eq!(args.wait_seconds, Duration::from_secs(60));
+        assert_eq!(args.max_seconds, Some(120.0));
+        assert_eq!((args.seed, args.via_router, args.routers), (0, None, 1));
+        assert!(!args.collide && !args.expect_coalescing);
+        assert!(args.chaos.is_none() && args.tables.is_empty() && args.idle_timeout.is_none());
+
+        // Its default-source leg, with the defaults it leaves alone.
+        let args = parse(
+            "--addr 127.0.0.1:8117 --requests 32 --batch 4 --blocks 16 --source default \
+             --check-deterministic --wait-seconds 30 --max-seconds 120",
+        )
+        .unwrap();
+        assert_eq!(
+            (args.requests, args.batch, args.blocks, args.connections),
+            (32, 4, 16, 1)
+        );
+        assert_eq!(args.out_dir, ".");
+        assert!(!args.json);
+        assert_eq!(args.wait_seconds, Duration::from_secs(30));
+
+        // CI's surrogate-smoke policy leg.
+        let args = parse(
+            "--addr 127.0.0.1:8118 --requests 256 --batch 32 --blocks 8192 --connections 4 \
+             --sim uop --uarch haswell --spec llvm_sim --source policy \
+             --expect-source-kind surrogate --check-deterministic --json --out-dir policy-out \
+             --wait-seconds 60 --max-seconds 120",
+        )
+        .unwrap();
+        assert_eq!(args.expect_source_kind.as_deref(), Some("surrogate"));
+        assert_eq!((args.batch, args.blocks), (32, 8192));
+
+        // CI's fleet-smoke legs.
+        let args = parse(
+            "--via-router 3 --routers 2 --tables matrix-out --chaos kill@16,rollout@32 \
+             --requests 64 --batch 4 --blocks 32 --connections 4 \
+             --sim mca --uarch haswell --spec llvm_mca --source matrix \
+             --check-deterministic --json --out-dir router-out --wait-seconds 60 --max-seconds 180",
+        )
+        .unwrap();
+        assert!(args.addr.is_empty());
+        assert_eq!((args.via_router, args.routers), (Some(3), 2));
+        assert_eq!(args.tables, ["matrix-out"]);
+        assert_eq!(args.chaos.as_deref(), Some("kill@16,rollout@32"));
+        assert_eq!(args.max_seconds, Some(180.0));
+        let args = parse(
+            "--via-router 2 --tables matrix-out --collide --expect-coalescing \
+             --requests 32 --batch 4 --blocks 32 --connections 4 \
+             --sim mca --uarch haswell --spec llvm_mca --source matrix \
+             --check-deterministic --json --out-dir collide-out --wait-seconds 60 --max-seconds 120",
+        )
+        .unwrap();
+        assert!(args.collide && args.expect_coalescing);
+        assert_eq!((args.via_router, args.routers), (Some(2), 1));
+
+        // The README's chaos example, with the upstream flags it forwards.
+        let args = parse(
+            "--via-router 3 --routers 2 --tables matrix-out --chaos kill@16,rollout@32 \
+             --requests 64 --source matrix --check-deterministic --json --out-dir router-out \
+             --error-budget 0.05 --error-budget mca:haswell:llvm_mca=1 --idle-timeout 0.5 \
+             --seed 7",
+        )
+        .unwrap();
+        assert_eq!(args.error_budget, ["0.05", "mca:haswell:llvm_mca=1"]);
+        assert_eq!(args.idle_timeout, Some(Duration::from_millis(500)));
+        assert_eq!(args.seed, 7);
+        assert_eq!(args.wait_seconds, Duration::from_secs(30));
+    }
+
+    #[test]
+    fn bad_values_and_combinations_are_rejected() {
+        for (line, flag) in [
+            ("--addr a:1 --seed x", "--seed \"x\": "),
+            ("--addr a:1 --wait-seconds -1", "--wait-seconds \"-1\": "),
+            ("--addr a:1 --idle-timeout inf", "--idle-timeout \"inf\": "),
+            ("--addr a:1 --max-seconds soon", "--max-seconds \"soon\": "),
+            ("--addr a:1 --requests -4", "--requests \"-4\": "),
+        ] {
+            let error = parse(line).unwrap_err();
+            assert!(error.starts_with(flag), "{error}");
+        }
+        for (line, message) in [
+            ("--requests 4", "one of --addr or --via-router is required"),
+            ("--addr a:1 --via-router 2", "mutually exclusive"),
+            ("--via-router 0", "at least one upstream"),
+            ("--addr a:1 --routers 2", "--routers requires --via-router"),
+            ("--via-router 1 --chaos kill@1", "--via-router >= 2"),
+            ("--addr a:1 --chaos kill@1", "--chaos requires --via-router"),
+            ("--addr a:1 --batch 0", "must be positive"),
+        ] {
+            let error = parse(line).unwrap_err();
+            assert!(error.contains(message), "{line}: {error}");
+        }
+    }
 }

@@ -24,217 +24,102 @@
 
 use std::time::{Duration, Instant};
 
+use difftune_bench::cli::{self, Flags};
 use difftune_bench::matrix::CellKey;
 use difftune_serve::backend::{BackendRegistry, ReloadSpec};
 use difftune_serve::server::{spawn, ServeConfig};
 
+const USAGE: &str = "usage: difftune-serve [--addr A] [--port P] [--tables DIR]... \
+     [--checkpoint SIM:UARCH:SPEC=PATH]... [--no-defaults] \
+     [--error-budget MAPE | SIM:UARCH:SPEC=MAPE]... [--shards N] \
+     [--cache-capacity N] [--max-seconds S] [--idle-timeout S] \
+     [--max-requests-per-connection N] [--list-backends]";
+
+#[derive(Debug)]
 struct Args {
     addr: String,
     port: u16,
-    tables: Vec<String>,
-    checkpoints: Vec<(CellKey, String)>,
-    no_defaults: bool,
-    error_budget: f64,
-    cell_budgets: Vec<(String, f64)>,
+    /// The `--tables`, `--checkpoint`, `--no-defaults` and `--error-budget`
+    /// flags: the startup load and every `POST /reload` rescan.
+    spec: ReloadSpec,
     shards: Option<usize>,
-    cache_capacity: Option<usize>,
-    max_seconds: Option<f64>,
-    idle_timeout: Option<f64>,
+    cache_capacity: usize,
+    max_seconds: Option<Duration>,
+    idle_timeout: Duration,
     max_requests_per_connection: usize,
     list_backends: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: difftune-serve [--addr A] [--port P] [--tables DIR]... \
-         [--checkpoint SIM:UARCH:SPEC=PATH]... [--no-defaults] \
-         [--error-budget MAPE | SIM:UARCH:SPEC=MAPE]... [--shards N] \
-         [--cache-capacity N] [--max-seconds S] [--idle-timeout S] \
-         [--max-requests-per-connection N] [--list-backends]"
-    );
-    std::process::exit(2);
+/// An `--error-budget` MAPE: a non-negative number.
+fn budget(raw: &str) -> Result<f64, &'static str> {
+    match raw.parse::<f64>() {
+        Ok(budget) if budget >= 0.0 => Ok(budget),
+        _ => Err("expected a non-negative MAPE"),
+    }
 }
 
-fn parse_args() -> Args {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let defaults = ServeConfig::default();
     let mut args = Args {
         addr: "127.0.0.1".to_string(),
         port: 8117,
-        tables: Vec::new(),
-        checkpoints: Vec::new(),
-        no_defaults: false,
-        error_budget: 0.0,
-        cell_budgets: Vec::new(),
+        spec: ReloadSpec {
+            defaults: true,
+            ..ReloadSpec::default()
+        },
         shards: None,
-        cache_capacity: None,
+        cache_capacity: defaults.cache_capacity,
         max_seconds: None,
-        idle_timeout: None,
+        idle_timeout: defaults.read_timeout,
         max_requests_per_connection: 0,
         list_backends: false,
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--addr" => args.addr = value("--addr"),
-            "--port" => {
-                let raw = value("--port");
-                args.port = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--port must be a port number, got {raw:?}");
-                    usage()
-                });
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => args.addr = flags.value("--addr")?,
+            "--port" => args.port = flags.parse("--port", str::parse)?,
+            "--tables" => args.spec.table_dirs.push(flags.value("--tables")?.into()),
+            "--checkpoint" => args.spec.checkpoints.push(flags.pair(
+                "--checkpoint",
+                CellKey::parse,
+                str::parse,
+            )?),
+            "--no-defaults" => args.spec.defaults = false,
+            // Repeatable: a `SIM:UARCH:SPEC=BUDGET` pair overrides one cell,
+            // and a bare number sets the budget of every other cell.
+            "--error-budget" if flags.peek().is_some_and(|raw| raw.contains('=')) => {
+                let (key, budget) = flags.pair("--error-budget", CellKey::parse, budget)?;
+                args.spec.cell_budgets.push((key.id(), budget));
             }
-            "--tables" => args.tables.push(value("--tables")),
-            "--checkpoint" => {
-                let raw = value("--checkpoint");
-                let Some((cell, path)) = raw.split_once('=') else {
-                    eprintln!("--checkpoint expects SIM:UARCH:SPEC=PATH, got {raw:?}");
-                    usage()
-                };
-                match CellKey::parse(cell) {
-                    Ok(key) => args.checkpoints.push((key, path.to_string())),
-                    Err(error) => {
-                        eprintln!("--checkpoint {raw:?}: {error}");
-                        usage()
-                    }
-                }
-            }
-            "--no-defaults" => args.no_defaults = true,
-            "--error-budget" => {
-                // Repeatable: a bare number sets the global budget; a
-                // `SIM:UARCH:SPEC=BUDGET` pair overrides one cell. Cells
-                // without an override fall back to the global value.
-                let raw = value("--error-budget");
-                let (cell, number) = match raw.split_once('=') {
-                    Some((cell, number)) => (Some(cell), number),
-                    None => (None, raw.as_str()),
-                };
-                let budget: f64 = number.parse().unwrap_or_else(|_| {
-                    eprintln!("--error-budget must be numeric MAPE percent, got {raw:?}");
-                    usage()
-                });
-                if budget < 0.0 || budget.is_nan() {
-                    eprintln!("--error-budget must be non-negative, got {raw:?}");
-                    usage()
-                }
-                match cell {
-                    None => args.error_budget = budget,
-                    Some(cell) => match CellKey::parse(cell) {
-                        Ok(key) => args.cell_budgets.push((key.id(), budget)),
-                        Err(error) => {
-                            eprintln!("--error-budget {raw:?}: {error}");
-                            usage()
-                        }
-                    },
-                }
-            }
-            "--shards" => {
-                let raw = value("--shards");
-                args.shards = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--shards must be an unsigned integer, got {raw:?}");
-                    usage()
-                }));
-            }
+            "--error-budget" => args.spec.error_budget = flags.parse("--error-budget", budget)?,
+            "--shards" => args.shards = Some(flags.parse("--shards", str::parse)?),
             "--cache-capacity" => {
-                let raw = value("--cache-capacity");
-                args.cache_capacity = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--cache-capacity must be an unsigned integer, got {raw:?}");
-                    usage()
-                }));
+                args.cache_capacity = flags.parse("--cache-capacity", str::parse)?
             }
-            "--max-seconds" => {
-                let raw = value("--max-seconds");
-                args.max_seconds = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--max-seconds must be numeric, got {raw:?}");
-                    usage()
-                }));
-            }
-            "--idle-timeout" => {
-                let raw = value("--idle-timeout");
-                let seconds: f64 = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--idle-timeout must be numeric seconds, got {raw:?}");
-                    usage()
-                });
-                if seconds <= 0.0 || seconds.is_nan() {
-                    eprintln!("--idle-timeout must be positive, got {raw:?}");
-                    usage()
-                }
-                args.idle_timeout = Some(seconds);
-            }
+            "--max-seconds" => args.max_seconds = Some(flags.seconds("--max-seconds")?),
+            "--idle-timeout" => args.idle_timeout = flags.seconds("--idle-timeout")?,
             "--max-requests-per-connection" => {
-                let raw = value("--max-requests-per-connection");
-                args.max_requests_per_connection = raw.parse().unwrap_or_else(|_| {
-                    eprintln!(
-                        "--max-requests-per-connection must be an unsigned integer, got {raw:?}"
-                    );
-                    usage()
-                });
+                args.max_requests_per_connection =
+                    flags.parse("--max-requests-per-connection", str::parse)?
             }
             "--list-backends" => args.list_backends = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage()
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_env(USAGE, parse_args);
 
     // The startup spec doubles as the `POST /reload` rescan spec: a reload
-    // re-reads exactly these locations under strict verification.
-    let reload_spec = ReloadSpec {
-        defaults: !args.no_defaults,
-        table_dirs: args.tables.iter().map(std::path::PathBuf::from).collect(),
-        checkpoints: args
-            .checkpoints
-            .iter()
-            .map(|(key, path)| (*key, std::path::PathBuf::from(path)))
-            .collect(),
-        error_budget: args.error_budget,
-        cell_budgets: args.cell_budgets.clone(),
-    };
-
-    let mut registry = if args.no_defaults {
-        BackendRegistry::new()
-    } else {
-        BackendRegistry::with_defaults()
-    };
-    registry.set_error_budget(args.error_budget);
-    for (cell, budget) in &args.cell_budgets {
-        registry.set_cell_budget(cell, *budget);
-    }
-    for dir in &args.tables {
-        match registry.add_matrix_dir(std::path::Path::new(dir)) {
-            Ok(added) => {
-                eprintln!("[difftune-serve] loaded {added} matrix/surrogate backend(s) from {dir}");
-            }
-            Err(error) => {
-                eprintln!("difftune-serve: {error}");
-                std::process::exit(1);
-            }
-        }
-    }
-    for (key, path) in &args.checkpoints {
-        if let Err(error) = registry.add_checkpoint(key, std::path::Path::new(path)) {
-            eprintln!("difftune-serve: {error}");
-            std::process::exit(1);
-        }
-        eprintln!("[difftune-serve] loaded checkpoint backend checkpoint:{key}");
-    }
+    // re-reads exactly these locations, under strict verification.
+    let registry = BackendRegistry::load(&args.spec, false).unwrap_or_else(|error| {
+        eprintln!("difftune-serve: {error}");
+        std::process::exit(1);
+    });
     for warning in registry.warnings() {
         eprintln!("[difftune-serve] warning: {warning}");
-    }
-    if registry.is_empty() {
-        eprintln!("difftune-serve: no backends to serve (--no-defaults with nothing loaded)");
-        std::process::exit(1);
     }
 
     if args.list_backends {
@@ -257,13 +142,10 @@ fn main() {
         addr: args.addr.clone(),
         port: args.port,
         shards,
-        cache_capacity: args.cache_capacity.unwrap_or(4096),
-        read_timeout: args
-            .idle_timeout
-            .map(Duration::from_secs_f64)
-            .unwrap_or_else(|| ServeConfig::default().read_timeout),
+        cache_capacity: args.cache_capacity,
+        read_timeout: args.idle_timeout,
         max_requests_per_connection: args.max_requests_per_connection,
-        reload_spec: Some(reload_spec),
+        reload_spec: Some(args.spec),
         ..ServeConfig::default()
     };
     let backends = registry.len();
@@ -280,9 +162,7 @@ fn main() {
     );
 
     // Serve until killed, drained, or the --max-seconds CI tripwire.
-    let deadline = args
-        .max_seconds
-        .map(|seconds| Instant::now() + Duration::from_secs_f64(seconds.max(0.0)));
+    let deadline = args.max_seconds.map(|seconds| Instant::now() + seconds);
     loop {
         std::thread::sleep(Duration::from_millis(100));
         if handle.drain_requested() {
@@ -296,5 +176,151 @@ fn main() {
             handle.shutdown();
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&mut Flags::new(args.iter().copied()))
+    }
+
+    /// The command lines CI, perfbench, the README and `difftune-loadtest`'s
+    /// fleets start servers with.
+    #[test]
+    fn known_command_lines_parse_to_their_values() {
+        // CI's serve-smoke job.
+        let args = parse(&[
+            "--port",
+            "8117",
+            "--tables",
+            "matrix-out",
+            "--max-seconds",
+            "240",
+        ])
+        .unwrap();
+        assert_eq!((args.addr.as_str(), args.port), ("127.0.0.1", 8117));
+        assert_eq!(args.spec.table_dirs, [PathBuf::from("matrix-out")]);
+        assert!(args.spec.defaults);
+        assert!(args.spec.checkpoints.is_empty() && args.spec.cell_budgets.is_empty());
+        assert_eq!(args.spec.error_budget, 0.0);
+        assert_eq!(args.max_seconds, Some(Duration::from_secs(240)));
+        assert_eq!(args.idle_timeout, Duration::from_secs(5));
+        assert_eq!((args.shards, args.cache_capacity), (None, 4096));
+        assert_eq!(args.max_requests_per_connection, 0);
+        assert!(!args.list_backends);
+
+        // CI's surrogate-smoke job and its zero-budget leg.
+        for (raw, budget) in [("1000000", 1e6), ("0", 0.0)] {
+            let args = parse(&[
+                "--port",
+                "8118",
+                "--tables",
+                "matrix-out",
+                "--error-budget",
+                raw,
+                "--max-seconds",
+                "300",
+            ])
+            .unwrap();
+            assert_eq!(args.port, 8118);
+            assert_eq!(args.spec.error_budget, budget);
+            assert!(args.spec.cell_budgets.is_empty());
+            assert_eq!(args.max_seconds, Some(Duration::from_secs(300)));
+        }
+
+        // perfbench's serve-lstm-miss server.
+        let args = parse(&[
+            "--tables",
+            "work/cell",
+            "--shards",
+            "2",
+            "--error-budget",
+            "mca:haswell:llvm_mca=1000000",
+            "--port",
+            "0",
+            "--max-seconds",
+            "600",
+        ])
+        .unwrap();
+        assert_eq!(args.port, 0);
+        assert_eq!(args.spec.table_dirs, [PathBuf::from("work/cell")]);
+        assert_eq!(args.shards, Some(2));
+        assert_eq!(args.spec.error_budget, 0.0);
+        assert_eq!(
+            args.spec.cell_budgets,
+            [("mca:haswell:llvm_mca".to_string(), 1e6)]
+        );
+        assert_eq!(args.max_seconds, Some(Duration::from_secs(600)));
+
+        // The README's policy example.
+        let args = parse(&[
+            "--port",
+            "8117",
+            "--tables",
+            "matrix-out",
+            "--error-budget",
+            "0.05",
+        ])
+        .unwrap();
+        assert_eq!(args.spec.error_budget, 0.05);
+        assert_eq!(args.max_seconds, None);
+
+        // A `difftune-loadtest --via-router` upstream.
+        let args = parse(&[
+            "--port",
+            "0",
+            "--max-seconds",
+            "900",
+            "--tables",
+            "a",
+            "--tables",
+            "b",
+            "--error-budget",
+            "0.5",
+            "--idle-timeout",
+            "0.25",
+            "--checkpoint",
+            "uop:skylake:llvm_sim=run.json",
+            "--no-defaults",
+        ])
+        .unwrap();
+        assert_eq!(
+            args.spec.table_dirs,
+            [PathBuf::from("a"), PathBuf::from("b")]
+        );
+        assert_eq!(args.spec.error_budget, 0.5);
+        assert_eq!(args.idle_timeout, Duration::from_millis(250));
+        assert_eq!(args.spec.checkpoints.len(), 1);
+        assert_eq!(args.spec.checkpoints[0].0.id(), "uop:skylake:llvm_sim");
+        assert_eq!(args.spec.checkpoints[0].1, PathBuf::from("run.json"));
+        assert!(!args.spec.defaults);
+    }
+
+    #[test]
+    fn bad_values_exit_naming_their_flag() {
+        for args in [
+            ["--idle-timeout", "inf"],
+            ["--max-seconds", "0"],
+            ["--max-seconds", "-1"],
+            ["--error-budget", "-1"],
+            ["--error-budget", "NaN"],
+            ["--error-budget", "mca:haswell:nope=1"],
+            ["--checkpoint", "run.json"],
+            ["--port", "70000"],
+            ["--shards", "many"],
+        ] {
+            let error = parse(&args).unwrap_err();
+            assert!(
+                error.starts_with(&format!("{} {:?}: ", args[0], args[1])),
+                "{error}"
+            );
+        }
+        assert_eq!(parse(&["--port"]).unwrap_err(), "--port requires a value");
+        assert_eq!(parse(&["--help"]).unwrap_err(), "");
     }
 }

@@ -5,22 +5,24 @@
 //! fast path and fall back to the original program when confidence is low.
 //! [`PolicyPredictor`] is that bargain as a [`Predictor`]: for one cell it
 //! pairs the cell's learned table (the full simulator, tier 3) with the
-//! cell's surrogate (tier 2) and routes each block to exactly one of them —
+//! cell's surrogate (tier 2) and answers from exactly one of them —
 //! tier 1, the per-shard LRU, lives in the server's cache pass and is keyed
 //! by the tier tag this module computes, so a cached block never re-enters
 //! the policy at all.
 //!
-//! The tier decision ([`PolicyPredictor::tier_for`]) is a **pure function**
-//! of the block and the cell's frozen metadata:
+//! The tier is decided once per cell, when [`policy_backend`] builds the
+//! policy, from the cell's frozen metadata alone:
 //!
 //! * tier 3 (simulator) when the cell has no servable surrogate at all;
 //! * tier 3 when the cell's recorded `surrogate_vs_sim_mape` exceeds the
 //!   configured `--error-budget` (an unknown MAPE only clears an infinite
 //!   budget — trust requires evidence);
-//! * tier 3 when the block's structure fails surrogate program-keying (the
-//!   taped fallback path exists but is not the fast path the budget vouches
-//!   for);
 //! * tier 2 (surrogate) otherwise.
+//!
+//! Every block of a cell therefore takes the same tier: both servable model
+//! families program-key every block (`IthemalModel::program_key` and
+//! `FeatureMlpModel::program_key` give up only past `u32::MAX` tokens or
+//! instructions), so no block needs a check of its own.
 //!
 //! Nothing here consults cache state, shard identity, or request history,
 //! which is what makes determinism invariant #8 hold: policy responses are
@@ -44,88 +46,23 @@ pub const TIER_SURROGATE: u8 = 2;
 /// Cache-key tier tag for policy blocks answered by the full simulator.
 pub const TIER_SIMULATOR: u8 = 3;
 
-/// A cell's three-tier policy: the learned table as tier 3, the surrogate
-/// (when servable) as tier 2, gated by the cell's recorded accuracy against
-/// a configured error budget.
+/// A cell's three-tier policy: every block goes to the tier chosen for the
+/// cell — the learned table (tier 3) or the surrogate (tier 2).
 #[derive(Debug)]
 pub struct PolicyPredictor {
-    /// Tier 3: the cell's learned-table backend (matrix preferred over
-    /// checkpoint).
-    table: Arc<Backend>,
-    /// Tier 2: the cell's surrogate backend, when one loaded and verified.
-    surrogate: Option<Arc<Backend>>,
-    /// The cell's recorded `surrogate_vs_sim_mape` from its matrix record,
-    /// when the sweep measured one.
-    mape: Option<f64>,
-    /// The configured `--error-budget` the MAPE is held against.
-    budget: f64,
+    /// The tier answering this cell: [`TIER_SURROGATE`] or
+    /// [`TIER_SIMULATOR`].
+    tier: u8,
+    /// The backend of that tier.
+    answer: Arc<Backend>,
     /// Combined digest over both halves and the budget.
     fingerprint: String,
 }
 
-impl PolicyPredictor {
-    /// The tier this policy answers `block` from — a pure function of the
-    /// block and the cell's frozen metadata (see the module docs for the
-    /// decision table).
-    pub fn tier_for(&self, block: &BasicBlock) -> u8 {
-        let Some(surrogate) = &self.surrogate else {
-            return TIER_SIMULATOR;
-        };
-        if self.mape.unwrap_or(f64::INFINITY) > self.budget {
-            return TIER_SIMULATOR;
-        }
-        if surrogate.predictor.replayable(block).unwrap_or(false) {
-            TIER_SURROGATE
-        } else {
-            TIER_SIMULATOR
-        }
-    }
-
-    /// The recorded surrogate-vs-simulator MAPE gating tier 2.
-    pub fn mape(&self) -> Option<f64> {
-        self.mape
-    }
-
-    /// The configured error budget.
-    pub fn budget(&self) -> f64 {
-        self.budget
-    }
-}
-
 impl Predictor for PolicyPredictor {
-    /// Routes every block to its tier's predictor and merges the answers
-    /// back in request order. A batch that one tier answers whole goes to
-    /// that tier untouched; only a mixed batch is split. Each sub-predictor
-    /// sees one batch per call, and both sub-predictors are themselves
-    /// deterministic and batch-composition-independent, so the merged
-    /// answer is too.
+    /// Hands the batch whole to the cell's tier.
     fn predict_batch(&self, blocks: &[BasicBlock]) -> Vec<f64> {
-        let tiers: Vec<u8> = blocks.iter().map(|block| self.tier_for(block)).collect();
-        let backend_for = |tier: u8| match tier {
-            TIER_SURROGATE => self
-                .surrogate
-                .as_ref()
-                .expect("tier 2 is only assigned when the surrogate exists"),
-            _ => &self.table,
-        };
-        if let Some(&tier) = tiers.first() {
-            if tiers.iter().all(|&other| other == tier) {
-                return backend_for(tier).predictor.predict_batch(blocks);
-            }
-        }
-        let mut out = vec![0.0_f64; blocks.len()];
-        for tier in [TIER_SURROGATE, TIER_SIMULATOR] {
-            let indices: Vec<usize> = (0..blocks.len()).filter(|&i| tiers[i] == tier).collect();
-            if indices.is_empty() {
-                continue;
-            }
-            let batch: Vec<BasicBlock> = indices.iter().map(|&i| blocks[i].clone()).collect();
-            let answers = backend_for(tier).predictor.predict_batch(&batch);
-            for (&index, answer) in indices.iter().zip(answers) {
-                out[index] = answer;
-            }
-        }
-        out
+        self.answer.predictor.predict_batch(blocks)
     }
 
     fn fingerprint(&self) -> &str {
@@ -136,8 +73,9 @@ impl Predictor for PolicyPredictor {
         "policy"
     }
 
-    fn tier_tag(&self, block: &BasicBlock) -> u8 {
-        self.tier_for(block)
+    /// The cell's tier: the same for every block.
+    fn tier_tag(&self, _block: &BasicBlock) -> u8 {
+        self.tier
     }
 }
 
@@ -176,11 +114,13 @@ pub fn policy_backend(
             .chain(budget.to_bits().to_le_bytes())
             .chain(mape.unwrap_or(f64::NAN).to_bits().to_le_bytes()),
     );
+    let (tier, answer) = match surrogate {
+        Some(surrogate) if mape.unwrap_or(f64::INFINITY) <= budget => (TIER_SURROGATE, surrogate),
+        _ => (TIER_SIMULATOR, table),
+    };
     let predictor = PolicyPredictor {
-        table: Arc::clone(table),
-        surrogate: surrogate.map(Arc::clone),
-        mape,
-        budget,
+        tier,
+        answer: Arc::clone(answer),
         fingerprint: format!("{cache_fingerprint:#018x}"),
     };
     Backend {

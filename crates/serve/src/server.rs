@@ -67,9 +67,9 @@
 //! Rust's shortest-exact form. Shard count, request grouping, cache state,
 //! which thread answers, reloads (same artifacts), and connection caps
 //! change wall time only — `tests/serve_e2e.rs` asserts the bytes. Policy
-//! backends extend this (invariant #8): the tier answering each block is a
-//! pure function of the block and the policy's frozen metadata, so the same
-//! holds across tier configurations given the same `--error-budget`.
+//! backends extend this (invariant #8): the tier answering a cell's blocks
+//! is a pure function of the policy's frozen metadata, so the same holds
+//! across tier configurations given the same `--error-budget`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -508,7 +508,7 @@ fn handle_predict(request: &Request, context: &ConnectionContext) -> Result<Resp
         .collect();
     // Policy responses report the tier family that actually answered: pure
     // tier-2 batches are `surrogate`, anything touching tier 3 is `table`.
-    // The tier tags are pure functions of the blocks, so this label is as
+    // The tier tags are pure functions of the cell, so this label is as
     // deterministic as the prediction bytes.
     let source_kind = if backend.source == Source::Policy {
         if keys.iter().all(|&(_, _, tier)| tier == TIER_SURROGATE) {

@@ -114,9 +114,8 @@ impl SurrogateForward {
     }
 
     /// Whether `block` takes the compiled fast path: it tokenizes and the
-    /// model can program-key its structure. The serving policy layer uses
-    /// this to decide tier 2 vs tier 3 without running a prediction (and
-    /// without `&mut self` — no cache is touched).
+    /// model can program-key its structure. Answered without running a
+    /// prediction (and without `&mut self` — no cache is touched).
     pub fn replayable(&self, block: &BasicBlock) -> bool {
         self.model
             .program_key(&self.vocab.tokenize_block(block))

@@ -5,7 +5,7 @@
 //! `MATRIX_summary.json`.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use difftune_bench::matrix::{run_matrix, CellKey, MatrixOptions};
 use difftune_bench::record::{MatrixRecord, MatrixSummary, MATRIX_SCHEMA, MATRIX_SUMMARY_FILE};
@@ -14,19 +14,16 @@ use difftune_repro::core::{threads_from_env, Stage};
 use difftune_repro::sim::{ParamBounds, SimParams};
 use difftune_repro::surrogate::{surrogate_file_name, SurrogateArtifact, SurrogateForward};
 
+mod common;
+
+use common::fresh_dir;
+
 /// The 2-cell smoke plan: one llvm-mca cell and one llvm_sim cell.
 fn smoke_cells() -> Vec<CellKey> {
     vec![
         CellKey::parse("mca:haswell:llvm_mca").expect("valid cell"),
         CellKey::parse("uop:haswell:llvm_sim").expect("valid cell"),
     ]
-}
-
-/// A fresh per-test output directory under the target temp dir.
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("difftune-matrix-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
 }
 
 fn options(dir: &Path, threads: usize) -> MatrixOptions {

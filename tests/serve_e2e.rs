@@ -18,7 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use difftune_bench::matrix::CellKey;
-use difftune_bench::record::{fingerprint_table, MatrixRecord, MATRIX_SCHEMA};
+use difftune_bench::record::MATRIX_SCHEMA;
 use difftune_repro::core::{threads_from_env, RunCheckpoint, Stage, ThetaTable};
 use difftune_repro::cpu::{default_params, Microarch};
 use difftune_repro::isa::BasicBlock;
@@ -31,70 +31,14 @@ use difftune_serve::client::HttpClient;
 use difftune_serve::http::HttpLimits;
 use difftune_serve::server::{spawn, ServeConfig, ServerHandle};
 
-/// A fresh per-test artifact directory under the temp dir.
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("difftune-serve-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("temp dir is writable");
-    dir
-}
+mod common;
 
-/// A learned-looking table: the uarch defaults with a deterministic nudge.
-fn perturbed_table(uarch: Microarch, nudge: u32) -> SimParams {
-    let mut table = default_params(uarch);
-    table.per_inst[3].write_latency += nudge;
-    table.per_inst[11].port_map[1] += nudge;
-    table.dispatch_width += 1;
-    table
-}
+use common::{fresh_dir, perturbed_table, write_cell_record};
 
 /// Writes a fingerprint-consistent matrix cell record for
 /// `mca:haswell:llvm_mca` into `dir`.
 fn write_matrix_cell(dir: &std::path::Path) -> SimParams {
     write_cell_record(dir, 2, MATRIX_SCHEMA, None, None)
-}
-
-/// Writes the `mca:haswell:llvm_mca` cell with a chosen table nudge, schema
-/// string, (optionally) a deliberately wrong fingerprint — the knobs the
-/// hot-reload rejection tests turn — and (optionally) a recorded
-/// surrogate-vs-simulator MAPE, the knob the policy budget tests turn.
-fn write_cell_record(
-    dir: &std::path::Path,
-    nudge: u32,
-    schema: &str,
-    fake_fingerprint: Option<String>,
-    mape: Option<f64>,
-) -> SimParams {
-    let table = perturbed_table(Microarch::Haswell, nudge);
-    let record = MatrixRecord {
-        schema: schema.to_string(),
-        cell: "mca:haswell:llvm_mca".to_string(),
-        simulator: "mca".to_string(),
-        uarch: "haswell".to_string(),
-        spec: "llvm_mca".to_string(),
-        scale: "smoke".to_string(),
-        seed: 7,
-        train_blocks: 1,
-        heldout_blocks: 1,
-        simulated_samples: 1,
-        num_learned_parameters: 1,
-        default_mape: 0.3,
-        default_tau: 0.7,
-        learned_mape: 0.25,
-        learned_tau: 0.75,
-        surrogate_mape: None,
-        surrogate_tau: None,
-        surrogate_vs_sim_mape: mape,
-        surrogate_vs_sim_tau: None,
-        surrogate_fingerprint: None,
-        surrogate_blocks_per_second: None,
-        simulator_blocks_per_second: None,
-        by_category: Vec::new(),
-        table_fingerprint: fake_fingerprint.unwrap_or_else(|| fingerprint_table(&table)),
-        learned_table: table.to_flat(),
-    };
-    fs::write(dir.join(record.file_name()), record.to_json()).expect("record writes");
-    table
 }
 
 /// Writes a fingerprint-consistent `SURROGATE_*.json` artifact for

@@ -434,6 +434,7 @@ fn absurd_thread_counts_are_rejected_by_validation() {
 fn a_small_lstm_session_learns_the_pinned_table() {
     const PINNED: &str = "0x09b1c4f39caed27f";
     const PINNED_LOSS_BITS: [u64; 2] = [4604967633613225984, 4604864115720759979];
+    const PINNED_THETA: u64 = 0x001d_8ba6_5c1e_5025;
     let uarch = Microarch::Haswell;
     let dataset = Dataset::build(
         uarch,
@@ -475,13 +476,26 @@ fn a_small_lstm_session_learns_the_pinned_table() {
             seed: 5,
             threads,
         };
-        let result = DiffTuneBuilder::new(config)
+        let mut session = DiffTuneBuilder::new(config)
             .build(&simulator, &ParamSpec::llvm_mca(), &defaults, &train)
-            .unwrap()
-            .run_to_completion()
             .unwrap();
+        while session.stage() != Stage::Finished {
+            session.advance().unwrap();
+        }
+        // The raw θ, before rounding: a change that moves θ without moving
+        // the rounded table still fails here.
+        let theta = session.checkpoint().theta.expect("θ optimized");
+        let theta_fingerprint = theta
+            .tensor()
+            .data()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let result = session.finish().unwrap();
         let context = format!("{} training blocks, {threads} threads", train.len());
         assert_eq!(result.learned.fingerprint_hex(), PINNED, "{context}");
+        assert_eq!(theta_fingerprint, PINNED_THETA, "{context}");
         // The learned table is rounded to integers, so the per-epoch table
         // losses pin the surrogate's predictions to the bit as well.
         let loss_bits: Vec<u64> = result.table_losses.iter().map(|l| l.to_bits()).collect();
