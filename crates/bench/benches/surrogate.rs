@@ -6,11 +6,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use difftune_cpu::{default_params, Microarch};
 use difftune_isa::{BasicBlock, BlockGenerator};
-use difftune_surrogate::infer::PROGRAM_CACHE_CAPACITY;
 use difftune_surrogate::train::{train_with_optimizer, TrainConfig, TrainSample};
 use difftune_surrogate::{
     block_param_features, global_features, FeatureMlpConfig, FeatureMlpModel, IthemalConfig,
-    IthemalModel, SurrogateForward, SurrogateModel, Vocab,
+    IthemalModel, SurrogateForward, Vocab,
 };
 use difftune_tensor::optim::Adam;
 use rand::rngs::StdRng;
@@ -46,19 +45,16 @@ fn lstm_model() -> IthemalModel {
     })
 }
 
-/// `count` blocks of 3–8 instructions whose program keys are all distinct.
-fn distinct_shapes(model: &dyn SurrogateModel, count: usize) -> Vec<BasicBlock> {
+/// `count` distinct blocks of 3–8 instructions.
+fn distinct_blocks(count: usize) -> Vec<BasicBlock> {
     let generator = BlockGenerator::default();
     let mut rng = StdRng::seed_from_u64(2);
-    let vocab = Vocab::new();
-    let mut keys = HashSet::new();
+    let mut seen = HashSet::new();
     let mut blocks = Vec::with_capacity(count);
     while blocks.len() < count {
         let block = generator.generate_with_len(&mut rng, 3 + blocks.len() % 6);
-        if let Some(key) = model.program_key(&vocab.tokenize_block(&block)) {
-            if keys.insert(key) {
-                blocks.push(block);
-            }
+        if seen.insert(block.to_string()) {
+            blocks.push(block);
         }
     }
     blocks
@@ -97,22 +93,23 @@ fn bench_surrogate(c: &mut Criterion) {
             )
         })
     });
-    // Through the serving engine. Cycling through more shapes than the
-    // program cache holds makes every prediction a miss (one taped pass that
-    // records the program); cycling through a few pre-recorded shapes makes
-    // every prediction a hit (one forward-only replay).
+    // Through the serving engine. A fresh engine over blocks it has never
+    // seen encodes every instruction (its memo filling as opcodes first
+    // appear) and records one block-level program per block length; a warm
+    // engine cycling through blocks it has already predicted starts every
+    // instruction from its memo and replays every program.
     let table = default_params(Microarch::Haswell);
-    let shapes = distinct_shapes(&lstm, 2 * PROGRAM_CACHE_CAPACITY);
+    let fresh = distinct_blocks(4096);
     bench_forward(
         c,
         "lstm_surrogate_forward_fresh_shapes",
         SurrogateForward::new(Box::new(lstm_model()), table.clone()),
-        &shapes,
+        &fresh,
     );
-    let warm_shapes = &shapes[..16];
+    let repeated = &fresh[..16];
     let mut warm = SurrogateForward::new(Box::new(lstm_model()), table);
-    warm.predict_batch(warm_shapes);
-    bench_forward(c, "lstm_surrogate_forward_warm_shapes", warm, warm_shapes);
+    warm.predict_batch(repeated);
+    bench_forward(c, "lstm_surrogate_forward_warm_shapes", warm, repeated);
     c.bench_function("mlp_surrogate_forward", |b| {
         let sample = &data[0];
         b.iter(|| {

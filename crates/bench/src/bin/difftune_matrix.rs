@@ -109,9 +109,9 @@ fn main() {
     let args = cli::parse_env(USAGE, parse_args);
 
     if args.list {
-        println!("{:<32} {:>20} status", "cell", "seed");
-        for cell in enumerate_cells() {
-            println!(
+        let header = format!("{:<32} {:>20} status", "cell", "seed");
+        let rows = enumerate_cells().into_iter().map(|cell| {
+            format!(
                 "{:<32} {:>#20x} {}",
                 cell.key.id(),
                 cell.key.seed(),
@@ -119,8 +119,9 @@ fn main() {
                     Some(reason) => format!("skipped: {reason}"),
                     None => "runs".to_string(),
                 }
-            );
-        }
+            )
+        });
+        cli::print_lines(std::iter::once(header).chain(rows));
         return;
     }
 

@@ -9,6 +9,7 @@
 //! usage line, then exits 2.
 
 use std::fmt::Display;
+use std::io::{self, ErrorKind, Write};
 use std::time::Duration;
 
 /// A cursor over command-line arguments (the program name excluded).
@@ -88,6 +89,25 @@ pub fn unknown(arg: &str) -> String {
     match arg {
         "--help" | "-h" => String::new(),
         other => format!("unknown argument {other:?}"),
+    }
+}
+
+/// Prints `lines` to stdout, one per line, for a listing flag (`--list`,
+/// `--list-backends`). A reader that stops early (`| head`) closes the pipe;
+/// the listing then ends quietly instead of panicking, so the binary still
+/// exits 0. Any other write error exits 1.
+pub fn print_lines<L: Display>(lines: impl IntoIterator<Item = L>) {
+    let mut out = io::stdout().lock();
+    let written = lines
+        .into_iter()
+        .try_for_each(|line| writeln!(out, "{line}"))
+        .and_then(|()| out.flush());
+    match written {
+        Err(error) if error.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("cannot write to stdout: {error}");
+            std::process::exit(1)
+        }
+        _ => {}
     }
 }
 

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use difftune_isa::{BasicBlock, OpcodeId};
 use difftune_sim::{SimParams, Simulator};
 use difftune_surrogate::train::{train_observed, TrainEvent, TrainReport};
-use difftune_surrogate::{SurrogateModel, TokenizedBlock, TokenizedInst, Vocab};
+use difftune_surrogate::{EncoderMemo, SurrogateModel, TokenizedBlock, TokenizedInst, Vocab};
 use difftune_tensor::optim::{Adam, Optimizer};
 use difftune_tensor::{resolve_threads, Batch, Grads, Params, Tensor};
 use rand::rngs::StdRng;
@@ -797,20 +797,16 @@ struct TableSample<'a> {
     timing: f64,
 }
 
-/// Distinct instructions encoded on one graph when building the summary
-/// table, so the encoder's parameters are bound once per group. Groups are a
-/// fixed partition of the distinct instructions, whatever the worker count.
-const ENCODE_GROUP: usize = 64;
-
 /// The frozen surrogate's instruction encodings for a training set: one
 /// vector per distinct token sequence, in first-encounter order, and for
-/// each block its instructions' indices into those vectors. Groups of
-/// [`ENCODE_GROUP`] instructions are encoded on up to `threads` workers
-/// (`0` = all cores); each vector depends only on its own tokens, so the
-/// table is the same for every worker count.
+/// each block its instructions' indices into those vectors. The distinct
+/// instructions are split into contiguous runs over up to `threads` workers
+/// (`0` = all cores), each encoding its run off the tape with its own
+/// [`EncoderMemo`]; each vector depends only on its own tokens, so the table
+/// is the same for every worker count.
 ///
 /// Returns `None` when the surrogate has no instruction encoder (see
-/// [`SurrogateModel::encode_instructions`]).
+/// [`SurrogateModel::encode_instructions_with`]).
 fn instruction_summaries(
     surrogate: &dyn SurrogateModel,
     blocks: &[TokenizedBlock],
@@ -833,19 +829,13 @@ fn instruction_summaries(
                 .collect()
         })
         .collect();
-    let groups: Vec<&[&TokenizedInst]> = distinct.chunks(ENCODE_GROUP).collect();
-    // Contiguous runs of groups, one per worker, concatenated in group order.
-    let per_worker = groups.len().div_ceil(resolve_threads(threads)).max(1);
+    let per_worker = distinct.len().div_ceil(resolve_threads(threads)).max(1);
     let summaries: Vec<Tensor> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
+        let handles: Vec<_> = distinct
             .chunks(per_worker)
             .map(|run| {
-                scope.spawn(move || -> Option<Vec<Tensor>> {
-                    let mut out = Vec::new();
-                    for group in run {
-                        out.extend(surrogate.encode_instructions(group)?);
-                    }
-                    Some(out)
+                scope.spawn(move || {
+                    surrogate.encode_instructions_with(run, &mut EncoderMemo::default())
                 })
             })
             .collect();

@@ -100,12 +100,14 @@ impl Predictor for TablePredictor {
 }
 
 /// The learned surrogate answering directly: tokenize, encode the embedded
-/// table as features, and run one forward pass per block. A block whose
-/// graph structure the engine has cached replays the compiled program
-/// forward-only; a new structure runs one taped pass that both records the
-/// program and answers the block; a structure the model cannot key runs a
-/// taped pass. All three are bit-identical by the engine's contract, so the
-/// path is invisible in the bytes.
+/// table as features, and run one forward pass per block (encode its
+/// instructions, then the block-level program; see
+/// [`difftune_surrogate::infer`]). A block whose block-level structure the
+/// engine has cached replays the compiled program forward-only; a new
+/// structure runs one taped pass that both records the program and answers
+/// the block; a structure the model cannot key runs a taped pass. All three
+/// are bit-identical by the engine's contract, so the path is invisible in
+/// the bytes.
 ///
 /// Concurrency: engines are pooled, not serialized. A batch checks an
 /// engine out (or builds a fresh one when all are busy), predicts without

@@ -123,9 +123,12 @@ fn main() {
     }
 
     if args.list_backends {
-        for (id, kind, fingerprint) in registry.entries() {
-            println!("{id}\t{kind}\t{fingerprint}");
-        }
+        cli::print_lines(
+            registry
+                .entries()
+                .into_iter()
+                .map(|(id, kind, fingerprint)| format!("{id}\t{kind}\t{fingerprint}")),
+        );
         return;
     }
 

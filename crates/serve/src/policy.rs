@@ -20,8 +20,8 @@
 //! * tier 2 (surrogate) otherwise.
 //!
 //! Every block of a cell therefore takes the same tier: both servable model
-//! families program-key every block (`IthemalModel::program_key` and
-//! `FeatureMlpModel::program_key` give up only past `u32::MAX` tokens or
+//! families key the block-level program of every block
+//! (`SurrogateModel::frozen_program_key` gives up only past `u32::MAX`
 //! instructions), so no block needs a check of its own.
 //!
 //! Nothing here consults cache state, shard identity, or request history,

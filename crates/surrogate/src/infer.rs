@@ -3,57 +3,72 @@
 //!
 //! [`SurrogateForward`] owns everything one prediction needs — the trained
 //! model, the tokenizer, the learned table it encodes as parameter features,
-//! and the compiled-program cache — and produces one `f64` per basic block
-//! with **no backward pass**, computing each block once
-//! ([`difftune_tensor::ProgramCache::forward`]):
+//! the instruction encoder's memo, and the compiled-program cache — and
+//! produces one `f64` per basic block with **no backward pass**. A block is
+//! answered in two steps, the way table optimization runs its samples:
 //!
-//! * a block whose structure ([`SurrogateModel::program_key`]) is cached
-//!   replays the compiled program forward-only — a bind pass and a forward
-//!   sweep, no tape;
-//! * a block of a new structure runs one taped forward pass, which both
-//!   records the program and answers the block;
-//! * a block whose structure the model cannot key runs a taped pass and
-//!   records nothing.
+//! 1. **encode**: [`SurrogateModel::encode_instructions_with`] computes each
+//!    instruction's vector off the tape (for the LSTM surrogate, the token
+//!    LSTM on plain kernels, each instruction starting from its opcode's
+//!    memoized state; the feature MLP has no encoder and skips this step);
+//! 2. **replay the block-level program**:
+//!    [`SurrogateModel::forward_frozen`] runs the rest of the model with
+//!    those vectors bound as inputs, through
+//!    [`difftune_tensor::ProgramCache::forward`], keyed by
+//!    [`SurrogateModel::frozen_program_key`] — for the LSTM, the block
+//!    length and the feature flags, so there is at most one program per
+//!    block length:
+//!    * a cached key replays its program forward-only — a bind pass and a
+//!      forward sweep, no tape;
+//!    * a new key runs one taped forward pass, which both records the
+//!      program and answers the block;
+//!    * a block the model cannot key runs a taped pass and records nothing.
 //!
-//! All three return the bits of a taped forward pass, by the engine's
-//! contract. The cache keeps at most [`PROGRAM_CACHE_CAPACITY`] programs,
-//! least recently used out first, so an engine's memory stays bounded
-//! however many block shapes it sees; an eviction only means the shape
-//! records again the next time it comes.
+//! All of them return the bits of a taped [`SurrogateModel::forward`] pass:
+//! the plain encoder is bit-equal to the taped one, `forward_frozen` to
+//! `forward`, and replay to the tape, by the engine's contract. The cache
+//! keeps at most [`PROGRAM_CACHE_CAPACITY`] programs, least recently used
+//! out first, and the memo at most one entry per opcode, so an engine's
+//! memory stays bounded however many blocks it sees; an eviction only means
+//! the shape records again the next time it comes.
 //!
 //! Both consumers of surrogate inference go through this type so they cannot
 //! diverge: `difftune-serve` wraps it in its `Predictor` trait, and
 //! `difftune-matrix` scores cells with it. The serving determinism
 //! invariant — surrogate `/predict` bytes equal to an in-process forward
-//! pass — holds because [`SurrogateForward::predict`] *is* the in-process
-//! forward pass.
+//! pass — holds because [`SurrogateForward::predict`] computes the
+//! in-process forward pass's bits.
 
 use difftune_isa::BasicBlock;
 use difftune_sim::SimParams;
 use difftune_tensor::{Graph, ProgramCache, ReplayBuffers, Tensor, Var};
 
 use crate::artifact::SurrogateArtifact;
-use crate::encode::{block_param_features, global_features, Vocab};
+use crate::encode::{block_param_features, global_features, TokenizedInst, Vocab};
+use crate::model::EncoderMemo;
 use crate::SurrogateModel;
 
-/// Most compiled programs one [`SurrogateForward`] keeps, about 4.6 MB at
-/// Small width. The MLP keys on block length, so its key space fits far
-/// below this; LSTM keys are per-instruction token counts, which is where
-/// the bound matters.
+/// Most compiled programs one [`SurrogateForward`] keeps. Both model families
+/// key their served programs on block length (the LSTM's token-level encoder
+/// runs before the program, off the tape), so a workload's key space is its
+/// number of distinct block lengths and fits far below this; the bound only
+/// binds on traffic of more than 256 distinct block lengths.
 pub const PROGRAM_CACHE_CAPACITY: usize = 256;
 
 /// A trained surrogate bound to a learned table, ready to predict.
 ///
 /// Prediction is deterministic and history-free: the same block returns the
-/// same bits regardless of what was predicted before (the internal program
-/// cache only decides whether a block records or replays its program, and
-/// both are bit-equal to the taped pass by the engine's contract).
+/// same bits regardless of what was predicted before (the program cache only
+/// decides whether a block records or replays its program, and the memo only
+/// whether an opcode's leading state is computed or reused; each choice is
+/// bit-equal to the other).
 #[derive(Debug)]
 pub struct SurrogateForward {
     model: Box<dyn SurrogateModel>,
     vocab: Vocab,
     table: SimParams,
     global: Tensor,
+    memo: EncoderMemo,
     cache: ProgramCache,
     buffers: ReplayBuffers,
 }
@@ -76,6 +91,7 @@ impl SurrogateForward {
             vocab: Vocab::new(),
             table,
             global,
+            memo: EncoderMemo::default(),
             cache: ProgramCache::bounded(capacity),
             buffers: ReplayBuffers::default(),
         }
@@ -114,18 +130,27 @@ impl SurrogateForward {
     }
 
     /// Whether `block` takes the compiled fast path: it tokenizes and the
-    /// model can program-key its structure. Answered without running a
-    /// prediction (and without `&mut self` — no cache is touched).
+    /// model can key the block-level program
+    /// ([`SurrogateModel::frozen_program_key`]) that answers it. Answered
+    /// without running a prediction (and without `&mut self` — no cache is
+    /// touched).
     pub fn replayable(&self, block: &BasicBlock) -> bool {
         self.model
-            .program_key(&self.vocab.tokenize_block(block))
+            .frozen_program_key(&self.vocab.tokenize_block(block))
             .is_some()
     }
 
-    /// Predicts one block's timing with one forward pass: a replay of its
-    /// cached program, or the taped pass that records it.
+    /// Predicts one block's timing: encodes its instructions, then runs the
+    /// block-level model once — a replay of its cached program, or the taped
+    /// pass that records it.
     pub fn predict(&mut self, block: &BasicBlock) -> f64 {
         let tokenized = self.vocab.tokenize_block(block);
+        let insts: Vec<&TokenizedInst> = tokenized.insts.iter().collect();
+        let encoded = self
+            .model
+            .encode_instructions_with(&insts, &mut self.memo)
+            .unwrap_or_default();
+        let encoded: Vec<&Tensor> = encoded.iter().collect();
         let per_inst: Option<Vec<Tensor>> = self
             .model
             .uses_parameter_inputs()
@@ -140,11 +165,17 @@ impl SurrogateForward {
                 .as_ref()
                 .map(|f| f.iter().map(|t| graph.input(t.clone())).collect());
             let global_var = global.as_ref().map(|g| graph.input(g.clone()));
-            model.forward(graph, &tokenized, per_inst_vars.as_deref(), global_var)
+            model.forward_frozen(
+                graph,
+                &tokenized,
+                &encoded,
+                per_inst_vars.as_deref(),
+                global_var,
+            )
         };
         // The same key extension the training engine uses: optional feature
         // inputs add input/concat nodes to the graph.
-        let key = self.model.program_key(&tokenized).map(|mut key| {
+        let key = self.model.frozen_program_key(&tokenized).map(|mut key| {
             key.push(u32::from(per_inst.is_some()));
             key.push(u32::from(global.is_some()));
             key
@@ -238,6 +269,45 @@ mod tests {
             }
             assert!(forward.programs_recorded() > 0, "the fast path compiled");
         }
+    }
+
+    #[test]
+    fn fresh_lstm_blocks_are_bit_equal_and_record_one_program_per_length() {
+        use difftune_isa::BlockGenerator;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::collections::HashSet;
+
+        let table = SimParams::uniform_default();
+        let lstm = IthemalModel::new(IthemalConfig {
+            embed_dim: 8,
+            hidden_dim: 12,
+            instr_layers: 2,
+            block_layers: 1,
+            parameter_inputs: true,
+            seed: 5,
+        });
+        let generator = BlockGenerator::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut seen = HashSet::new();
+        let mut lengths = HashSet::new();
+        let mut forward = SurrogateForward::new(Box::new(lstm), table);
+        while seen.len() < 200 {
+            let block = generator.generate(&mut rng);
+            if block.is_empty() || !seen.insert(block.to_string()) {
+                continue;
+            }
+            lengths.insert(block.len());
+            let got = forward.predict(&block);
+            let expected = taped_reference(forward.model(), forward.table(), &block);
+            assert_eq!(got.to_bits(), expected.to_bits(), "{block}");
+        }
+        assert!(
+            forward.programs_recorded() <= lengths.len(),
+            "{} programs for {} block lengths",
+            forward.programs_recorded(),
+            lengths.len()
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use encode::{
 };
 pub use feature::{FeatureMlpConfig, FeatureMlpModel};
 pub use infer::SurrogateForward;
-pub use model::{IthemalConfig, IthemalModel};
+pub use model::{EncoderMemo, IthemalConfig, IthemalModel};
 
 use difftune_tensor::{Graph, ProgramKey, Tensor, Var};
 
@@ -70,17 +70,31 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
 
     /// Encodes instructions under the current weights into the vectors the
     /// block-level model reads (for the LSTM surrogate, each instruction's
-    /// token-LSTM summary): one tensor per instruction, in order, built on
-    /// one graph that binds the encoder's parameters once for the group.
-    /// An instruction's encoding depends only on its token sequence, so a
-    /// caller may encode each distinct sequence once.
+    /// token-LSTM summary): one tensor per instruction, in order, computed
+    /// off the tape, bit-equal to the encoder inside
+    /// [`forward`](SurrogateModel::forward). An instruction's encoding
+    /// depends only on its token sequence, so a caller may encode each
+    /// distinct sequence once.
+    ///
+    /// `memo` carries work between calls under the same frozen weights (see
+    /// [`EncoderMemo`]); a caller keeps one per set of weights.
     ///
     /// Returns `None` for a model without a per-instruction encoder — the
     /// default — whose [`forward_frozen`](SurrogateModel::forward_frozen) is
     /// plain [`forward`](SurrogateModel::forward).
-    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
-        let _ = insts;
+    fn encode_instructions_with(
+        &self,
+        insts: &[&TokenizedInst],
+        memo: &mut EncoderMemo,
+    ) -> Option<Vec<Tensor>> {
+        let _ = (insts, memo);
         None
+    }
+
+    /// [`encode_instructions_with`](SurrogateModel::encode_instructions_with)
+    /// with a fresh memo.
+    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
+        self.encode_instructions_with(insts, &mut EncoderMemo::default())
     }
 
     /// [`forward`](SurrogateModel::forward) under frozen weights, with each
@@ -124,6 +138,14 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
         let _ = block;
         None
     }
+
+    /// [`program_key`](SurrogateModel::program_key) for the graph
+    /// [`forward_frozen`](SurrogateModel::forward_frozen) builds, with the
+    /// same contract. The default is `program_key`, matching the default
+    /// `forward_frozen`.
+    fn frozen_program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
+        self.program_key(block)
+    }
 }
 
 impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
@@ -137,8 +159,12 @@ impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
         (**self).forward(graph, block, per_inst_features, global_feature_var)
     }
 
-    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
-        (**self).encode_instructions(insts)
+    fn encode_instructions_with(
+        &self,
+        insts: &[&TokenizedInst],
+        memo: &mut EncoderMemo,
+    ) -> Option<Vec<Tensor>> {
+        (**self).encode_instructions_with(insts, memo)
     }
 
     fn forward_frozen(
@@ -166,5 +192,9 @@ impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
 
     fn program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
         (**self).program_key(block)
+    }
+
+    fn frozen_program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
+        (**self).frozen_program_key(block)
     }
 }

@@ -1,10 +1,12 @@
 //! The Ithemal-style LSTM surrogate (paper Figure 3).
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use difftune_tensor::nn::{Embedding, EmbeddingBinding, Linear, StackedLstm, StackedLstmBinding};
-use difftune_tensor::{Graph, Params, Tensor, Var};
+use difftune_tensor::{kernels, Graph, Params, Tensor, Var};
 
 use crate::encode::{TokenizedBlock, TokenizedInst, Vocab, GLOBAL_FEATURES, PER_INST_FEATURES};
 use crate::SurrogateModel;
@@ -51,6 +53,35 @@ impl IthemalConfig {
             parameter_inputs: false,
             ..IthemalConfig::default()
         }
+    }
+}
+
+/// The instruction encoder's memo: for each leading token pair it has seen,
+/// the instruction LSTM's per-layer `(h, c)` state after those two tokens.
+///
+/// That state depends only on the two tokens and the encoder's weights, and
+/// every instruction [`Vocab`] tokenizes begins `opcode <S>`, so an encoder
+/// starts each instruction from its opcode's entry and steps only the rest
+/// of its tokens. The memo fills lazily and holds at most one entry per
+/// distinct leading pair: for tokenized instructions, at most the
+/// vocabulary's opcode count (`hidden_dim × instr_layers × 8` bytes each).
+///
+/// A memo belongs to one set of frozen weights: use it with one model whose
+/// parameters do not change, and start a new one when they do.
+#[derive(Debug, Default)]
+pub struct EncoderMemo {
+    prefixes: HashMap<[usize; 2], Box<[f32]>>,
+}
+
+impl EncoderMemo {
+    /// Number of leading token pairs memoized.
+    pub fn len(&self) -> usize {
+        self.prefixes.len()
+    }
+
+    /// True if nothing is memoized yet.
+    pub fn is_empty(&self) -> bool {
+        self.prefixes.is_empty()
     }
 }
 
@@ -180,6 +211,41 @@ impl IthemalModel {
         instr_lstm.run(graph, &embedded)
     }
 
+    /// The instruction encoder on plain slices, bit-equal to [`Self::encode`]
+    /// on a tape: each token's embedding row steps the instruction LSTM
+    /// through [`StackedLstm::step_plain`](difftune_tensor::nn::StackedLstm::step_plain),
+    /// starting from `memo`'s state after the leading token pair.
+    fn encode_plain(
+        &self,
+        inst: &TokenizedInst,
+        memo: &mut EncoderMemo,
+        packed: &mut [f32],
+    ) -> Tensor {
+        let table = self.params.get(self.embedding.param_id());
+        let mut feed = |state: &mut [f32], tokens: &[usize]| {
+            for &token in tokens {
+                self.instr_lstm
+                    .step_plain(&self.params, table.row(token), state, packed);
+            }
+        };
+        let zeros = || vec![0.0; self.instr_lstm.state_len()].into_boxed_slice();
+        let (mut state, rest) = match inst.tokens.as_slice() {
+            [first, second, rest @ ..] => {
+                let prefix = memo.prefixes.entry([*first, *second]).or_insert_with(|| {
+                    let mut state = zeros();
+                    feed(&mut state, &[*first, *second]);
+                    state
+                });
+                (prefix.clone(), rest)
+            }
+            short => (zeros(), short),
+        };
+        feed(&mut state, rest);
+        let hidden = self.config.hidden_dim;
+        let top = state.len() - 2 * hidden;
+        Tensor::vector(state[top..top + hidden].to_vec())
+    }
+
     /// The block-level body shared by [`SurrogateModel::forward`] and
     /// [`SurrogateModel::forward_frozen`]: each instruction's vector,
     /// concatenated with its parameter features → block LSTM → head → ReLU.
@@ -243,18 +309,16 @@ impl SurrogateModel for IthemalModel {
         )
     }
 
-    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
-        let mut graph = Graph::new(&self.params);
-        let embedding = self.embedding.bind(&mut graph);
-        let instr_lstm = self.instr_lstm.bind(&mut graph);
-        let summaries: Vec<Var> = insts
-            .iter()
-            .map(|inst| Self::encode(&mut graph, &embedding, &instr_lstm, inst))
-            .collect();
+    fn encode_instructions_with(
+        &self,
+        insts: &[&TokenizedInst],
+        memo: &mut EncoderMemo,
+    ) -> Option<Vec<Tensor>> {
+        let mut packed = vec![0.0; kernels::lstm_packed_len(self.config.hidden_dim)];
         Some(
-            summaries
+            insts
                 .iter()
-                .map(|&summary| graph.value_tensor(summary).clone())
+                .map(|inst| self.encode_plain(inst, memo, &mut packed))
                 .collect(),
         )
     }
@@ -308,6 +372,16 @@ impl SurrogateModel for IthemalModel {
         }
         Some(key)
     }
+
+    fn frozen_program_key(&self, block: &TokenizedBlock) -> Option<difftune_tensor::ProgramKey> {
+        // The frozen forward binds one encoded vector per instruction, so
+        // only the block length and the surrogate-mode flag shape it.
+        Some(vec![
+            3,
+            u32::from(self.config.parameter_inputs),
+            u32::try_from(block.len()).ok()?,
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +391,7 @@ mod tests {
     use difftune_isa::BasicBlock;
     use difftune_sim::SimParams;
     use difftune_tensor::Grads;
+    use std::collections::HashSet;
 
     fn tiny_config() -> IthemalConfig {
         IthemalConfig {
@@ -506,6 +581,98 @@ mod tests {
             };
             assert_eq!(run(true), run(false), "full store: {full}");
         }
+    }
+
+    /// Each instruction's summary from the taped encoder inside `forward`.
+    fn taped_summaries(model: &IthemalModel, insts: &[&TokenizedInst]) -> Vec<Vec<u32>> {
+        let mut graph = Graph::new(model.params());
+        let embedding = model.embedding.bind(&mut graph);
+        let instr_lstm = model.instr_lstm.bind(&mut graph);
+        insts
+            .iter()
+            .map(|inst| {
+                let summary = IthemalModel::encode(&mut graph, &embedding, &instr_lstm, inst);
+                graph.value(summary).iter().map(|v| v.to_bits()).collect()
+            })
+            .collect()
+    }
+
+    fn plain_summaries(
+        model: &IthemalModel,
+        insts: &[&TokenizedInst],
+        memo: &mut EncoderMemo,
+    ) -> Vec<Vec<u32>> {
+        model
+            .encode_instructions_with(insts, memo)
+            .unwrap()
+            .iter()
+            .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn the_plain_encoder_matches_the_taped_encoder_bit_for_bit() {
+        for instr_layers in [1, 2] {
+            let model = IthemalModel::new(IthemalConfig {
+                instr_layers,
+                ..tiny_config()
+            });
+            let first = tokenized(
+                "addq %rax, %rbx\nmovq (%rdi,%rsi,8), %rax\naddq $4, %rcx\npushq %rbp",
+                model.vocab(),
+            );
+            let second = tokenized("addq %rcx, %rdx\nmovq 8(%rsp), %rbx", model.vocab());
+            let first: Vec<&TokenizedInst> = first.insts.iter().collect();
+            let second: Vec<&TokenizedInst> = second.insts.iter().collect();
+
+            let pairs = |insts: &[&TokenizedInst]| -> HashSet<[usize; 2]> {
+                insts.iter().map(|i| [i.tokens[0], i.tokens[1]]).collect()
+            };
+            assert!(pairs(&second).is_subset(&pairs(&first)));
+
+            let mut memo = EncoderMemo::default();
+            let cold = plain_summaries(&model, &first, &mut memo);
+            assert_eq!(
+                cold,
+                taped_summaries(&model, &first),
+                "cold, {instr_layers} layers"
+            );
+            assert_eq!(memo.len(), pairs(&first).len());
+            // Every instruction of the second block starts from an entry the
+            // first call left.
+            let warm = plain_summaries(&model, &second, &mut memo);
+            assert_eq!(
+                warm,
+                taped_summaries(&model, &second),
+                "warm, {instr_layers} layers"
+            );
+            assert_eq!(memo.len(), pairs(&first).len());
+        }
+    }
+
+    #[test]
+    fn the_memo_keys_on_both_leading_tokens() {
+        let model = IthemalModel::new(IthemalConfig {
+            instr_layers: 2,
+            ..tiny_config()
+        });
+        let vocab = model.vocab();
+        let tokenized = tokenized("addq %rax, %rbx", vocab);
+        let real = &tokenized.insts[0];
+        // Same opcode, but the second token is the `<D>` marker, not `<S>`.
+        let mut hand_built = real.clone();
+        hand_built.tokens[1] = vocab.dests_token();
+        let short = TokenizedInst {
+            opcode: real.opcode,
+            tokens: vec![real.tokens[0]],
+        };
+        let insts = [real, &hand_built, &short, real];
+
+        let mut memo = EncoderMemo::default();
+        let plain = plain_summaries(&model, &insts, &mut memo);
+        assert_eq!(plain, taped_summaries(&model, &insts));
+        assert_ne!(plain[0], plain[1]);
+        assert_eq!(memo.len(), 2, "(addq, <S>) and (addq, <D>)");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::{Graph, ParamId, Params, Tensor, Var};
+use crate::{kernels, Graph, ParamId, Params, Tensor, Var};
 
 /// Creates a tensor with uniform Xavier/Glorot initialization for a layer with
 /// the given fan-in and fan-out.
@@ -295,6 +295,42 @@ impl StackedLstm {
     pub fn param_ids(&self) -> Vec<ParamId> {
         self.cells.iter().flat_map(|c| c.param_ids()).collect()
     }
+
+    /// Length of the plain state [`Self::step_plain`] carries: each layer's
+    /// `h` followed by its `c`, bottom layer first.
+    pub fn state_len(&self) -> usize {
+        2 * self.hidden_dim() * self.layers()
+    }
+
+    /// One timestep of the stack on plain slices, with no graph: feeds `x`
+    /// up through every layer with [`kernels::lstm_step`], replacing each
+    /// layer's `(h, c)` in `state` (a new sequence starts from zeros).
+    /// `packed` is scratch of [`kernels::lstm_packed_len`] elements. The
+    /// state after a sequence holds the bits [`StackedLstmBinding::run`]
+    /// computes on a tape; the top layer's `h` is the summary it returns.
+    pub fn step_plain(&self, params: &Params, x: &[f32], state: &mut [f32], packed: &mut [f32]) {
+        let hidden = self.hidden_dim();
+        assert_eq!(state.len(), self.state_len(), "stacked LSTM state length");
+        for (layer, cell) in self.cells.iter().enumerate() {
+            let (below, rest) = state.split_at_mut(2 * hidden * layer);
+            let input = match layer {
+                0 => x,
+                _ => &below[2 * hidden * (layer - 1)..][..hidden],
+            };
+            let (h_prev, c_prev) = rest[..2 * hidden].split_at(hidden);
+            kernels::lstm_step(
+                params.get(cell.w).data(),
+                params.get(cell.b).data(),
+                input,
+                h_prev,
+                c_prev,
+                hidden,
+                input.len(),
+                packed,
+            );
+            rest[..2 * hidden].copy_from_slice(&packed[..2 * hidden]);
+        }
+    }
 }
 
 /// A [`StackedLstm`] whose parameters are already nodes on some graph;
@@ -555,6 +591,29 @@ mod tests {
             g2.value(unbound_summary),
             "hoisting parameter nodes must not change values"
         );
+    }
+
+    #[test]
+    fn plain_steps_match_the_taped_run_bit_for_bit() {
+        let mut params = Params::new();
+        let mut rng = StdRng::seed_from_u64(12);
+        let stack = StackedLstm::new(&mut params, &mut rng, "stack", 3, 5, 2);
+        let inputs = [[0.4, -0.9, 0.3], [1.0, 0.0, -0.5], [-0.2, 0.7, 0.1]];
+
+        let mut g = Graph::new(&params);
+        let sequence: Vec<Var> = inputs
+            .iter()
+            .map(|x| g.input(Tensor::vector(x.to_vec())))
+            .collect();
+        let summary = stack.run(&mut g, &sequence);
+
+        let mut state = vec![0.0; stack.state_len()];
+        let mut packed = vec![0.0; kernels::lstm_packed_len(5)];
+        for x in &inputs {
+            stack.step_plain(&params, x, &mut state, &mut packed);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&state[10..15]), bits(g.value(summary)));
     }
 
     #[test]
