@@ -93,11 +93,12 @@ fn bench_surrogate(c: &mut Criterion) {
             )
         })
     });
-    // Through the serving engine. A fresh engine over blocks it has never
-    // seen encodes every instruction (its memo filling as opcodes first
-    // appear) and records one block-level program per block length; a warm
-    // engine cycling through blocks it has already predicted starts every
-    // instruction from its memo and replays every program.
+    // Through the serving engine. `_fresh_shapes` starts from a cold memo
+    // over blocks it has never seen, so each opcode's leading state is
+    // computed the first time it appears; `_warm_shapes` cycles through
+    // blocks it has already predicted, so every instruction starts from
+    // its memo. (The ids are kept from when the engine compiled programs
+    // per block shape.)
     let table = default_params(Microarch::Haswell);
     let fresh = distinct_blocks(4096);
     bench_forward(

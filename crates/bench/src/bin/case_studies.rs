@@ -2,6 +2,7 @@
 //! and learned parameters, compared to the measured timing.
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, run_difftune, Scale};
 use difftune_cpu::{default_params, Machine, MeasurementConfig, Microarch};
 use difftune_isa::{BasicBlock, OpcodeRegistry};
@@ -32,7 +33,7 @@ fn main() {
     );
 
     let registry = OpcodeRegistry::global();
-    println!("Section VI-C case studies (Haswell, scale: {scale:?})\n");
+    outln!("Section VI-C case studies (Haswell, scale: {scale:?})\n");
 
     let cases = [
         (
@@ -60,17 +61,17 @@ fn main() {
         let measured = machine.measure_exact(&block);
         let default_prediction = simulator.predict(&defaults, &block);
         let learned_prediction = simulator.predict(&result.learned, &block);
-        println!("{opcode_name}: {note}");
-        println!("  block:                {}", text.replace('\n', " ; "));
-        println!("  measured timing:      {measured:.2}");
-        println!(
+        outln!("{opcode_name}: {note}");
+        outln!("  block:                {}", text.replace('\n', " ; "));
+        outln!("  measured timing:      {measured:.2}");
+        outln!(
             "  default prediction:   {default_prediction:.2}   (WriteLatency {})",
             defaults.inst(opcode).write_latency
         );
-        println!(
+        outln!(
             "  learned prediction:   {learned_prediction:.2}   (WriteLatency {})",
             result.learned.inst(opcode).write_latency
         );
-        println!();
+        outln!();
     }
 }

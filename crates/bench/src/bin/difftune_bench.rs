@@ -43,6 +43,7 @@ use std::time::Instant;
 
 use difftune::{DiffTuneBuilder, ParamSpec, Session};
 use difftune_bench::cli::{self, Flags};
+use difftune_bench::outln;
 use difftune_bench::record::{fingerprint_table, BenchRecord};
 use difftune_bench::{dataset_for, mca, pairs, Scale};
 use difftune_cpu::{default_params, Microarch};
@@ -356,9 +357,15 @@ fn main() {
     );
 
     let records = [generate, fit, optimize, simulate];
-    println!(
+    outln!(
         "{:<10} {:>10} {:>12} {:>14} {:>10} {:>10} {:>10}",
-        "stage", "seconds", "samples", "samples/sec", "engine", "vs-serial", "vs-taped"
+        "stage",
+        "seconds",
+        "samples",
+        "samples/sec",
+        "engine",
+        "vs-serial",
+        "vs-taped"
     );
     for record in &records {
         let ratio = |value: Option<f64>| {
@@ -366,7 +373,7 @@ fn main() {
                 .map(|s| format!("{s:.2}x"))
                 .unwrap_or_else(|| "-".to_string())
         };
-        println!(
+        outln!(
             "{:<10} {:>10.3} {:>12} {:>14.1} {:>10} {:>10} {:>10}",
             record.stage,
             record.wall_time_seconds,
@@ -377,7 +384,7 @@ fn main() {
             ratio(record.speedup_vs_taped),
         );
     }
-    println!("learned table fingerprint: {fingerprint}");
+    outln!("learned table fingerprint: {fingerprint}");
 
     if args.json {
         if let Err(error) = std::fs::create_dir_all(&args.out_dir) {

@@ -33,6 +33,7 @@ use std::time::Instant;
 use difftune::Stage;
 use difftune_bench::cli::{self, Flags};
 use difftune_bench::matrix::{enumerate_cells, run_matrix, CellKey, MatrixOptions};
+use difftune_bench::outln;
 use difftune_bench::Scale;
 
 const USAGE: &str = "usage: difftune-matrix [--scale smoke|small|paper] [--out-dir DIR] \
@@ -159,9 +160,15 @@ fn main() {
     });
     let total_seconds = sweep_start.elapsed().as_secs_f64();
 
-    println!(
+    outln!(
         "{:<32} {:>10} {:>8} {:>10} {:>8} {:>10} {:>8}",
-        "cell", "def MAPE", "def tau", "lrn MAPE", "lrn tau", "sur MAPE", "sur tau"
+        "cell",
+        "def MAPE",
+        "def tau",
+        "lrn MAPE",
+        "lrn tau",
+        "sur MAPE",
+        "sur tau"
     );
     for record in &outcome.summary.records {
         let sur_mape = record
@@ -170,7 +177,7 @@ fn main() {
         let sur_tau = record
             .surrogate_tau
             .map_or("-".to_string(), |t| format!("{t:.3}"));
-        println!(
+        outln!(
             "{:<32} {:>9.1}% {:>8.3} {:>9.1}% {:>8.3} {:>10} {:>8}",
             record.cell,
             record.default_mape * 100.0,
@@ -182,9 +189,9 @@ fn main() {
         );
     }
     for skipped in &outcome.summary.skipped {
-        println!("{:<32} skipped: {}", skipped.cell, skipped.reason);
+        outln!("{:<32} skipped: {}", skipped.cell, skipped.reason);
     }
-    println!(
+    outln!(
         "{} completed ({} reused), {} skipped, {} checkpointed, {} pending; {:.1}s",
         outcome.summary.cells_completed,
         outcome.reused,

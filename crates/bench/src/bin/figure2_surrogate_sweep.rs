@@ -2,6 +2,7 @@
 //! the block `shrq $5, 16(%rsp)` while sweeping DispatchWidth from 1 to 10.
 
 use difftune::{generate_simulated_dataset, ParamSpec};
+use difftune_bench::outln;
 use difftune_bench::{mca, Scale};
 use difftune_cpu::{default_params, Microarch};
 use difftune_isa::BasicBlock;
@@ -41,8 +42,8 @@ fn main() {
     let vocab = Vocab::new();
     let tokenized = vocab.tokenize_block(&block);
 
-    println!("Figure 2: SHR64mi timing while sweeping DispatchWidth (scale: {scale:?})\n");
-    println!("{:<14} {:<12} Surrogate", "DispatchWidth", "llvm-mca");
+    outln!("Figure 2: SHR64mi timing while sweeping DispatchWidth (scale: {scale:?})\n");
+    outln!("{:<14} {:<12} Surrogate", "DispatchWidth", "llvm-mca");
     for width in 1..=10u32 {
         let mut params = defaults.clone();
         params.dispatch_width = width;
@@ -60,6 +61,6 @@ fn main() {
             Some(global_var),
         );
         let predicted = f64::from(graph.value(out)[0]);
-        println!("{width:<14} {simulated:<12.3} {predicted:.3}");
+        outln!("{width:<14} {simulated:<12.3} {predicted:.3}");
     }
 }

@@ -2,14 +2,15 @@
 //! values on Haswell.
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, run_difftune, Scale};
 use difftune_cpu::{default_params, Microarch};
 use difftune_sim::SimParams;
 
 /// Prints a text histogram of values clamped into buckets `0..=max_bucket`.
 fn histogram(name: &str, default_values: &[u32], learned_values: &[u32], max_bucket: u32) {
-    println!("{name} distribution (count per value, values above {max_bucket} clamped)");
-    println!("{:<8} {:>10} {:>10}", "value", "default", "learned");
+    outln!("{name} distribution (count per value, values above {max_bucket} clamped)");
+    outln!("{:<8} {:>10} {:>10}", "value", "default", "learned");
     for bucket in 0..=max_bucket {
         let count = |values: &[u32]| {
             values
@@ -17,13 +18,13 @@ fn histogram(name: &str, default_values: &[u32], learned_values: &[u32], max_buc
                 .filter(|&&v| v.min(max_bucket) == bucket)
                 .count()
         };
-        println!(
+        outln!(
             "{bucket:<8} {:>10} {:>10}",
             count(default_values),
             count(learned_values)
         );
     }
-    println!();
+    outln!();
 }
 
 fn collect(params: &SimParams) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
@@ -55,7 +56,7 @@ fn main() {
         0,
     );
 
-    println!("Figure 4: default vs learned parameter distributions (Haswell, scale: {scale:?})\n");
+    outln!("Figure 4: default vs learned parameter distributions (Haswell, scale: {scale:?})\n");
     let (default_uops, default_latency, default_advance, default_ports) = collect(&defaults);
     let (learned_uops, learned_latency, learned_advance, learned_ports) = collect(&result.learned);
     histogram("NumMicroOps", &default_uops, &learned_uops, 10);
@@ -65,7 +66,7 @@ fn main() {
 
     let zero_latency_default = default_latency.iter().filter(|&&v| v == 0).count();
     let zero_latency_learned = learned_latency.iter().filter(|&&v| v == 0).count();
-    println!(
+    outln!(
         "opcodes with WriteLatency 0: default {zero_latency_default}, learned {zero_latency_learned} (the paper reports 1 vs 251)"
     );
 }

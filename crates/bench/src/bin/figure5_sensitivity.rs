@@ -2,6 +2,7 @@
 //! within the default and learned parameter tables (Haswell).
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{dataset_for, evaluate_params, mca, pct, run_difftune, Scale};
 use difftune_cpu::{default_params, Microarch};
 use difftune_sim::SimParams;
@@ -23,25 +24,25 @@ fn main() {
     );
 
     let sweep = |name: &str, base: &SimParams| {
-        println!("\n{name}: error while sweeping DispatchWidth");
-        println!("{:<14} Error", "DispatchWidth");
+        outln!("\n{name}: error while sweeping DispatchWidth");
+        outln!("{:<14} Error", "DispatchWidth");
         for width in 1..=10u32 {
             let mut params = base.clone();
             params.dispatch_width = width;
             let (error, _) = evaluate_params(&simulator, &params, &test);
-            println!("{width:<14} {}", pct(error));
+            outln!("{width:<14} {}", pct(error));
         }
-        println!("\n{name}: error while sweeping ReorderBufferSize");
-        println!("{:<18} Error", "ReorderBufferSize");
+        outln!("\n{name}: error while sweeping ReorderBufferSize");
+        outln!("{:<18} Error", "ReorderBufferSize");
         for rob in [10u32, 25, 50, 75, 100, 150, 200, 250, 300, 400] {
             let mut params = base.clone();
             params.reorder_buffer_size = rob;
             let (error, _) = evaluate_params(&simulator, &params, &test);
-            println!("{rob:<18} {}", pct(error));
+            outln!("{rob:<18} {}", pct(error));
         }
     };
 
-    println!("Figure 5: sensitivity to global parameters (Haswell, scale: {scale:?})");
+    outln!("Figure 5: sensitivity to global parameters (Haswell, scale: {scale:?})");
     sweep("Default parameters", &defaults);
     sweep("Learned parameters", &result.learned);
 }

@@ -2,6 +2,7 @@
 //! table; used during development).
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{evaluate_params, mca, run_difftune, Scale};
 use difftune_bhive::{CorpusConfig, Dataset};
 use difftune_cpu::{default_params, Microarch};
@@ -25,7 +26,7 @@ fn main() {
 
     let defaults = default_params(uarch);
     let (default_error, default_tau) = evaluate_params(&simulator, &defaults, &test);
-    println!(
+    outln!(
         "default : err {:6.1}% tau {default_tau:.3}",
         default_error * 100.0
     );
@@ -41,8 +42,8 @@ fn main() {
     );
     let (initial_error, _) = evaluate_params(&simulator, &result.initial, &test);
     let (learned_error, learned_tau) = evaluate_params(&simulator, &result.learned, &test);
-    println!("initial : err {:6.1}%", initial_error * 100.0);
-    println!(
+    outln!("initial : err {:6.1}%", initial_error * 100.0);
+    outln!(
         "learned : err {:6.1}% tau {learned_tau:.3}  (surrogate loss {:.3}, table losses {:?}, {:.0?})",
         learned_error * 100.0,
         result.surrogate_report.final_loss(),
@@ -55,8 +56,10 @@ fn main() {
         .iter()
         .filter(|p| p.write_latency == 0)
         .count();
-    println!(
+    outln!(
         "learned globals: width {} rob {}; opcodes with WriteLatency 0: {}",
-        result.learned.dispatch_width, result.learned.reorder_buffer_size, zero_latency
+        result.learned.dispatch_width,
+        result.learned.reorder_buffer_size,
+        zero_latency
     );
 }

@@ -3,6 +3,7 @@
 //! four microarchitectures.
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{
     analytical_baseline, dataset_for, evaluate_params, ithemal_baseline, mca, opentuner_baseline,
     pct, row, run_difftune, Scale,
@@ -12,10 +13,12 @@ use difftune_cpu::{default_params, Microarch};
 fn main() {
     let scale = Scale::from_env_or_exit();
     let simulator = mca();
-    println!("Table IV: test error and Kendall's tau per predictor (scale: {scale:?})\n");
-    println!(
+    outln!("Table IV: test error and Kendall's tau per predictor (scale: {scale:?})\n");
+    outln!(
         "{:<12} {:<12} {:<10} Tau",
-        "Architecture", "Predictor", "Error"
+        "Architecture",
+        "Predictor",
+        "Error"
     );
 
     for uarch in Microarch::ALL {
@@ -42,7 +45,7 @@ fn main() {
 
         match analytical_baseline(uarch, &dataset) {
             Some((error, tau)) => row(uarch.name(), "IACA-like", error, tau),
-            None => println!("{:<12} {:<12} {:<10} N/A", uarch.name(), "IACA-like", "N/A"),
+            None => outln!("{:<12} {:<12} {:<10} N/A", uarch.name(), "IACA-like", "N/A"),
         }
 
         let (_, opentuner_error, opentuner_tau) =
@@ -57,6 +60,6 @@ fn main() {
             result.surrogate_report.final_loss(),
             result.num_learned_parameters,
         );
-        println!();
+        outln!();
     }
 }

@@ -2,6 +2,7 @@
 //! grouped by BHive application and category.
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, pct, run_difftune, Scale};
 use difftune_bhive::Dataset;
 use difftune_cpu::{default_params, Microarch};
@@ -23,10 +24,13 @@ fn main() {
         0,
     );
 
-    println!("Table V: Haswell error by application and category (scale: {scale:?})\n");
-    println!(
+    outln!("Table V: Haswell error by application and category (scale: {scale:?})\n");
+    outln!(
         "{:<28} {:>8} {:>14} {:>14}",
-        "Block type", "# blocks", "Default error", "Learned error"
+        "Block type",
+        "# blocks",
+        "Default error",
+        "Learned error"
     );
 
     let default_by_app = Dataset::error_by_application(&test, |b| simulator.predict(&defaults, b));
@@ -34,7 +38,7 @@ fn main() {
         Dataset::error_by_application(&test, |b| simulator.predict(&result.learned, b));
     for (app, (count, default_error)) in &default_by_app {
         let learned_error = learned_by_app.get(app).map(|(_, e)| *e).unwrap_or(f64::NAN);
-        println!(
+        outln!(
             "{:<28} {:>8} {:>14} {:>14}",
             app.name(),
             count,
@@ -42,7 +46,7 @@ fn main() {
             pct(learned_error)
         );
     }
-    println!();
+    outln!();
     let default_by_cat = Dataset::error_by_category(&test, |b| simulator.predict(&defaults, b));
     let learned_by_cat =
         Dataset::error_by_category(&test, |b| simulator.predict(&result.learned, b));
@@ -51,7 +55,7 @@ fn main() {
             .get(category)
             .map(|(_, e)| *e)
             .unwrap_or(f64::NAN);
-        println!(
+        outln!(
             "{:<28} {:>8} {:>14} {:>14}",
             category.name(),
             count,

@@ -1,6 +1,7 @@
 //! Table VI: default and learned global parameters on Haswell.
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, run_difftune, Scale};
 use difftune_cpu::{default_params, Microarch};
 
@@ -19,17 +20,22 @@ fn main() {
         0,
     );
 
-    println!("Table VI: default and learned global parameters (Haswell, scale: {scale:?})\n");
-    println!(
+    outln!("Table VI: default and learned global parameters (Haswell, scale: {scale:?})\n");
+    outln!(
         "{:<12} {:<16} ReorderBufferSize",
-        "Parameters", "DispatchWidth"
+        "Parameters",
+        "DispatchWidth"
     );
-    println!(
+    outln!(
         "{:<12} {:<16} {}",
-        "Default", defaults.dispatch_width, defaults.reorder_buffer_size
+        "Default",
+        defaults.dispatch_width,
+        defaults.reorder_buffer_size
     );
-    println!(
+    outln!(
         "{:<12} {:<16} {}",
-        "Learned", result.learned.dispatch_width, result.learned.reorder_buffer_size
+        "Learned",
+        result.learned.dispatch_width,
+        result.learned.reorder_buffer_size
     );
 }

@@ -2,6 +2,7 @@
 //! with default and learned parameters on Haswell.
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{
     dataset_for, evaluate_params, ithemal_baseline, opentuner_baseline, row, run_difftune, Scale,
 };
@@ -15,10 +16,12 @@ fn main() {
     let dataset = dataset_for(uarch, scale, 0);
     let test = dataset.test();
 
-    println!("Table VIII: llvm_sim-style simulator on Haswell (scale: {scale:?})\n");
-    println!(
+    outln!("Table VIII: llvm_sim-style simulator on Haswell (scale: {scale:?})\n");
+    outln!(
         "{:<12} {:<12} {:<10} Tau",
-        "Architecture", "Predictor", "Error"
+        "Architecture",
+        "Predictor",
+        "Error"
     );
 
     let defaults = default_params(uarch);

@@ -2,6 +2,7 @@
 //! their expert defaults), compared to learning the full parameter set.
 
 use difftune::ParamSpec;
+use difftune_bench::outln;
 use difftune_bench::{dataset_for, evaluate_params, mca, pct, run_difftune, Scale};
 use difftune_cpu::{default_params, Microarch};
 
@@ -13,9 +14,9 @@ fn main() {
     let test = dataset.test();
     let defaults = default_params(uarch);
 
-    println!("Section VI-B: WriteLatency-only optimization on Haswell (scale: {scale:?})\n");
+    outln!("Section VI-B: WriteLatency-only optimization on Haswell (scale: {scale:?})\n");
     let (default_error, default_tau) = evaluate_params(&simulator, &defaults, &test);
-    println!(
+    outln!(
         "{:<28} error {:<8} tau {:.3}",
         "Default",
         pct(default_error),
@@ -31,7 +32,7 @@ fn main() {
         0,
     );
     let (full_error, full_tau) = evaluate_params(&simulator, &full.learned, &test);
-    println!(
+    outln!(
         "{:<28} error {:<8} tau {:.3}",
         "DiffTune (all parameters)",
         pct(full_error),
@@ -47,13 +48,13 @@ fn main() {
         0,
     );
     let (latency_error, latency_tau) = evaluate_params(&simulator, &latency_only.learned, &test);
-    println!(
+    outln!(
         "{:<28} error {:<8} tau {:.3}",
         "DiffTune (WriteLatency only)",
         pct(latency_error),
         latency_tau
     );
-    println!(
+    outln!(
         "\n(the paper reports 23.7% for the full set and 16.2% for WriteLatency-only,\n demonstrating that the full-set optimum found is not global)"
     );
 }

@@ -7,6 +7,10 @@
 //! error names the flag and the raw text, so parsers are testable in-process.
 //! [`parse_env`] is the one exit path: it prints the error and the binary's
 //! usage line, then exits 2.
+//!
+//! Every binary in the workspace writes its stdout through [`print_lines`]
+//! or [`outln!`](crate::outln), so a reader that closes the pipe early
+//! never makes it panic.
 
 use std::fmt::Display;
 use std::io::{self, ErrorKind, Write};
@@ -92,10 +96,10 @@ pub fn unknown(arg: &str) -> String {
     }
 }
 
-/// Prints `lines` to stdout, one per line, for a listing flag (`--list`,
-/// `--list-backends`). A reader that stops early (`| head`) closes the pipe;
-/// the listing then ends quietly instead of panicking, so the binary still
-/// exits 0. Any other write error exits 1.
+/// Prints `lines` to stdout, one per line. A reader that stops early
+/// (`| head`) closes the pipe; the lines are then dropped quietly instead of
+/// panicking, so the binary carries on and still exits 0. Any other write
+/// error exits 1.
 pub fn print_lines<L: Display>(lines: impl IntoIterator<Item = L>) {
     let mut out = io::stdout().lock();
     let written = lines
@@ -109,6 +113,19 @@ pub fn print_lines<L: Display>(lines: impl IntoIterator<Item = L>) {
         }
         _ => {}
     }
+}
+
+/// `println!` for the binaries' reports, through [`print_lines`]: on a
+/// closed stdout the line is dropped and the binary carries on (it still
+/// writes its files and reaps its children); any other write error exits 1.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::outln!("")
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::print_lines([::std::format_args!($($arg)*)])
+    };
 }
 
 /// Parses the process's own arguments with `parse_args`. A rejected command

@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use difftune_bench::cli::{self, Flags};
+use difftune_bench::outln;
 use difftune_router::server::{spawn_router, RouterConfig};
 
 const USAGE: &str = "usage: difftune-router --upstream HOST:PORT [--upstream HOST:PORT]... \
@@ -66,7 +67,7 @@ fn main() {
         eprintln!("difftune-router: cannot start on {addr}:{port}: {error}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "difftune-router listening on http://{} ({upstreams} upstreams)",
         handle.addr(),
     );

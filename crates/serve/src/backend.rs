@@ -11,8 +11,8 @@
 //!   sweep (schema `difftune-matrix/2` onward carries the learned table's
 //!   flat encoding), so every tuned scenario cell is directly servable;
 //! * **surrogate** — `SURROGATE_*.json` artifacts: the trained surrogate
-//!   itself answers with one forward pass instead of a simulator run (the
-//!   fast path);
+//!   itself answers with one forward pass instead of a simulator run
+//!   (faster than the simulator only for the feature MLP);
 //! * **policy** — the three-tier serve path
 //!   ([`crate::policy::PolicyPredictor`]): derived automatically for every
 //!   cell with a learned table, pairing it with the cell's surrogate (when
@@ -100,24 +100,18 @@ impl Predictor for TablePredictor {
 }
 
 /// The learned surrogate answering directly: tokenize, encode the embedded
-/// table as features, and run one forward pass per block (encode its
-/// instructions, then the block-level program; see
-/// [`difftune_surrogate::infer`]). A block whose block-level structure the
-/// engine has cached replays the compiled program forward-only; a new
-/// structure runs one taped pass that both records the program and answers
-/// the block; a structure the model cannot key runs a taped pass. All three
-/// are bit-identical by the engine's contract, so the path is invisible in
-/// the bytes.
+/// table as features, and run one forward pass per block on plain kernels
+/// (encode its instructions, then the block body; see
+/// [`difftune_surrogate::infer`]), bit-equal to a taped forward pass.
 ///
 /// Concurrency: engines are pooled, not serialized. A batch checks an
 /// engine out (or builds a fresh one when all are busy), predicts without
 /// holding any lock, and checks it back in — so concurrent batches from the
 /// policy layer and direct surrogate traffic run in parallel instead of
-/// queueing on one mutex. Each engine's program cache is LRU-bounded
-/// ([`difftune_surrogate::infer::PROGRAM_CACHE_CAPACITY`]). Bit-determinism
-/// survives because the cache only decides whether a block records or
-/// replays: a fresh engine and a warm engine produce the same bits by the
-/// tensor engine's replay contract.
+/// queueing on one mutex. Bit-determinism survives because an engine's only
+/// state is its encoder memo, which decides whether an opcode's leading
+/// state is computed or reused, never the bits: a fresh engine and a warm
+/// engine produce the same predictions.
 #[derive(Debug)]
 struct SurrogatePredictor {
     /// The verified artifact — kept whole so the pool can mint additional
@@ -1638,7 +1632,8 @@ mod tests {
 
         // Two engines checked out at once: the second is minted on demand —
         // the pool never serializes concurrent batches on one lock — and a
-        // fresh engine's bits equal a warm engine's by the replay contract.
+        // fresh engine's bits equal a warm engine's, since its memo only
+        // decides whether an opcode's leading state is computed or reused.
         let mut first = predictor.checkout();
         let mut second = predictor.checkout();
         for engine in [&mut first, &mut second] {

@@ -58,6 +58,7 @@ use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use difftune_bench::cli::{self, Flags};
+use difftune_bench::outln;
 use difftune_bench::record::BenchRecord;
 use difftune_isa::{BlockGenerator, GeneratorConfig};
 use difftune_serve::client::HttpClient;
@@ -886,7 +887,7 @@ fn run() -> Result<(), String> {
                 ));
             }
         }
-        println!(
+        outln!(
             "difftune-loadtest: chaos schedule [{}] replayed; all {} responses byte-identical \
              to the fault-free baseline",
             schedule.spec,
@@ -898,7 +899,7 @@ fn run() -> Result<(), String> {
     };
     let first_elapsed = started.elapsed().as_secs_f64();
     let samples = args.requests * args.batch * if args.collide { args.connections } else { 1 };
-    println!(
+    outln!(
         "difftune-loadtest: {} requests ({samples} blocks) over {} connection(s){} in {:.3}s \
          ({:.0} blocks/s){}",
         args.requests,
@@ -923,7 +924,7 @@ fn run() -> Result<(), String> {
                     .to_string(),
             );
         }
-        println!("difftune-loadtest: router coalesced {coalesced} request(s)");
+        outln!("difftune-loadtest: router coalesced {coalesced} request(s)");
     }
 
     if let Some(expected) = &args.expect_source_kind {
@@ -942,7 +943,7 @@ fn run() -> Result<(), String> {
                 ));
             }
         }
-        println!(
+        outln!(
             "difftune-loadtest: all {} responses answered with source_kind {expected:?}",
             first_pass.len()
         );
@@ -961,7 +962,7 @@ fn run() -> Result<(), String> {
                 ));
             }
         }
-        println!(
+        outln!(
             "difftune-loadtest: replay pass byte-identical across {} responses",
             first_pass.len()
         );
@@ -985,7 +986,7 @@ fn run() -> Result<(), String> {
         let path = Path::new(&args.out_dir).join(file_name);
         std::fs::write(&path, record.to_json())
             .map_err(|error| format!("cannot write {}: {error}", path.display()))?;
-        println!("difftune-loadtest: wrote {}", path.display());
+        outln!("difftune-loadtest: wrote {}", path.display());
     }
 
     if let Some(ceiling) = args.max_seconds {

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use difftune_bench::cli::{self, Flags};
 use difftune_bench::matrix::CellKey;
+use difftune_bench::outln;
 use difftune_serve::backend::{BackendRegistry, ReloadSpec};
 use difftune_serve::server::{spawn, ServeConfig};
 
@@ -159,7 +160,7 @@ fn main() {
         );
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "difftune-serve listening on http://{} ({backends} backends)",
         handle.addr()
     );

@@ -20,9 +20,8 @@
 //! * tier 2 (surrogate) otherwise.
 //!
 //! Every block of a cell therefore takes the same tier: both servable model
-//! families key the block-level program of every block
-//! (`SurrogateModel::frozen_program_key` gives up only past `u32::MAX`
-//! instructions), so no block needs a check of its own.
+//! families answer every non-empty block, so no block needs a check of its
+//! own.
 //!
 //! Nothing here consults cache state, shard identity, or request history,
 //! which is what makes determinism invariant #8 hold: policy responses are

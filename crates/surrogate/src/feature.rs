@@ -16,6 +16,7 @@ use difftune_tensor::nn::Linear;
 use difftune_tensor::{Graph, Params, Tensor, Var};
 
 use crate::encode::{TokenizedBlock, GLOBAL_FEATURES, PER_INST_FEATURES};
+use crate::model::EncoderMemo;
 use crate::SurrogateModel;
 
 /// All operation classes, indexed for the static feature vector.
@@ -143,19 +144,20 @@ impl FeatureMlpModel {
         Tensor::vector(data)
     }
 
-    /// Convenience prediction from plain tensors.
+    /// Convenience prediction from plain tensors, through
+    /// [`SurrogateModel::predict_plain`].
     pub fn predict(
         &self,
         block: &TokenizedBlock,
         per_inst_features: Option<&[Tensor]>,
         global: Option<&Tensor>,
     ) -> f64 {
-        let mut graph = Graph::new(&self.params);
-        let feature_vars: Option<Vec<Var>> = per_inst_features
-            .map(|features| features.iter().map(|f| graph.input(f.clone())).collect());
-        let global_var = global.map(|g| graph.input(g.clone()));
-        let out = self.forward(&mut graph, block, feature_vars.as_deref(), global_var);
-        f64::from(graph.value(out)[0])
+        self.predict_plain(
+            block,
+            per_inst_features,
+            global,
+            &mut EncoderMemo::default(),
+        )
     }
 }
 
@@ -197,6 +199,51 @@ impl SurrogateModel for FeatureMlpModel {
         let h2 = graph.relu(h2);
         let out = self.head.forward(graph, h2);
         graph.relu(out)
+    }
+
+    fn predict_plain(
+        &self,
+        block: &TokenizedBlock,
+        per_inst_features: Option<&[Tensor]>,
+        global: Option<&Tensor>,
+        _memo: &mut EncoderMemo,
+    ) -> f64 {
+        assert!(
+            !block.is_empty(),
+            "cannot run the surrogate on an empty block"
+        );
+        // `forward`'s arithmetic, op for op.
+        let mut input = Self::static_features(block).data().to_vec();
+        if self.config.parameter_inputs {
+            let features =
+                per_inst_features.expect("surrogate mode requires per-instruction features");
+            assert_eq!(
+                features.len(),
+                block.len(),
+                "one feature vector per instruction"
+            );
+            let global = global.expect("surrogate mode requires global features");
+            let mut pooled = features[0].data().to_vec();
+            for feature in &features[1..] {
+                assert_eq!(feature.len(), pooled.len(), "feature vector lengths");
+                for (sum, x) in pooled.iter_mut().zip(feature.data()) {
+                    *sum += x;
+                }
+            }
+            let factor = 1.0 / features.len() as f32;
+            input.extend(pooled.iter().map(|sum| sum * factor));
+            input.extend_from_slice(global.data());
+        }
+        let relu = |values: &mut [f32]| values.iter_mut().for_each(|x| *x = x.max(0.0));
+        let mut h1 = vec![0.0; self.layer1.output_dim];
+        self.layer1.forward_plain(&self.params, &input, &mut h1);
+        relu(&mut h1);
+        let mut h2 = vec![0.0; self.layer2.output_dim];
+        self.layer2.forward_plain(&self.params, &h1, &mut h2);
+        relu(&mut h2);
+        let mut out = [0.0];
+        self.head.forward_plain(&self.params, &h2, &mut out);
+        f64::from(out[0].max(0.0))
     }
 
     fn params(&self) -> &Params {

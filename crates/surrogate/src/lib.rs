@@ -118,6 +118,27 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
         self.forward(graph, block, per_inst_features, global_feature_var)
     }
 
+    /// Predicts one block's timing under frozen weights, on plain kernels
+    /// with no tape: the inference path, where no gradient flows back.
+    ///
+    /// The features are the tensors a taped [`forward`](SurrogateModel::forward)
+    /// would bind as graph inputs, and the result is bit-equal to that pass:
+    /// each step runs the kernel its taped op runs. `memo` carries the
+    /// instruction encoder's work between calls under the same weights (see
+    /// [`EncoderMemo`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics where `forward` does: on an empty block, or when the
+    /// parameter features do not fit the model.
+    fn predict_plain(
+        &self,
+        block: &TokenizedBlock,
+        per_inst_features: Option<&[Tensor]>,
+        global: Option<&Tensor>,
+        memo: &mut EncoderMemo,
+    ) -> f64;
+
     /// The trainable parameter store backing this model.
     fn params(&self) -> &difftune_tensor::Params;
 
@@ -137,14 +158,6 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
     fn program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
         let _ = block;
         None
-    }
-
-    /// [`program_key`](SurrogateModel::program_key) for the graph
-    /// [`forward_frozen`](SurrogateModel::forward_frozen) builds, with the
-    /// same contract. The default is `program_key`, matching the default
-    /// `forward_frozen`.
-    fn frozen_program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
-        self.program_key(block)
     }
 }
 
@@ -178,6 +191,16 @@ impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
         (**self).forward_frozen(graph, block, encoded, per_inst_features, global_feature_var)
     }
 
+    fn predict_plain(
+        &self,
+        block: &TokenizedBlock,
+        per_inst_features: Option<&[Tensor]>,
+        global: Option<&Tensor>,
+        memo: &mut EncoderMemo,
+    ) -> f64 {
+        (**self).predict_plain(block, per_inst_features, global, memo)
+    }
+
     fn params(&self) -> &difftune_tensor::Params {
         (**self).params()
     }
@@ -192,9 +215,5 @@ impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
 
     fn program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
         (**self).program_key(block)
-    }
-
-    fn frozen_program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
-        (**self).frozen_program_key(block)
     }
 }

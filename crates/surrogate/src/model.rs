@@ -157,41 +157,36 @@ impl IthemalModel {
         &self.vocab
     }
 
-    /// Convenience: predicts a timing with plain tensors (no gradients needed).
+    /// Convenience: predicts a timing with plain tensors (no gradients needed)
+    /// through [`SurrogateModel::predict_plain`] with a fresh memo.
     pub fn predict(
         &self,
         block: &TokenizedBlock,
         per_inst_features: Option<&[Tensor]>,
         global: Option<&Tensor>,
     ) -> f64 {
-        let mut graph = Graph::new(&self.params);
-        let feature_vars: Option<Vec<Var>> = per_inst_features
-            .map(|features| features.iter().map(|f| graph.input(f.clone())).collect());
-        let global_var = global.map(|g| graph.input(g.clone()));
-        let out = self.forward(&mut graph, block, feature_vars.as_deref(), global_var);
-        f64::from(graph.value(out)[0])
+        self.predict_plain(
+            block,
+            per_inst_features,
+            global,
+            &mut EncoderMemo::default(),
+        )
     }
 
-    /// Checks that `block` and the parameter inputs fit this model.
-    fn check_inputs(
-        &self,
-        block: &TokenizedBlock,
-        per_inst_features: Option<&[Var]>,
-        global_feature_var: Option<Var>,
-    ) {
+    /// Checks that `block` and the parameter inputs (`feature_count`
+    /// per-instruction vectors, and a global vector if `has_global`) fit
+    /// this model.
+    fn check_inputs(&self, block: &TokenizedBlock, feature_count: Option<usize>, has_global: bool) {
         assert!(
             !block.is_empty(),
             "cannot run the surrogate on an empty block"
         );
         if self.config.parameter_inputs {
             assert!(
-                per_inst_features.map(|f| f.len()) == Some(block.len()),
+                feature_count == Some(block.len()),
                 "surrogate mode requires one feature vector per instruction"
             );
-            assert!(
-                global_feature_var.is_some(),
-                "surrogate mode requires global features"
-            );
+            assert!(has_global, "surrogate mode requires global features");
         }
     }
 
@@ -214,13 +209,15 @@ impl IthemalModel {
     /// The instruction encoder on plain slices, bit-equal to [`Self::encode`]
     /// on a tape: each token's embedding row steps the instruction LSTM
     /// through [`StackedLstm::step_plain`](difftune_tensor::nn::StackedLstm::step_plain),
-    /// starting from `memo`'s state after the leading token pair.
+    /// starting from `memo`'s state after the leading token pair. Appends
+    /// the summary to `out`.
     fn encode_plain(
         &self,
         inst: &TokenizedInst,
         memo: &mut EncoderMemo,
         packed: &mut [f32],
-    ) -> Tensor {
+        out: &mut Vec<f32>,
+    ) {
         let table = self.params.get(self.embedding.param_id());
         let mut feed = |state: &mut [f32], tokens: &[usize]| {
             for &token in tokens {
@@ -243,7 +240,7 @@ impl IthemalModel {
         feed(&mut state, rest);
         let hidden = self.config.hidden_dim;
         let top = state.len() - 2 * hidden;
-        Tensor::vector(state[top..top + hidden].to_vec())
+        out.extend_from_slice(&state[top..top + hidden]);
     }
 
     /// The block-level body shared by [`SurrogateModel::forward`] and
@@ -293,7 +290,11 @@ impl SurrogateModel for IthemalModel {
         per_inst_features: Option<&[Var]>,
         global_feature_var: Option<Var>,
     ) -> Var {
-        self.check_inputs(block, per_inst_features, global_feature_var);
+        self.check_inputs(
+            block,
+            per_inst_features.map(<[Var]>::len),
+            global_feature_var.is_some(),
+        );
         // Hoist every layer's parameters onto the graph once; per-token and
         // per-instruction work then only emits compute nodes.
         let embedding = self.embedding.bind(graph);
@@ -318,7 +319,11 @@ impl SurrogateModel for IthemalModel {
         Some(
             insts
                 .iter()
-                .map(|inst| self.encode_plain(inst, memo, &mut packed))
+                .map(|inst| {
+                    let mut summary = Vec::with_capacity(self.config.hidden_dim);
+                    self.encode_plain(inst, memo, &mut packed, &mut summary);
+                    Tensor::vector(summary)
+                })
                 .collect(),
         )
     }
@@ -331,7 +336,11 @@ impl SurrogateModel for IthemalModel {
         per_inst_features: Option<&[Var]>,
         global_feature_var: Option<Var>,
     ) -> Var {
-        self.check_inputs(block, per_inst_features, global_feature_var);
+        self.check_inputs(
+            block,
+            per_inst_features.map(<[Var]>::len),
+            global_feature_var.is_some(),
+        );
         assert_eq!(
             encoded.len(),
             block.len(),
@@ -346,6 +355,43 @@ impl SurrogateModel for IthemalModel {
             global_feature_var,
             |graph, index| graph.input_ref(encoded[index]),
         )
+    }
+
+    fn predict_plain(
+        &self,
+        block: &TokenizedBlock,
+        per_inst_features: Option<&[Tensor]>,
+        global: Option<&Tensor>,
+        memo: &mut EncoderMemo,
+    ) -> f64 {
+        self.check_inputs(
+            block,
+            per_inst_features.map(<[Tensor]>::len),
+            global.is_some(),
+        );
+        // `block_body`'s arithmetic, step for step: each row is the
+        // instruction's vector ‖ its θ features ‖ the global features (the
+        // taped concat), fed through the block LSTM's kernels.
+        let mut packed = vec![0.0; kernels::lstm_packed_len(self.config.hidden_dim)];
+        let mut state = vec![0.0; self.block_lstm.state_len()];
+        let mut row = Vec::new();
+        for (index, inst) in block.insts.iter().enumerate() {
+            row.clear();
+            self.encode_plain(inst, memo, &mut packed, &mut row);
+            if self.config.parameter_inputs {
+                let features = per_inst_features.expect("checked by check_inputs");
+                row.extend_from_slice(features[index].data());
+                row.extend_from_slice(global.expect("checked by check_inputs").data());
+            }
+            self.block_lstm
+                .step_plain(&self.params, &row, &mut state, &mut packed);
+        }
+        let hidden = self.config.hidden_dim;
+        let top = state.len() - 2 * hidden;
+        let mut prediction = [0.0];
+        self.head
+            .forward_plain(&self.params, &state[top..top + hidden], &mut prediction);
+        f64::from(prediction[0].max(0.0))
     }
 
     fn params(&self) -> &Params {
@@ -371,16 +417,6 @@ impl SurrogateModel for IthemalModel {
             key.push(u32::try_from(inst.tokens.len()).ok()?);
         }
         Some(key)
-    }
-
-    fn frozen_program_key(&self, block: &TokenizedBlock) -> Option<difftune_tensor::ProgramKey> {
-        // The frozen forward binds one encoded vector per instruction, so
-        // only the block length and the surrogate-mode flag shape it.
-        Some(vec![
-            3,
-            u32::from(self.config.parameter_inputs),
-            u32::try_from(block.len()).ok()?,
-        ])
     }
 }
 

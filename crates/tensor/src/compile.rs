@@ -15,16 +15,12 @@
 //! constants) — and executes the schedule with the fused kernels in
 //! [`crate::kernels`].
 //!
-//! Inference takes the forward-only entry point, [`ProgramCache::forward`]:
-//! a hit replays the bind pass and the forward sweep, and a miss returns the
-//! value of the taped pass that records the program, so every sample is
-//! computed once. Training does the same with gradients: the batch engine
+//! The engine is training-only: the batch engine
 //! ([`Batch::accumulate_compiled`](crate::Batch::accumulate_compiled)) runs
 //! a batch's first sample of a new key on the tape, forward and backward,
-//! on a worker, and that worker freezes the tape into the program. Serving
-//! engines bound their cache ([`ProgramCache::bounded`], least recently
-//! used out first); training's cache is unbounded, since its key space is
-//! bounded by the training set.
+//! on a worker, and that worker freezes the tape into the program; later
+//! samples of that key replay it. Inference needs no tape at all, so it
+//! runs the models' plain-kernel forwards instead of a program.
 //!
 //! # Bit-equality with the tape
 //!
@@ -142,20 +138,9 @@ impl CompiledProgram {
     ///
     /// Panics if `build` does not return a scalar loss node.
     pub fn record(params: &Params, build: impl FnOnce(&mut Graph<'_>) -> Var) -> Arc<Self> {
-        Self::record_with_value(params, build).0
-    }
-
-    /// [`Self::record`], also returning the root value the recording pass
-    /// computed on the tape — bit-equal to what a replay of the new program
-    /// would return, so a cache miss need not replay it.
-    fn record_with_value(
-        params: &Params,
-        build: impl FnOnce(&mut Graph<'_>) -> Var,
-    ) -> (Arc<Self>, f64) {
         let mut graph = Graph::new(params);
         let loss = build(&mut graph);
-        let program = Self::freeze(&graph, loss);
-        (program, f64::from(graph.value(loss)[0]))
+        Self::freeze(&graph, loss)
     }
 
     /// Freezes a tape that is already built — and may already have run its
@@ -568,31 +553,7 @@ impl CompiledProgram {
         loss_value
     }
 
-    /// Forward-only replay: re-runs `build` in bind mode against the
-    /// recorded schedule and executes the forward sweep — no gradient arena,
-    /// no backward sweep. This is the hit path of [`ProgramCache::forward`]:
-    /// it performs exactly the forward arithmetic [`Self::replay`] does, so
-    /// the returned value is bit-identical to a full taped forward pass over
-    /// the same graph (`replay_forward_matches_the_tape_and_the_full_replay`
-    /// below pins it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `build` constructs a different op sequence than the one
-    /// recorded, exactly like [`Self::replay`].
-    pub(crate) fn replay_forward(
-        self: &Arc<Self>,
-        params: &Params,
-        buffers: &mut ReplayBuffers,
-        build: impl FnOnce(&mut Graph<'_>) -> Var,
-    ) -> f64 {
-        let mut binder = self.bind(params, buffers, build);
-        let value = self.forward_sweep(params, &mut binder);
-        buffers.binder = Some(binder);
-        value
-    }
-
-    /// The bind pass shared by [`Self::replay`] and [`Self::replay_forward`].
+    /// The bind pass of [`Self::replay`].
     fn bind(
         self: &Arc<Self>,
         params: &Params,
@@ -649,8 +610,8 @@ impl CompiledProgram {
         binder
     }
 
-    /// The forward sweep shared by [`Self::replay`] and
-    /// [`Self::replay_forward`]; returns the value of the recorded root node.
+    /// The forward sweep of [`Self::replay`]; returns the value of the
+    /// recorded root node.
     fn forward_sweep(&self, params: &Params, binder: &mut Binder) -> f64 {
         // Forward sweep over the flat arena. Parameter slots are never
         // written (reads go straight to the store), input slots were filled
@@ -1133,59 +1094,25 @@ impl ReplayBuffers {
     }
 }
 
-/// A cache of compiled programs keyed by graph structure, optionally
-/// bounded with least-recently-used eviction.
+/// A cache of compiled programs keyed by graph structure, for training.
 ///
 /// Programs enter the cache on the calling thread, in first-encounter
-/// sample order: [`ProgramCache::forward`] records on a miss, and
-/// [`Batch::accumulate_compiled`](crate::Batch::accumulate_compiled) lets
-/// the worker that tapes a batch's first sample of a new key freeze that
-/// tape, then inserts the new programs in sample order after the join — so
-/// cache contents never depend on worker scheduling. Eviction picks the
-/// entry with the oldest use stamp — stamps are unique, so the victim never
-/// depends on hash order. Which programs are cached can never change a
-/// result either way: a miss records the program on the tape and a hit
-/// replays it, and the two are bit-equal.
+/// sample order: [`Batch::accumulate_compiled`](crate::Batch::accumulate_compiled)
+/// lets the worker that tapes a batch's first sample of a new key freeze
+/// that tape, then inserts the new programs in sample order after the join,
+/// so cache contents never depend on worker scheduling. Nothing is evicted:
+/// the key space is bounded by the training set.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    programs: HashMap<ProgramKey, CachedProgram>,
-    /// Most programs kept at once; `None` is unbounded.
-    capacity: Option<usize>,
-    /// Bumped on every lookup, so no two entries share a use stamp.
-    clock: u64,
-    /// Programs recorded over the cache's lifetime, re-records included.
+    programs: HashMap<ProgramKey, Arc<CompiledProgram>>,
+    /// Programs recorded over the cache's lifetime.
     recorded: usize,
 }
 
-#[derive(Debug)]
-struct CachedProgram {
-    program: Arc<CompiledProgram>,
-    last_used: u64,
-}
-
 impl ProgramCache {
-    /// Creates an empty, unbounded cache — for training, whose key space is
-    /// bounded by the training set.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         ProgramCache::default()
-    }
-
-    /// Creates an empty cache that keeps at most `capacity` programs,
-    /// evicting the least recently used one to make room. An eviction only
-    /// forces a re-record the next time its key is seen.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "a bounded program cache needs room for one program"
-        );
-        ProgramCache {
-            capacity: Some(capacity),
-            ..ProgramCache::default()
-        }
     }
 
     /// Number of cached programs.
@@ -1198,71 +1125,21 @@ impl ProgramCache {
         self.programs.is_empty()
     }
 
-    /// Number of programs recorded over the cache's lifetime, including
-    /// re-records of evicted keys — the number of misses.
+    /// Number of programs recorded over the cache's lifetime — the number
+    /// of misses.
     pub fn recorded(&self) -> usize {
         self.recorded
     }
 
-    /// Runs `build` forward-only and returns its scalar root value. A hit
-    /// replays the cached program's bind pass and forward sweep, with no
-    /// gradient arena and no backward sweep. A miss runs `build` once on the
-    /// tape, freezes that tape into the program exactly as
-    /// [`CompiledProgram::record`] does, and returns the value the recording
-    /// pass already computed. Either way the result is bit-equal to a taped
-    /// forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `build` does not return a scalar, or if it diverges from
-    /// the program recorded under `key` (see [`CompiledProgram::replay`]).
-    pub fn forward(
-        &mut self,
-        key: ProgramKey,
-        params: &Params,
-        buffers: &mut ReplayBuffers,
-        build: impl FnOnce(&mut Graph<'_>) -> Var,
-    ) -> f64 {
-        if let Some(program) = self.lookup(&key) {
-            return program.replay_forward(params, buffers, build);
-        }
-        let (program, value) = CompiledProgram::record_with_value(params, build);
-        self.insert(key, program);
-        value
+    /// Finds `key`'s program.
+    pub(crate) fn lookup(&self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
+        self.programs.get(key).cloned()
     }
 
-    /// Finds `key`'s program and stamps it as the most recently used.
-    pub(crate) fn lookup(&mut self, key: &ProgramKey) -> Option<Arc<CompiledProgram>> {
-        self.clock += 1;
-        let entry = self.programs.get_mut(key)?;
-        entry.last_used = self.clock;
-        Some(Arc::clone(&entry.program))
-    }
-
-    /// Caches a freshly recorded program under a fresh use stamp, first
-    /// evicting the least recently used entry if full.
+    /// Caches a freshly recorded program.
     pub(crate) fn insert(&mut self, key: ProgramKey, program: Arc<CompiledProgram>) {
-        if self
-            .capacity
-            .is_some_and(|capacity| self.programs.len() >= capacity)
-        {
-            let oldest = self
-                .programs
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key.clone())
-                .expect("a full cache holds a program");
-            self.programs.remove(&oldest);
-        }
         self.recorded += 1;
-        self.clock += 1;
-        self.programs.insert(
-            key,
-            CachedProgram {
-                program,
-                last_used: self.clock,
-            },
-        );
+        self.programs.insert(key, program);
     }
 }
 
@@ -1368,29 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_forward_matches_the_tape_and_the_full_replay() {
-        let params = test_params();
-        let program = CompiledProgram::record(&params, |g| build_loss(g, &samples()[0]));
-        let mut buffers = ReplayBuffers::new();
-        for (index, sample) in samples().iter().enumerate() {
-            let forward = program.replay_forward(&params, &mut buffers, |g| build_loss(g, sample));
-            let (tape_loss, _) = tape_reference(&params, sample, 1.0);
-            assert_eq!(
-                tape_loss.to_bits(),
-                forward.to_bits(),
-                "forward-only replay diverged from the tape for sample {index}"
-            );
-            // Interleave full replays through the same buffers: the two entry
-            // points must not perturb each other's parked arenas.
-            let mut grads = Grads::new(&params);
-            let full = program.replay(&params, &mut buffers, &mut grads, 1.0, |g| {
-                build_loss(g, sample)
-            });
-            assert_eq!(full.to_bits(), forward.to_bits());
-        }
-    }
-
-    #[test]
     fn buffers_are_shared_across_different_programs() {
         let params = test_params();
         let mut buffers = ReplayBuffers::new();
@@ -1431,96 +1285,6 @@ mod tests {
                 assert_eq!(tape_grads, compiled);
             }
         }
-    }
-
-    #[test]
-    fn a_forward_miss_returns_the_recorded_value_bit_equal_to_replay_and_the_tape() {
-        let params = test_params();
-        let program = CompiledProgram::record(&params, |g| build_loss(g, &samples()[0]));
-        let mut cache = ProgramCache::new();
-        let mut buffers = ReplayBuffers::new();
-        for (index, sample) in samples().iter().enumerate() {
-            // A fresh key per sample: the first call misses, the second hits.
-            let key = vec![index as u32];
-            let miss = cache.forward(key.clone(), &params, &mut buffers, |g| {
-                build_loss(g, sample)
-            });
-            assert_eq!(cache.recorded(), index + 1, "sample {index} missed");
-            let hit = cache.forward(key, &params, &mut buffers, |g| build_loss(g, sample));
-            assert_eq!(cache.recorded(), index + 1, "sample {index} replayed");
-            let replayed = program.replay_forward(&params, &mut buffers, |g| build_loss(g, sample));
-            let mut graph = Graph::new(&params);
-            let root = build_loss(&mut graph, sample);
-            let taped = f64::from(graph.value(root)[0]);
-            for value in [miss, hit, replayed] {
-                assert_eq!(value.to_bits(), taped.to_bits(), "sample {index} diverged");
-            }
-        }
-    }
-
-    /// Drives `cache` through `keys` with forward passes, returning after
-    /// each access whether it recorded (missed).
-    fn misses(cache: &mut ProgramCache, keys: &[u32]) -> Vec<bool> {
-        let params = test_params();
-        let mut buffers = ReplayBuffers::new();
-        keys.iter()
-            .map(|&key| {
-                let before = cache.recorded();
-                cache.forward(vec![key], &params, &mut buffers, |g| {
-                    build_loss(g, &samples()[key as usize % 7])
-                });
-                cache.recorded() > before
-            })
-            .collect()
-    }
-
-    #[test]
-    fn a_bounded_cache_evicts_the_least_recently_used_program() {
-        const A: u32 = 0;
-        const B: u32 = 1;
-        const C: u32 = 2;
-        let mut cache = ProgramCache::bounded(2);
-        // A, B, A, C evicts B (A was used more recently); A then still hits
-        // and B records again.
-        assert_eq!(
-            misses(&mut cache, &[A, B, A, C, A, B]),
-            [true, true, false, true, false, true]
-        );
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.recorded(), 4);
-    }
-
-    #[test]
-    fn a_bounded_cache_never_outgrows_its_capacity_and_misses_like_an_lru() {
-        let capacity = 4;
-        let mut cache = ProgramCache::bounded(capacity);
-        let mut model: Vec<u32> = Vec::new();
-        let mut hits = 0;
-        for step in 0..120u32 {
-            let key = (step * 7 + step / 9) % 11;
-            // The reference LRU: most recently used at the back.
-            let expected_miss = match model.iter().position(|&k| k == key) {
-                Some(at) => {
-                    model.remove(at);
-                    hits += 1;
-                    false
-                }
-                None => {
-                    if model.len() == capacity {
-                        model.remove(0);
-                    }
-                    true
-                }
-            };
-            model.push(key);
-            assert_eq!(misses(&mut cache, &[key]), [expected_miss], "step {step}");
-            assert!(
-                cache.len() <= capacity,
-                "step {step}: {} programs",
-                cache.len()
-            );
-        }
-        assert!(hits > 0 && hits < 120, "the sequence mixes hits and misses");
     }
 
     /// [`test_params`] plus a fused LSTM cell (hidden 2, input 3).

@@ -19,13 +19,15 @@
 //! * [`Batch`] — the deterministic data-parallel gradient engine: per-sample
 //!   forward/backward on scoped worker threads, gradients reduced in fixed
 //!   sample order so every thread count produces bit-identical results.
-//! * [`CompiledProgram`] / [`ProgramCache`] — graph-once compiled execution:
-//!   one recorded schedule per graph structure, replayed per sample against
-//!   reusable [`ReplayBuffers`], bit-identical to the tape.
-//! * [`kernels`] — the fused, SIMD-width-chunked inner loops both engines
-//!   share (dot/matvec, fused linear, fused LSTM step).
+//! * [`CompiledProgram`] / [`ProgramCache`] — graph-once compiled execution
+//!   for training: one recorded schedule per graph structure, replayed per
+//!   sample against reusable [`ReplayBuffers`], bit-identical to the tape.
+//! * [`kernels`] — the fused, SIMD-width-chunked inner loops the tape, the
+//!   compiled engine and plain inference share (dot/matvec, fused linear,
+//!   fused LSTM step).
 //! * [`nn`] — the layers the Ithemal-style surrogate needs: linear layers,
-//!   embedding tables, and (stacked) LSTM cells.
+//!   embedding tables, and (stacked) LSTM cells, each with a plain-slice
+//!   forward for inference off the tape.
 //! * [`optim`] — SGD and Adam.
 //! * [`check`] — finite-difference gradient checking used heavily in tests.
 //!

@@ -57,6 +57,20 @@ impl Linear {
         graph.linear(w, b, x)
     }
 
+    /// [`Self::forward`] on plain slices, with no graph: writes `W x + b`
+    /// into `out` through [`kernels::linear`], the kernel the taped node
+    /// runs, so the bits are the same.
+    pub fn forward_plain(&self, params: &Params, x: &[f32], out: &mut [f32]) {
+        kernels::linear(
+            params.get(self.w).data(),
+            params.get(self.b).data(),
+            x,
+            self.output_dim,
+            self.input_dim,
+            out,
+        );
+    }
+
     /// The parameter ids of this layer (weight, bias).
     pub fn param_ids(&self) -> [ParamId; 2] {
         [self.w, self.b]
@@ -373,6 +387,10 @@ mod tests {
         let x = g.input(Tensor::vector(vec![1.0, -1.0, 0.5]));
         let y = layer.forward(&mut g, x);
         assert_eq!(g.value(y).len(), 2);
+        let mut plain = [0.0; 2];
+        layer.forward_plain(&params, &[1.0, -1.0, 0.5], &mut plain);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain), bits(g.value(y)));
     }
 
     #[test]
