@@ -1,6 +1,8 @@
 //! Section VI-C case studies: PUSH64r, XOR32rr, and ADD32mr under the default
 //! and learned parameters, compared to the measured timing.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, run_difftune, Scale};

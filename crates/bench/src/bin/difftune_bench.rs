@@ -39,6 +39,8 @@
 //! measured speedup falls under its floor, the process exits nonzero after
 //! reporting every violation.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use difftune::{DiffTuneBuilder, ParamSpec, Session};

@@ -28,6 +28,8 @@
 //! fields (off by default — with it, records are no longer byte-identical
 //! across hosts).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use difftune::Stage;

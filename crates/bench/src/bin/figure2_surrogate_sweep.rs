@@ -1,6 +1,8 @@
 //! Figure 2: timing predicted by the simulator and by a trained surrogate for
 //! the block `shrq $5, 16(%rsp)` while sweeping DispatchWidth from 1 to 10.
 
+#![forbid(unsafe_code)]
+
 use difftune::{generate_simulated_dataset, ParamSpec};
 use difftune_bench::outln;
 use difftune_bench::{mca, Scale};

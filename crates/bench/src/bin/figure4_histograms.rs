@@ -1,6 +1,8 @@
 //! Figure 4: distributions of default and learned per-instruction parameter
 //! values on Haswell.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, run_difftune, Scale};

@@ -1,6 +1,8 @@
 //! Figure 5: llvm-mca's sensitivity to DispatchWidth and ReorderBufferSize
 //! within the default and learned parameter tables (Haswell).
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{dataset_for, evaluate_params, mca, pct, run_difftune, Scale};

@@ -1,6 +1,8 @@
 //! Quick sanity check of the DiffTune pipeline at a reduced scale (not a paper
 //! table; used during development).
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{evaluate_params, mca, run_difftune, Scale};

@@ -1,5 +1,7 @@
 //! Table II: the parameters learned for llvm-mca.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_isa::OpcodeRegistry;

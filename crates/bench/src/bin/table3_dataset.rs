@@ -1,5 +1,7 @@
 //! Table III: dataset summary statistics.
 
+#![forbid(unsafe_code)]
+
 use difftune_bench::outln;
 use difftune_bench::{dataset_for, Scale};
 use difftune_cpu::Microarch;

@@ -2,6 +2,8 @@
 //! compared against the Ithemal, IACA-style, and OpenTuner baselines, on all
 //! four microarchitectures.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{

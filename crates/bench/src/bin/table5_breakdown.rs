@@ -1,6 +1,8 @@
 //! Table V: error of llvm-mca with default and learned parameters on Haswell,
 //! grouped by BHive application and category.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, pct, run_difftune, Scale};

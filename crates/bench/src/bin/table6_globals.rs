@@ -1,5 +1,7 @@
 //! Table VI: default and learned global parameters on Haswell.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{dataset_for, mca, run_difftune, Scale};

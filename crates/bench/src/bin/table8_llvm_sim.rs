@@ -1,6 +1,8 @@
 //! Table VIII (Appendix A): error of the llvm_sim-style micro-op simulator
 //! with default and learned parameters on Haswell.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{

@@ -1,6 +1,8 @@
 //! Section VI-B: learning only WriteLatency (all other parameters stay at
 //! their expert defaults), compared to learning the full parameter set.
 
+#![forbid(unsafe_code)]
+
 use difftune::ParamSpec;
 use difftune_bench::outln;
 use difftune_bench::{dataset_for, evaluate_params, mca, pct, run_difftune, Scale};

@@ -7,6 +7,8 @@
 //! the baseline runners (Ithemal, the IACA-style analytical model, and the
 //! OpenTuner-style black-box tuner with evaluation-budget parity).
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod matrix;
 pub mod record;

@@ -57,6 +57,7 @@
 //! # Ok::<(), difftune::DiffTuneError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

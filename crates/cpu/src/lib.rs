@@ -37,6 +37,7 @@
 //! # Ok::<(), difftune_isa::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -35,6 +35,7 @@
 //! assert!(result.best_cost < 5.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -11,6 +11,8 @@
 //!                 [--health-interval S] [--max-seconds S]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use difftune_bench::cli::{self, Flags};

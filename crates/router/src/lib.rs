@@ -53,6 +53,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

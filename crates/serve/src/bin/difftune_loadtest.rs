@@ -52,6 +52,8 @@
 //! `--max-seconds` is the CI tripwire: the run fails if the whole loadtest
 //! exceeds the budget.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::{Barrier, Mutex};

@@ -22,6 +22,8 @@
 //! bytes, only latency. `POST /reload` rescans exactly the `--tables` and
 //! `--checkpoint` locations given here, under strict verification.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use difftune_bench::cli::{self, Flags};

@@ -26,6 +26,7 @@
 //!   gradient computation) shared by surrogate training and the Ithemal
 //!   baseline.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -494,14 +494,16 @@ impl CompiledProgram {
                     start,
                     len: slice_len,
                 } => {
-                    let total = self.lens[*src as usize];
-                    scratch.clear();
-                    scratch.resize(total, 0.0);
-                    scratch[*start..*start + *slice_len].copy_from_slice(g);
+                    // Only the window is touched, as on the tape: a fresh
+                    // slot is zero-filled before its window is assigned.
+                    let slot = slot!(*src);
+                    if !set[*src as usize] {
+                        slot.fill(0.0);
+                    }
                     accumulate(
-                        slot!(*src),
+                        &mut slot[*start..*start + *slice_len],
                         &mut set[*src as usize],
-                        scratch.iter().copied(),
+                        g.iter().copied(),
                     );
                 }
                 CompiledOp::Row { table } => {
@@ -1384,6 +1386,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn overlapping_slices_of_a_theta_sized_parameter_agree_on_tape_replay_and_dense_sum() {
+        // As many floats as a parameter table θ, sliced the way its
+        // per-instruction features are: 15-float windows, some repeated and
+        // some overlapping, read both straight from the parameter and
+        // through an elementwise op (a non-parameter source slot).
+        const THETA_LEN: usize = 12_017;
+        const WINDOWS: [(usize, usize); 8] = [
+            (0, 15),
+            (15, 15),
+            (0, 15),
+            (7, 15),
+            (6_000, 15),
+            (6_000, 15),
+            (6_010, 15),
+            (THETA_LEN - 15, 15),
+        ];
+        let mut params = Params::new();
+        let theta = params.add(
+            "theta",
+            Tensor::vector(
+                (0..THETA_LEN)
+                    .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013)
+                    .collect(),
+            ),
+        );
+        // Per-window weights, with signed zeros so the gradient carries -0.
+        let weights = |window: usize| -> Vec<f32> {
+            (0..15)
+                .map(|j| match (window + j) % 7 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    r => (r as f32 - 3.5) * 0.21,
+                })
+                .collect()
+        };
+        let build = |graph: &mut Graph<'_>| -> Var {
+            let theta = graph.param(theta);
+            let squashed = graph.tanh(theta);
+            let mut terms = Vec::new();
+            for (index, &(start, len)) in WINDOWS.iter().enumerate() {
+                for src in [theta, squashed] {
+                    let window = graph.slice(src, start, len);
+                    let c = graph.input(Tensor::vector(weights(index)));
+                    let product = graph.mul(window, c);
+                    terms.push(graph.sum(product));
+                }
+            }
+            let all = graph.concat(&terms);
+            graph.sum(all)
+        };
+        let seed = 0.75f32;
+
+        // Dense reference: each source's gradient summed window by window
+        // in the tape's reverse order, then the tanh path folded in.
+        let mut direct = vec![0.0f32; THETA_LEN];
+        let mut through_tanh = vec![0.0f32; THETA_LEN];
+        for (index, &(start, _)) in WINDOWS.iter().enumerate().rev() {
+            for (j, c) in weights(index).iter().enumerate() {
+                through_tanh[start + j] += seed * c;
+            }
+            for (j, c) in weights(index).iter().enumerate() {
+                direct[start + j] += seed * c;
+            }
+        }
+        let theta_values = params.get(theta).data();
+        let mut reference = vec![0.0f32; THETA_LEN];
+        for i in 0..THETA_LEN {
+            let y = theta_values[i].tanh();
+            reference[i] += direct[i] + through_tanh[i] * (1.0 - y * y);
+        }
+
+        let mut graph = Graph::new(&params);
+        let loss = build(&mut graph);
+        let mut taped = Grads::new(&params);
+        graph.backward_scaled(loss, &mut taped, seed);
+        let program = CompiledProgram::record(&params, build);
+        let mut buffers = ReplayBuffers::new();
+        for pass in 0..2 {
+            // The second replay runs over the first one's stale arena.
+            let mut compiled = Grads::new(&params);
+            program.replay(&params, &mut buffers, &mut compiled, seed, build);
+            assert_eq!(
+                slot_bits(&params, &compiled),
+                slot_bits(&params, &taped),
+                "pass {pass}"
+            );
+        }
+        let reference_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(slot_bits(&params, &taped), vec![Some(reference_bits)]);
     }
 
     #[test]

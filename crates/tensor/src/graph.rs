@@ -865,10 +865,15 @@ impl<'p> Graph<'p> {
                 }
                 Op::Slice { src, start, len } => {
                     let total = self.nodes[src.0].value.len();
-                    let mut d = pool.take(total);
-                    d.resize(total, 0.0);
-                    d[*start..*start + *len].copy_from_slice(grad.data());
-                    add_grad_owned(slots, &marks, pool, *src, d);
+                    add_grad_window(
+                        slots,
+                        &marks,
+                        pool,
+                        *src,
+                        total,
+                        *start..*start + *len,
+                        &grad,
+                    );
                 }
                 Op::Row { table, row } => {
                     // Fast path: embedding tables are parameter leaves, so the
@@ -978,6 +983,38 @@ fn add_grad_owned(
             pool.put(data);
         }
         slot @ None => *slot = Some(Tensor::vector(data)),
+    }
+}
+
+/// Adds a gradient that is zero outside `window` into a `total`-long
+/// node-gradient slot, touching only the window: the first contribution
+/// zero-fills a fresh slot and assigns its window, later ones add into
+/// their window alone. A no-op for an operand that cannot reach a
+/// collected parameter (`marks[var]` is false).
+fn add_grad_window(
+    slots: &mut [Option<Tensor>],
+    marks: &[bool],
+    pool: &mut BufferPool,
+    var: Var,
+    total: usize,
+    window: std::ops::Range<usize>,
+    values: &Tensor,
+) {
+    if !marks[var.0] {
+        return;
+    }
+    match &mut slots[var.0] {
+        Some(existing) => {
+            for (dst, src) in existing.data_mut()[window].iter_mut().zip(values.data()) {
+                *dst += src;
+            }
+        }
+        slot @ None => {
+            let mut data = pool.take(total);
+            data.resize(total, 0.0);
+            data[window].copy_from_slice(values.data());
+            *slot = Some(Tensor::vector(data));
+        }
     }
 }
 

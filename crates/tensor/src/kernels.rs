@@ -7,12 +7,21 @@
 //! compiled-vs-taped bit-equality invariant cheap to uphold: the two engines
 //! differ in scheduling and memory management, never in arithmetic.
 //!
-//! The dot-product core accumulates in four parallel lanes over
-//! `f32x4`-shaped chunks (the width LLVM auto-vectorizes to SSE/NEON
-//! registers) and folds the lanes in a fixed `(s0 + s2) + (s1 + s3)` order,
-//! with the remainder handled by an in-order scalar tail. The result is
+//! The dot-product core accumulates in four parallel lanes over 4-wide
+//! chunks and folds the lanes in a fixed `(s0 + s2) + (s1 + s3)` order, with
+//! the remainder handled by an in-order scalar tail. The result is
 //! deterministic for a given input length — it just uses a different (fixed)
 //! association than a naive serial loop.
+//!
+//! [`dot4`] computes four such dot products against one shared vector, each
+//! bit-equal to [`dot`]. On x86_64 it holds each row's four lanes in one
+//! SSE2 register (`mulps` then `addps`, never FMA, which would round once
+//! instead of twice), so four independent add chains hide the add latency
+//! that bounds a single [`dot`]; SSE2 is part of the x86_64 baseline, so no
+//! runtime detection is needed. On other targets it is four [`dot`] calls.
+//! [`matvec`], [`linear`] and [`lstm_step`] take their rows four at a time
+//! through it. That one function holds the crate's only `unsafe` code (the
+//! unaligned loads).
 //!
 //! Backward kernels **accumulate** (`+=`) into caller-provided buffers and
 //! document the zeroing contract; callers hand in freshly zeroed scratch so
@@ -48,6 +57,74 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
+/// Four dot products against one shared `x`: `out[r] = dot(rows[r], x)`,
+/// each bit-equal to [`dot`] (the same four lanes, the same
+/// `(s0 + s2) + (s1 + s3)` fold and the same serial tail).
+///
+/// # Panics
+/// Panics if any row's length differs from `x`'s.
+#[inline]
+pub fn dot4(rows: [&[f32]; 4], x: &[f32]) -> [f32; 4] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        sse2::dot4(rows, x)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        rows.map(|row| dot(row, x))
+    }
+}
+
+/// The x86_64 body of [`dot4`], the crate's only `unsafe` code.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sse2 {
+    use super::LANES;
+    use std::arch::x86_64::{
+        _mm_add_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_setzero_ps,
+        _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+    };
+
+    /// [`super::dot4`] with each row's four lanes in one SSE2 register.
+    #[inline]
+    pub(super) fn dot4(rows: [&[f32]; 4], x: &[f32]) -> [f32; 4] {
+        for row in rows {
+            assert_eq!(row.len(), x.len(), "dot operands must have equal length");
+        }
+        let body = x.len() - x.len() % LANES;
+        let mut out = [0.0f32; 4];
+        // SAFETY: SSE2 is part of the x86_64 baseline, so every intrinsic
+        // here is available without runtime detection. Each unaligned load
+        // reads four floats at `at`, with `at + LANES <= body <= x.len()`,
+        // and every row has `x`'s length (asserted above), so it stays in
+        // bounds; the store writes exactly `out`'s four floats.
+        unsafe {
+            let mut acc = [_mm_setzero_ps(); 4];
+            for at in (0..body).step_by(LANES) {
+                let xv = _mm_loadu_ps(x.as_ptr().add(at));
+                for (acc, row) in acc.iter_mut().zip(rows) {
+                    *acc = _mm_add_ps(*acc, _mm_mul_ps(_mm_loadu_ps(row.as_ptr().add(at)), xv));
+                }
+            }
+            // Transpose so register `l` holds lane `l` of every row, then
+            // fold the lanes in `dot`'s order for all four rows at once.
+            let [a0, a1, a2, a3] = acc;
+            let (t0, t1) = (_mm_unpacklo_ps(a0, a1), _mm_unpacklo_ps(a2, a3));
+            let (t2, t3) = (_mm_unpackhi_ps(a0, a1), _mm_unpackhi_ps(a2, a3));
+            let (s0, s1) = (_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0));
+            let (s2, s3) = (_mm_movelh_ps(t2, t3), _mm_movehl_ps(t3, t2));
+            let folded = _mm_add_ps(_mm_add_ps(s0, s2), _mm_add_ps(s1, s3));
+            _mm_storeu_ps(out.as_mut_ptr(), folded);
+        }
+        for (acc, row) in out.iter_mut().zip(rows) {
+            for (ra, rb) in row[body..].iter().zip(&x[body..]) {
+                *acc += ra * rb;
+            }
+        }
+        out
+    }
+}
+
 /// Matrix-vector product: `out[i] = dot(w[i, :], x)` for an `m x n`
 /// row-major matrix.
 ///
@@ -58,7 +135,13 @@ pub fn matvec(w: &[f32], x: &[f32], m: usize, n: usize, out: &mut [f32]) {
     assert_eq!(w.len(), m * n, "matvec weight shape mismatch");
     assert_eq!(x.len(), n, "matvec input shape mismatch");
     assert_eq!(out.len(), m, "matvec output shape mismatch");
-    for (row, out_i) in w.chunks_exact(n).zip(out.iter_mut()) {
+    let mut quads = w.chunks_exact(4 * n);
+    let mut outs = out.chunks_exact_mut(4);
+    for (quad, out4) in (&mut quads).zip(&mut outs) {
+        let rows = std::array::from_fn(|r| &quad[r * n..(r + 1) * n]);
+        out4.copy_from_slice(&dot4(rows, x));
+    }
+    for (row, out_i) in quads.remainder().chunks_exact(n).zip(outs.into_remainder()) {
         *out_i = dot(row, x);
     }
 }
@@ -120,8 +203,9 @@ pub fn linear(w: &[f32], b: &[f32], x: &[f32], m: usize, n: usize, out: &mut [f3
     assert_eq!(b.len(), m, "linear bias shape mismatch");
     assert_eq!(x.len(), n, "linear input shape mismatch");
     assert_eq!(out.len(), m, "linear output shape mismatch");
-    for ((row, bias), out_i) in w.chunks_exact(n).zip(b).zip(out.iter_mut()) {
-        *out_i = dot(row, x) + bias;
+    matvec(w, x, m, n, out);
+    for (out_i, bias) in out.iter_mut().zip(b) {
+        *out_i += bias;
     }
 }
 
@@ -209,11 +293,12 @@ pub fn lstm_step(
         "lstm_step output shape mismatch"
     );
     for k in 0..hidden {
-        let mut pre = [0.0f32; 4];
-        for (gate, pre_gate) in pre.iter_mut().enumerate() {
-            let row = &w[(gate * hidden + k) * width..(gate * hidden + k + 1) * width];
-            *pre_gate = (dot(&row[..input], x) + dot(&row[input..], h_prev)) + b[gate * hidden + k];
-        }
+        let rows: [&[f32]; 4] =
+            std::array::from_fn(|gate| &w[(gate * hidden + k) * width..][..width]);
+        let from_x = dot4(rows.map(|row| &row[..input]), x);
+        let from_h = dot4(rows.map(|row| &row[input..]), h_prev);
+        let pre: [f32; 4] =
+            std::array::from_fn(|gate| (from_x[gate] + from_h[gate]) + b[gate * hidden + k]);
         let i = sigmoid(pre[0]);
         let f = sigmoid(pre[1]);
         let g = pre[2].tanh();
@@ -306,6 +391,17 @@ pub fn lstm_step_grad(
             dh * c_act * o * (1.0 - o),
         ];
         dc_prev[k] += dc_total * f;
+        // With every gate live, the four rows go into `dx` and `dh_prev` in
+        // one pass: each element still takes its four `+=` in gate order.
+        // A zero gate keeps the per-row loop below, whose skip keeps
+        // `0 * inf` out.
+        let fused = d_pre.iter().all(|d| *d != 0.0);
+        if fused {
+            let rows: [&[f32]; 4] =
+                std::array::from_fn(|gate| &w[(gate * hidden + k) * width..][..width]);
+            add_rows4(dx, rows.map(|row| &row[..input]), d_pre);
+            add_rows4(dh_prev, rows.map(|row| &row[input..]), d_pre);
+        }
         for (gate, d_pre_gate) in d_pre.iter().enumerate() {
             let d = *d_pre_gate;
             let row_index = gate * hidden + k;
@@ -326,6 +422,9 @@ pub fn lstm_step_grad(
                     *dst += d * hj;
                 }
             }
+            if fused {
+                continue;
+            }
             for (dst, wj) in dx.iter_mut().zip(&row[..input]) {
                 *dst += d * wj;
             }
@@ -333,6 +432,22 @@ pub fn lstm_step_grad(
                 *dst += d * wj;
             }
         }
+    }
+}
+
+/// `dst[j] += d[r] * rows[r][j]` for `r` in `0..4`, all four adds of one
+/// element in row order: the per-element sequence of four row-by-row passes.
+#[inline]
+fn add_rows4(dst: &mut [f32], rows: [&[f32]; 4], d: [f32; 4]) {
+    let n = dst.len();
+    let [r0, r1, r2, r3] = rows.map(|row| &row[..n]);
+    for j in 0..n {
+        let mut v = dst[j];
+        v += d[0] * r0[j];
+        v += d[1] * r1[j];
+        v += d[2] * r2[j];
+        v += d[3] * r3[j];
+        dst[j] = v;
     }
 }
 
@@ -355,6 +470,106 @@ mod tests {
         assert_eq!(dot(&[], &[]), 0.0);
         assert_eq!(dot(&[2.0, 3.0], &[4.0, 5.0]), 23.0);
         assert_eq!(dot(&[1.0; 8], &[2.0; 8]), 16.0);
+    }
+
+    /// Deterministic values that mix ordinary magnitudes with ±0, ±inf,
+    /// NaN, subnormals and 1e30 (whose products overflow to inf).
+    fn mixed_values(len: usize, seed: u32) -> Vec<f32> {
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e-40,
+            -1e-42,
+            1e30,
+        ];
+        let mut state = seed.wrapping_mul(2_654_435_761).wrapping_add(1);
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let bits = state >> 8;
+                if bits.is_multiple_of(11) {
+                    SPECIAL[(bits / 11) as usize % SPECIAL.len()]
+                } else {
+                    (bits % 4001) as f32 / 1000.0 - 2.0
+                }
+            })
+            .collect()
+    }
+
+    /// [`mixed_values`] with NaN and ±inf replaced and magnitudes clamped to
+    /// 2, keeping ±0 and subnormals: rows whose sums stay finite.
+    fn finite_values(len: usize, seed: u32) -> Vec<f32> {
+        mixed_values(len, seed)
+            .iter()
+            .map(|v| {
+                if v.is_finite() {
+                    v.clamp(-2.0, 2.0)
+                } else {
+                    0.5
+                }
+            })
+            .collect()
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: Rust leaves NaN
+    /// payloads unspecified, so the chosen `addps`/`addss` operand order
+    /// may pick either input's payload.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn dot4_is_bit_equal_to_dot_at_every_length() {
+        for len in 0..=160 {
+            for seed in 0..4u32 {
+                // Seeds 0 and 1 draw from the special mix; 2 and 3 are
+                // finite rows, so their results are ordinary sums.
+                let draw = |salt: u32| {
+                    let salt = seed * 1000 + salt + len as u32 * 7;
+                    if seed < 2 {
+                        mixed_values(len, salt)
+                    } else {
+                        finite_values(len, salt)
+                    }
+                };
+                let x = draw(0);
+                let rows: Vec<Vec<f32>> = (1..=4).map(draw).collect();
+                let quad = dot4(std::array::from_fn(|r| &rows[r][..]), &x);
+                for (r, row) in rows.iter().enumerate() {
+                    let single = dot(row, &x);
+                    assert!(
+                        same(quad[r], single),
+                        "len {len}, seed {seed}, row {r}: {} vs {single}",
+                        quad[r]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_and_linear_take_four_rows_at_a_time_bit_equal_to_dot() {
+        let draws: [fn(usize, u32) -> Vec<f32>; 2] = [mixed_values, finite_values];
+        for values in draws {
+            for m in [1, 3, 5, 7] {
+                for n in [1, 4, 7, 81, 145] {
+                    let w = values(m * n, (m * 31 + n) as u32);
+                    let x = values(n, (m * 17 + n) as u32);
+                    let b = values(m, (m * 13 + n) as u32);
+                    let (mut mv, mut lin) = (vec![0.0; m], vec![0.0; m]);
+                    matvec(&w, &x, m, n, &mut mv);
+                    linear(&w, &b, &x, m, n, &mut lin);
+                    for (i, row) in w.chunks_exact(n).enumerate() {
+                        let reference = dot(row, &x);
+                        assert!(same(mv[i], reference), "matvec {m}x{n}, row {i}");
+                        assert!(same(lin[i], reference + b[i]), "linear {m}x{n}, row {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -480,6 +695,160 @@ mod tests {
         assert_eq!(dc, dc_none);
         assert!(dx.iter().chain(&dh).all(|v| f32::from_bits(*v).is_finite()));
         assert_eq!(dw[0], 0.0, "the zero-gradient gate row is skipped");
+    }
+
+    /// [`lstm_step_grad`]'s signature.
+    type LstmGradKernel = fn(
+        &[f32],
+        &[f32],
+        &[f32],
+        &[f32],
+        &[f32],
+        &[f32],
+        usize,
+        usize,
+        Option<&mut [f32]>,
+        Option<&mut [f32]>,
+        &mut [f32],
+        &mut [f32],
+        &mut [f32],
+    );
+
+    /// [`lstm_step_grad`] as it was before the fused pass: each gate row in
+    /// turn, with every zero-gradient row skipped.
+    #[allow(clippy::too_many_arguments)]
+    fn lstm_step_grad_per_row(
+        w: &[f32],
+        x: &[f32],
+        h_prev: &[f32],
+        c_prev: &[f32],
+        packed: &[f32],
+        g_packed: &[f32],
+        hidden: usize,
+        input: usize,
+        mut dw: Option<&mut [f32]>,
+        mut db: Option<&mut [f32]>,
+        dx: &mut [f32],
+        dh_prev: &mut [f32],
+        dc_prev: &mut [f32],
+    ) {
+        let width = input + hidden;
+        for k in 0..hidden {
+            let dh = g_packed[k];
+            let dc_in = g_packed[hidden + k];
+            let [i, f, g, o, c_act] = std::array::from_fn(|s| packed[(2 + s) * hidden + k]);
+            let dc_total = dc_in + dh * o * (1.0 - c_act * c_act);
+            let d_pre = [
+                dc_total * g * i * (1.0 - i),
+                dc_total * c_prev[k] * f * (1.0 - f),
+                dc_total * i * (1.0 - g * g),
+                dh * c_act * o * (1.0 - o),
+            ];
+            dc_prev[k] += dc_total * f;
+            for (gate, &d) in d_pre.iter().enumerate() {
+                let row_index = gate * hidden + k;
+                if let Some(db) = db.as_deref_mut() {
+                    db[row_index] += d;
+                }
+                if d == 0.0 {
+                    continue;
+                }
+                let row = &w[row_index * width..(row_index + 1) * width];
+                if let Some(dw) = dw.as_deref_mut() {
+                    let drow = &mut dw[row_index * width..(row_index + 1) * width];
+                    for (dst, v) in drow.iter_mut().zip(x.iter().chain(h_prev)) {
+                        *dst += d * v;
+                    }
+                }
+                for (dst, wj) in dx.iter_mut().zip(&row[..input]) {
+                    *dst += d * wj;
+                }
+                for (dst, wj) in dh_prev.iter_mut().zip(&row[input..]) {
+                    *dst += d * wj;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_lstm_step_grad_is_bit_equal_to_the_per_row_reference() {
+        let (hidden, input) = (9, 13);
+        let width = input + hidden;
+        for seed in 0..24u32 {
+            let finite = |len: usize, salt: u32| finite_values(len, seed * 100 + salt);
+            let mut w = finite(4 * hidden * width, 1);
+            let x = finite(input, 2);
+            let h_prev = finite(hidden, 3);
+            let mut c_prev = finite(hidden, 4);
+            let mut g_packed = finite(lstm_packed_len(hidden), 5);
+            // Gate activations in (0, 1) and (-1, 1), as the forward makes
+            // them, then pinned per unit so a random subset of the four
+            // pre-activation gradients is exactly zero.
+            let mut packed: Vec<f32> = finite(lstm_packed_len(hidden), 6)
+                .iter()
+                .map(|v| v.abs() * 0.45 + 0.05)
+                .collect();
+            let mut state = seed.wrapping_mul(2_654_435_761) | 1;
+            for k in 0..hidden {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                // Half the units keep all four gates live (the fused pass).
+                let zero_gates = if (state >> 16) & 1 == 0 {
+                    0
+                } else {
+                    (state >> 20) & 0xf
+                };
+                if zero_gates & 1 != 0 {
+                    packed[2 * hidden + k] = 1.0; // i = 1 zeroes the input gate
+                }
+                if zero_gates & 2 != 0 {
+                    c_prev[k] = 0.0; // zeroes the forget gate
+                }
+                if zero_gates & 4 != 0 {
+                    packed[4 * hidden + k] = -1.0; // g = -1 zeroes the cell gate
+                }
+                if zero_gates & 8 != 0 {
+                    g_packed[k] = 0.0; // dh = 0 zeroes the output gate
+                }
+                if zero_gates == 0xf {
+                    g_packed[hidden + k] = 0.0;
+                }
+                // An infinite weight in a zero-gradient row must stay skipped.
+                if let Some(gate) = (0..4).find(|gate| zero_gates & (1 << gate) != 0) {
+                    w[(gate * hidden + k) * width + (k % width)] = f32::INFINITY;
+                }
+            }
+            for weights in [true, false] {
+                let run = |kernel: LstmGradKernel| {
+                    // Non-zero starting values, so accumulation order shows.
+                    let mut dw = finite(w.len(), 7);
+                    let mut db = finite(4 * hidden, 8);
+                    let (mut dx, mut dh, mut dc) =
+                        (finite(input, 9), finite(hidden, 10), finite(hidden, 11));
+                    kernel(
+                        &w,
+                        &x,
+                        &h_prev,
+                        &c_prev,
+                        &packed,
+                        &g_packed,
+                        hidden,
+                        input,
+                        weights.then_some(&mut dw[..]),
+                        weights.then_some(&mut db[..]),
+                        &mut dx,
+                        &mut dh,
+                        &mut dc,
+                    );
+                    [bits(&dw), bits(&db), bits(&dx), bits(&dh), bits(&dc)]
+                };
+                let fused = run(lstm_step_grad);
+                assert_eq!(fused, run(lstm_step_grad_per_row), "seed {seed}");
+                assert!(fused[2..]
+                    .iter()
+                    .flatten()
+                    .all(|v| f32::from_bits(*v).is_finite()));
+            }
+        }
     }
 
     #[test]

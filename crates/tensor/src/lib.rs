@@ -50,6 +50,8 @@
 //! assert_eq!(grads.get(w).unwrap().data(), &[3.0, 4.0]);
 //! ```
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

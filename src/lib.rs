@@ -14,6 +14,8 @@
 //! assert_eq!(block.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use difftune as core;
 pub use difftune_bhive as bhive;
 pub use difftune_cpu as cpu;
