@@ -9,7 +9,11 @@
 //! LSTM (input 32), the block LSTM (input 81: a 64-dim instruction summary,
 //! 15 θ features and 2 global features), a 256×145 gate matvec (the block
 //! LSTM's four gate rows per unit over `[x ‖ h]`), and the square 64×64
-//! layer. With `DIFFTUNE_BENCH_JSON` set, each median lands in a
+//! layer. The backward benches hand the kernel a `dw`/`db` that is zeroed
+//! once and then keeps accumulating, as both engines' weight slots do, so
+//! they time the kernel rather than a per-call memset; `dx`, `dh_prev` and
+//! `dc_prev` are zeroed per call, as the engines zero them. With
+//! `DIFFTUNE_BENCH_JSON` set, each median lands in a
 //! `BENCH_criterion_<id>.json` record (`difftune-bench/2` schema) next to
 //! the pipeline runner's stage records.
 
@@ -56,8 +60,6 @@ fn bench_matvec(criterion: &mut Criterion) {
     let mut dx = vec![0.0f32; n];
     criterion.bench_function("kernels/linear_grad 64x64", |bencher| {
         bencher.iter(|| {
-            dw.iter_mut().for_each(|v| *v = 0.0);
-            db.iter_mut().for_each(|v| *v = 0.0);
             dx.iter_mut().for_each(|v| *v = 0.0);
             kernels::linear_grad(
                 black_box(&w),
@@ -67,7 +69,7 @@ fn bench_matvec(criterion: &mut Criterion) {
                 n,
                 Some(&mut dw),
                 Some(&mut db),
-                &mut dx,
+                Some(&mut dx),
             );
             dx[0]
         })
@@ -125,8 +127,6 @@ fn bench_lstm_shape(criterion: &mut Criterion, hidden: usize, input: usize, suff
         &format!("kernels/lstm_step_grad h={hidden}{suffix}"),
         |bencher| {
             bencher.iter(|| {
-                dw.iter_mut().for_each(|v| *v = 0.0);
-                db.iter_mut().for_each(|v| *v = 0.0);
                 dx.iter_mut().for_each(|v| *v = 0.0);
                 dh_prev.iter_mut().for_each(|v| *v = 0.0);
                 dc_prev.iter_mut().for_each(|v| *v = 0.0);

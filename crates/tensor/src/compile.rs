@@ -1,10 +1,11 @@
 //! Graph-once compiled execution: record a tape into a flat schedule, then
 //! replay it per sample without rebuilding nodes.
 //!
-//! The tape engine ([`Graph`]) rebuilds a per-sample node list — with a
-//! parameter-copy node, a shape `Vec`, and a pooled buffer per op — even
-//! though a surrogate's graph *structure* is identical for every sample of
-//! the same shape. [`CompiledProgram::record`] runs a model closure once on
+//! The tape engine ([`Graph`]) rebuilds a per-sample node list — a shape
+//! `Vec` and a pooled buffer per op (a parameter leaf holds none; its reads
+//! go to the store) — even though a surrogate's graph *structure* is
+//! identical for every sample of the same shape.
+//! [`CompiledProgram::record`] runs a model closure once on
 //! an ordinary eager graph and freezes the resulting tape into a flat
 //! topological schedule of op descriptors with preassigned offsets into one
 //! contiguous value arena and one gradient arena (extending
@@ -31,12 +32,19 @@
 //!   node order;
 //! * backward contributions are applied in the same reverse-node order,
 //!   with the tape's assign-then-accumulate discipline (a slot's first
-//!   contribution overwrites, later ones add) replicated per arena slot;
+//!   contribution overwrites, later ones add) replicated per arena slot,
+//!   and weight and bias gradients accumulated in place as on the tape
+//!   (see [`route_targets`]);
 //! * parameter gradients flush into [`Grads`] at the same reverse-sweep
-//!   positions via the same accumulation arithmetic (a store that does not
-//!   collect a parameter ignores its flush, so a [`Grads::only`] store gets
-//!   the tape's slots and nothing else; unlike the tape, replay still
-//!   computes the gradients it drops).
+//!   positions via the same accumulation arithmetic. A collected parameter
+//!   the program uses once as a weight or bias skips the arena and its
+//!   flush: its kernel accumulates straight into the store's slot, which
+//!   starts at +0 and only adds, so the bits are the same. A store that
+//!   does not collect a parameter ignores its flush, so a [`Grads::only`]
+//!   store gets the tape's slots and nothing else. Replay skips every node
+//!   whose gradient cannot reach any parameter and computes no weight
+//!   gradient for a parameter the store does not collect, but, unlike the
+//!   tape, still computes the other gradients that lead only there.
 //!
 //! One documented edge is out of scope: a graph whose [`Graph::slice`]
 //! regions *overlap* and whose gradient elements are negative zero could in
@@ -124,6 +132,15 @@ pub struct CompiledProgram {
     offsets: Vec<usize>,
     /// Per-node value length.
     lens: Vec<usize>,
+    /// Per node: true for a parameter leaf whose parameter has exactly one
+    /// operand use in the whole program. Its one consumer's weight kernel
+    /// can then accumulate straight into the [`Grads`] store (see
+    /// [`CompiledProgram::weight_route`]).
+    sole_use: Vec<bool>,
+    /// Per node: true if a parameter leaf is the node or among its
+    /// operands' ancestors. The backward sweep skips every other node: its
+    /// gradient cannot reach a parameter.
+    reaches_param: Vec<bool>,
     /// Total arena length.
     values_len: usize,
     /// Node index of the recorded scalar loss.
@@ -162,6 +179,23 @@ impl CompiledProgram {
         let mut offsets = Vec::with_capacity(count);
         let mut lens = Vec::with_capacity(count);
         let mut values_len = 0usize;
+        // Operand uses per parameter, summed over every leaf of it.
+        let mut uses: HashMap<ParamId, usize> = HashMap::new();
+        let mut reaches_param = Vec::with_capacity(count);
+        for index in 0..count {
+            let op = graph.node_op(index);
+            let mut reaches = matches!(op, Op::Param(_));
+            op.for_each_operand(|operand| {
+                reaches |= reaches_param[operand.0];
+                if let Op::Param(id) = graph.node_op(operand.0) {
+                    *uses.entry(*id).or_default() += 1;
+                }
+            });
+            reaches_param.push(reaches);
+        }
+        let sole_use = (0..count)
+            .map(|index| matches!(graph.node_op(index), Op::Param(id) if uses.get(id) == Some(&1)))
+            .collect();
         for index in 0..count {
             let len = graph.node_len(index);
             offsets.push(values_len);
@@ -221,6 +255,8 @@ impl CompiledProgram {
             ops,
             offsets,
             lens,
+            sole_use,
+            reaches_param,
             values_len,
             loss: loss.0,
         })
@@ -268,7 +304,9 @@ impl CompiledProgram {
         } = &*binder;
 
         // Backward sweep: same reverse order, same assign-then-accumulate
-        // slot discipline as the tape (`set` marks populated slots).
+        // slot discipline as the tape (`set` marks populated slots). A node
+        // whose gradient cannot reach a parameter is skipped, as the tape
+        // skips every node that cannot reach a collected one.
         let mut grad_arena = std::mem::take(&mut buffers.grads);
         grad_arena.resize(self.values_len.max(grad_arena.len()), 0.0);
         let mut set = std::mem::take(&mut buffers.set);
@@ -279,7 +317,7 @@ impl CompiledProgram {
         set[self.loss] = true;
 
         for index in (0..self.ops.len()).rev() {
-            if !set[index] {
+            if !set[index] || !self.reaches_param[index] {
                 continue;
             }
             let len = self.lens[index];
@@ -340,7 +378,8 @@ impl CompiledProgram {
                 }
                 CompiledOp::MatVec { w, x } => {
                     let n = self.lens[*x as usize];
-                    let targets = [*w as usize, *x as usize];
+                    let (route_w, store_w) = self.weight_route(*w, grads);
+                    let targets = [(*w as usize, route_w), self.input_target(*x)];
                     let ([dw, dx], spills) = route_targets(
                         glo,
                         &mut scratch,
@@ -349,20 +388,19 @@ impl CompiledProgram {
                         &mut set,
                         targets,
                     );
-                    kernels::matvec_grad(value_of(*w), value_of(*x), g, len, n, Some(dw), dx);
-                    for (i, spill) in spills.iter().enumerate() {
-                        if let Some((offset, slen)) = spill {
-                            accumulate(
-                                slot!(targets[i]),
-                                &mut set[targets[i]],
-                                scratch[*offset..offset + slen].iter().copied(),
-                            );
-                        }
-                    }
+                    let [store_w] = grads.slots_mut(params, [store_w]);
+                    kernels::matvec_grad(value_of(*w), value_of(*x), g, len, n, dw.or(store_w), dx);
+                    self.add_spills(glo, &scratch, &mut set, targets, spills);
                 }
                 CompiledOp::Linear { w, b, x } => {
                     let n = self.lens[*x as usize];
-                    let targets = [*w as usize, *b as usize, *x as usize];
+                    let [(route_w, store_w), (route_b, store_b)] =
+                        [*w, *b].map(|v| self.weight_route(v, grads));
+                    let targets = [
+                        (*w as usize, route_w),
+                        (*b as usize, route_b),
+                        self.input_target(*x),
+                    ];
                     let ([dw, db, dx], spills) = route_targets(
                         glo,
                         &mut scratch,
@@ -371,25 +409,18 @@ impl CompiledProgram {
                         &mut set,
                         targets,
                     );
+                    let [store_w, store_b] = grads.slots_mut(params, [store_w, store_b]);
                     kernels::linear_grad(
                         value_of(*w),
                         value_of(*x),
                         g,
                         len,
                         n,
-                        Some(dw),
-                        Some(db),
+                        dw.or(store_w),
+                        db.or(store_b),
                         dx,
                     );
-                    for (i, spill) in spills.iter().enumerate() {
-                        if let Some((offset, slen)) = spill {
-                            accumulate(
-                                slot!(targets[i]),
-                                &mut set[targets[i]],
-                                scratch[*offset..offset + slen].iter().copied(),
-                            );
-                        }
-                    }
+                    self.add_spills(glo, &scratch, &mut set, targets, spills);
                 }
                 CompiledOp::LstmStep {
                     w,
@@ -401,12 +432,14 @@ impl CompiledProgram {
                 } => {
                     let hidden = *hidden as usize;
                     let input = self.lens[*x as usize];
+                    let [(route_w, store_w), (route_b, store_b)] =
+                        [*w, *b].map(|v| self.weight_route(v, grads));
                     let targets = [
-                        *w as usize,
-                        *b as usize,
-                        *x as usize,
-                        *h_prev as usize,
-                        *c_prev as usize,
+                        (*w as usize, route_w),
+                        (*b as usize, route_b),
+                        (*x as usize, Route::Zeroed),
+                        (*h_prev as usize, Route::Zeroed),
+                        (*c_prev as usize, Route::Zeroed),
                     ];
                     let ([dw, db, dx, dh, dc], spills) = route_targets(
                         glo,
@@ -416,6 +449,7 @@ impl CompiledProgram {
                         &mut set,
                         targets,
                     );
+                    let [store_w, store_b] = grads.slots_mut(params, [store_w, store_b]);
                     kernels::lstm_step_grad(
                         value_of(*w),
                         value_of(*x),
@@ -425,21 +459,13 @@ impl CompiledProgram {
                         g,
                         hidden,
                         input,
-                        Some(dw),
-                        Some(db),
-                        dx,
-                        dh,
-                        dc,
+                        dw.or(store_w),
+                        db.or(store_b),
+                        dx.expect("dx is routed"),
+                        dh.expect("dh_prev is routed"),
+                        dc.expect("dc_prev is routed"),
                     );
-                    for (i, spill) in spills.iter().enumerate() {
-                        if let Some((offset, slen)) = spill {
-                            accumulate(
-                                slot!(targets[i]),
-                                &mut set[targets[i]],
-                                scratch[*offset..offset + slen].iter().copied(),
-                            );
-                        }
-                    }
+                    self.add_spills(glo, &scratch, &mut set, targets, spills);
                 }
                 CompiledOp::Sigmoid(a) => {
                     let y = &values[self.offsets[index]..self.offsets[index] + len];
@@ -553,6 +579,57 @@ impl CompiledProgram {
         buffers.set = set;
         buffers.scratch = scratch;
         loss_value
+    }
+
+    /// How the weight kernel that consumes node `v` as its `w` or `b`
+    /// routes that operand's gradient, and the store slot it writes instead
+    /// of the arena, if any. A parameter the store does not collect gets no
+    /// gradient (its leaf's flush would be ignored). A collected parameter
+    /// with one use in the program has its gradient accumulated straight
+    /// into the store's slot, so its leaf's arena slot stays unset and its
+    /// flush is skipped. The slot starts at +0 and only adds, so this is
+    /// the tape's bits, as in [`Route::InPlace`]; a parameter with several
+    /// uses needs its per-sample sum formed in the arena before the flush.
+    fn weight_route(&self, v: u32, grads: &Grads) -> (Route, Option<ParamId>) {
+        match self.ops[v as usize] {
+            CompiledOp::Param(id) if !grads.collects(id) => (Route::Skip, None),
+            CompiledOp::Param(id) if self.sole_use[v as usize] => (Route::Skip, Some(id)),
+            _ => (Route::InPlace, None),
+        }
+    }
+
+    /// A matvec or linear kernel's `x` gradient target: skipped when `x`'s
+    /// gradient cannot reach a parameter, as the tape skips one that cannot
+    /// reach a collected parameter.
+    fn input_target(&self, x: u32) -> (usize, Route) {
+        let x = x as usize;
+        let route = if self.reaches_param[x] {
+            Route::Zeroed
+        } else {
+            Route::Skip
+        };
+        (x, route)
+    }
+
+    /// Adds each target that [`route_targets`] spilled to scratch into its
+    /// arena slot, in target order.
+    fn add_spills<const N: usize>(
+        &self,
+        glo: &mut [f32],
+        scratch: &[f32],
+        set: &mut [bool],
+        targets: [(usize, Route); N],
+        spills: [Option<(usize, usize)>; N],
+    ) {
+        for ((target, _), spill) in targets.into_iter().zip(spills) {
+            if let Some((offset, len)) = spill {
+                accumulate(
+                    &mut glo[self.offsets[target]..self.offsets[target] + len],
+                    &mut set[target],
+                    scratch[offset..offset + len].iter().copied(),
+                );
+            }
+        }
     }
 
     /// The bind pass of [`Self::replay`].
@@ -749,71 +826,92 @@ impl CompiledProgram {
     }
 }
 
+/// How [`route_targets`] hands one gradient target to a VJP kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// A weight or bias gradient, which takes exactly one `+=` per element
+    /// per kernel call: the arena slot itself, accumulated in place (zeroed
+    /// first only while unset). That one add gives the bits of a zeroed
+    /// buffer added into the slot afterwards, as on the tape (see
+    /// `take_weight_slot` in the graph module).
+    InPlace,
+    /// A gradient whose elements each take several `+=` per call (`dx`,
+    /// `dh_prev`, `dc_prev`), so it must start from zero: an unset slot is
+    /// zeroed and handed over, a set one gets a zeroed scratch window that
+    /// [`CompiledProgram::add_spills`] adds into it after the kernel.
+    Zeroed,
+    /// No arena buffer: a weight gradient that goes to the [`Grads`] store
+    /// or nowhere (see [`CompiledProgram::weight_route`]), or an input
+    /// gradient that cannot reach a parameter.
+    Skip,
+}
+
 /// What [`route_targets`] hands back: each target's kernel destination
-/// buffer, plus a `(scratch_offset, len)` spill entry for every target that
-/// was routed to scratch instead of its arena slot.
-type RoutedTargets<'a, const N: usize> = ([&'a mut [f32]; N], [Option<(usize, usize)>; N]);
+/// buffer (`None` for a [`Route::Skip`] target), plus a
+/// `(scratch_offset, len)` spill entry for every target that was routed to
+/// scratch instead of its arena slot.
+type RoutedTargets<'a, const N: usize> = ([Option<&'a mut [f32]>; N], [Option<(usize, usize)>; N]);
 
 /// Chooses a destination buffer for each gradient target of a multi-output
-/// VJP kernel (`matvec_grad`, `linear_grad`, `lstm_step_grad`).
+/// VJP kernel (`matvec_grad`, `linear_grad`, `lstm_step_grad`), following
+/// each target's [`Route`].
 ///
-/// A target whose slot is unset takes the **direct path**: its arena slot is
-/// zeroed, handed to the kernel, and marked set — bit-identical to the
-/// scratch round-trip, because the kernel performs the exact same
-/// accumulation arithmetic over a zeroed buffer either way and [`accumulate`]
-/// on an unset slot assigns the scratch contents verbatim; the direct path
-/// just skips the copy. A target whose slot already holds a gradient (or
-/// that aliases an earlier target) is routed to a zeroed scratch window
-/// instead; the caller [`accumulate`]s it after the kernel via the returned
-/// `(offset, len)` spill entry, in the same target order as before.
+/// [`Route::InPlace`] and unset [`Route::Zeroed`] targets get their arena
+/// slot directly and are marked set: an unset slot is zeroed first, since it
+/// holds stale data from earlier replays. A [`Route::Zeroed`] target whose
+/// slot already holds a gradient, or that aliases an earlier target, is
+/// spilled to a zeroed scratch window instead; the caller adds it with
+/// [`CompiledProgram::add_spills`] after the kernel, in target order.
 fn route_targets<'a, const N: usize>(
     glo: &'a mut [f32],
     scratch: &'a mut Vec<f32>,
     offsets: &[usize],
     lens: &[usize],
     set: &mut [bool],
-    targets: [usize; N],
+    targets: [(usize, Route); N],
 ) -> RoutedTargets<'a, N> {
-    let direct: [bool; N] =
-        std::array::from_fn(|i| !set[targets[i]] && targets[..i].iter().all(|&t| t != targets[i]));
+    let spilled: [bool; N] = std::array::from_fn(|i| {
+        let (target, route) = targets[i];
+        route == Route::Zeroed && (set[target] || targets[..i].iter().any(|&(t, _)| t == target))
+    });
     let mut spills: [Option<(usize, usize)>; N] = [None; N];
     let mut scratch_len = 0usize;
-    for i in 0..N {
-        if !direct[i] {
-            let len = lens[targets[i]];
-            spills[i] = Some((scratch_len, len));
-            scratch_len += len;
-        }
+    for i in (0..N).filter(|&i| spilled[i]) {
+        let len = lens[targets[i].0];
+        spills[i] = Some((scratch_len, len));
+        scratch_len += len;
     }
     scratch.clear();
     scratch.resize(scratch_len, 0.0);
     let mut out: [Option<&'a mut [f32]>; N] = std::array::from_fn(|_| None);
-    // Carve the direct windows out of the arena prefix in ascending offset
-    // order (they are disjoint — aliases were spilled above), zeroing each:
-    // slots hold stale data from earlier replays.
+    // Carve the arena windows out of the prefix in ascending offset order
+    // (they are disjoint: aliases were spilled above).
     let mut order: [usize; N] = std::array::from_fn(|i| i);
-    order.sort_unstable_by_key(|&i| offsets[targets[i]]);
+    order.sort_unstable_by_key(|&i| offsets[targets[i].0]);
     let mut rest: &'a mut [f32] = glo;
     let mut consumed = 0usize;
-    for &i in order.iter().filter(|&&i| direct[i]) {
-        let target = targets[i];
+    for &i in order
+        .iter()
+        .filter(|&&i| targets[i].1 != Route::Skip && !spilled[i])
+    {
+        let target = targets[i].0;
         let (_, tail) = rest.split_at_mut(offsets[target] - consumed);
         let (window, tail) = tail.split_at_mut(lens[target]);
-        window.fill(0.0);
-        set[target] = true;
+        if !set[target] {
+            window.fill(0.0);
+            set[target] = true;
+        }
         consumed = offsets[target] + lens[target];
         rest = tail;
         out[i] = Some(window);
     }
     let mut srest: &'a mut [f32] = scratch.as_mut_slice();
-    for i in 0..N {
-        if spills[i].is_some() {
-            let (window, tail) = srest.split_at_mut(lens[targets[i]]);
-            out[i] = Some(window);
-            srest = tail;
-        }
+    for i in (0..N).filter(|&i| spilled[i]) {
+        let (window, tail) = srest.split_at_mut(lens[targets[i].0]);
+        out[i] = Some(window);
+        srest = tail;
     }
-    (out.map(|w| w.expect("every target routed")), spills)
+    (out, spills)
 }
 
 /// The tape's gradient-slot discipline on a flat arena: the first
@@ -1478,6 +1576,242 @@ mod tests {
         }
         let reference_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
         assert_eq!(slot_bits(&params, &taped), vec![Some(reference_bits)]);
+    }
+
+    /// One step of [`weight_gradients_accumulate_in_place_like_per_call_buffers`]:
+    /// the step's inputs, and the weights its `h` and `c` are scored with.
+    struct LstmCase {
+        x: [f32; 2],
+        h_prev: [f32; 3],
+        c_prev: [f32; 3],
+        h_weights: [f32; 3],
+        c_weights: [f32; 3],
+    }
+
+    /// Adds a per-call gradient buffer into a node slot the way the tape
+    /// used to: the first buffer becomes the slot, later ones are added.
+    fn add_per_call(slot: &mut Option<Vec<f32>>, buffer: Vec<f32>) {
+        match slot {
+            Some(existing) => existing.iter_mut().zip(&buffer).for_each(|(d, v)| *d += v),
+            None => *slot = Some(buffer),
+        }
+    }
+
+    #[test]
+    fn weight_gradients_accumulate_in_place_like_per_call_buffers() {
+        const HIDDEN: usize = 3;
+        const INPUT: usize = 2;
+        const WIDTH: usize = INPUT + HIDDEN;
+        let mut weights: Vec<f32> = (0..4 * HIDDEN * WIDTH)
+            .map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.11)
+            .collect();
+        // Unit 1's forget-gate row sees `x[0] > 0` through an inf weight in
+        // every step: the gate saturates at 1 and its gradient row is zero.
+        weights[(HIDDEN + 1) * WIDTH] = f32::INFINITY;
+        let mut params = Params::new();
+        let w = params.add("w", Tensor::matrix(4 * HIDDEN, WIDTH, weights));
+        let b = params.add(
+            "b",
+            Tensor::vector((0..4 * HIDDEN).map(|i| 0.05 * i as f32 - 0.3).collect()),
+        );
+        let cases = [
+            // A first step: `h_prev = +0`, so a negative gate gradient
+            // makes a −0 product in the `h` columns of `dw`.
+            LstmCase {
+                x: [0.7, -0.4],
+                h_prev: [0.0; 3],
+                c_prev: [0.0; 3],
+                h_weights: [-0.9, -0.6, -1.3],
+                c_weights: [-0.5, 0.8, -0.2],
+            },
+            // Unit 2 is not scored: its four gate rows get zero gradient.
+            LstmCase {
+                x: [0.3, 0.9],
+                h_prev: [0.2, -0.5, 0.4],
+                c_prev: [-0.3, 0.6, 0.1],
+                h_weights: [0.4, -0.7, 0.0],
+                c_weights: [0.6, 0.3, 0.0],
+            },
+            LstmCase {
+                x: [1.1, -0.2],
+                h_prev: [-0.6, 0.1, 0.8],
+                c_prev: [0.5, -0.4, -0.9],
+                h_weights: [-0.3, 0.5, 0.9],
+                c_weights: [0.2, -0.8, 0.4],
+            },
+        ];
+        let build = |graph: &mut Graph<'_>| -> Var {
+            let w = graph.param(w);
+            let b = graph.param(b);
+            let mut terms = Vec::new();
+            for case in &cases {
+                let x = graph.input(Tensor::vector(case.x.to_vec()));
+                let h_prev = graph.input(Tensor::vector(case.h_prev.to_vec()));
+                let c_prev = graph.input(Tensor::vector(case.c_prev.to_vec()));
+                let (h, c) = graph.lstm_step(w, b, x, h_prev, c_prev, HIDDEN);
+                for (state, scores) in [(h, case.h_weights), (c, case.c_weights)] {
+                    let scores = graph.input(Tensor::vector(scores.to_vec()));
+                    let product = graph.mul(state, scores);
+                    terms.push(graph.sum(product));
+                }
+            }
+            let all = graph.concat(&terms);
+            graph.sum(all)
+        };
+        let seed = 0.5f32;
+
+        // Reference: each step's weight gradients in a zeroed per-call
+        // buffer, added into the node slot afterwards, in the tape's
+        // reverse step order, then flushed into a fresh store slot.
+        let (w_values, b_values) = (params.get(w).data(), params.get(b).data());
+        let (mut slot_w, mut slot_b) = (None, None);
+        for (index, case) in cases.iter().enumerate().rev() {
+            let mut packed = vec![0.0f32; kernels::lstm_packed_len(HIDDEN)];
+            kernels::lstm_step(
+                w_values,
+                b_values,
+                &case.x,
+                &case.h_prev,
+                &case.c_prev,
+                HIDDEN,
+                INPUT,
+                &mut packed,
+            );
+            // The `c` slice's gradient lands first, in a zero-filled slot;
+            // the `h` slice's is added into it.
+            let mut g_packed = vec![0.0f32; kernels::lstm_packed_len(HIDDEN)];
+            for k in 0..HIDDEN {
+                g_packed[k] = 0.0 + seed * case.h_weights[k];
+                g_packed[HIDDEN + k] = seed * case.c_weights[k];
+            }
+            let mut dw = vec![0.0f32; w_values.len()];
+            let mut db = vec![0.0f32; 4 * HIDDEN];
+            kernels::lstm_step_grad(
+                w_values,
+                &case.x,
+                &case.h_prev,
+                &case.c_prev,
+                &packed,
+                &g_packed,
+                HIDDEN,
+                INPUT,
+                Some(&mut dw),
+                Some(&mut db),
+                &mut [0.0; INPUT],
+                &mut [0.0; HIDDEN],
+                &mut [0.0; HIDDEN],
+            );
+            // The cases cover what they claim to.
+            assert_eq!(db[HIDDEN + 1], 0.0, "the inf row's gate is saturated");
+            if index == 0 {
+                assert!(
+                    db.iter().any(|d| *d < 0.0),
+                    "a negative gate at h_prev = +0"
+                );
+            }
+            if index == 1 {
+                assert!((0..4).all(|gate| db[gate * HIDDEN + 2] == 0.0));
+            }
+            add_per_call(&mut slot_w, dw);
+            add_per_call(&mut slot_b, db);
+        }
+        let flushed = |slot: Option<Vec<f32>>| -> Option<Vec<u32>> {
+            Some(slot?.iter().map(|v| (0.0f32 + v).to_bits()).collect())
+        };
+        let expected = vec![flushed(slot_w), flushed(slot_b)];
+
+        let mut graph = Graph::new(&params);
+        let loss = build(&mut graph);
+        let mut taped = Grads::new(&params);
+        graph.backward_scaled(loss, &mut taped, seed);
+        assert_eq!(slot_bits(&params, &taped), expected, "tape");
+        let program = CompiledProgram::record(&params, build);
+        let mut buffers = ReplayBuffers::new();
+        for pass in 0..2 {
+            // The second replay runs over the first one's stale arena.
+            let mut compiled = Grads::new(&params);
+            program.replay(&params, &mut buffers, &mut compiled, seed, build);
+            assert_eq!(slot_bits(&params, &compiled), expected, "replay {pass}");
+        }
+    }
+
+    #[test]
+    fn shared_and_single_use_weights_match_the_tape_and_a_subset_skips_the_single_use_one() {
+        let mut params = Params::new();
+        let ramp = |len: usize, step: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| (i as f32 - len as f32 / 2.0) * step)
+                .collect()
+        };
+        let shared = params.add("shared", Tensor::matrix(3, 4, ramp(12, 0.17)));
+        let bias_x = params.add("bias_x", Tensor::vector(ramp(3, 0.2)));
+        let bias_y = params.add("bias_y", Tensor::vector(ramp(3, -0.3)));
+        let once = params.add("once", Tensor::matrix(2, 3, ramp(6, 0.4)));
+        let bias_out = params.add("bias_out", Tensor::vector(vec![-0.1, 0.05]));
+        // Bound by two leaves, each used once, and consumed in the reverse
+        // of their leaf order: it still has two uses.
+        let twice = params.add("twice", Tensor::matrix(2, 2, ramp(4, 0.6)));
+        let build = |graph: &mut Graph<'_>, sample: &Sample| -> Var {
+            let shared = graph.param(shared);
+            let bias_x = graph.param(bias_x);
+            let bias_y = graph.param(bias_y);
+            let once = graph.param(once);
+            let bias_out = graph.param(bias_out);
+            let twice_early = graph.param(twice);
+            let x = graph.input(Tensor::vector(sample.x.clone()));
+            let y = graph.input(Tensor::vector(sample.x.iter().map(|v| v * -0.5).collect()));
+            let hx = graph.linear(shared, bias_x, x);
+            let hy = graph.linear(shared, bias_y, y);
+            let sum = graph.add(hx, hy);
+            let t = graph.tanh(sum);
+            let out = graph.linear(once, bias_out, t);
+            // A negative output's zero gradient skips its row of `once`.
+            let r = graph.relu(out);
+            let twice_late = graph.param(twice);
+            let u = graph.matvec(twice_late, r);
+            let v = graph.matvec(twice_early, u);
+            let scaled = graph.scale(v, sample.scale);
+            graph.sum(scaled)
+        };
+        let mut data = samples();
+        // `+0` inputs make `±0` products in the shared weight's gradient.
+        data[1].x = vec![0.0, 0.8, 0.0, -0.6];
+        let first = &data[0];
+        let program = CompiledProgram::record(&params, |g| build(g, first));
+        let leaves: Vec<bool> = (program.ops.iter().zip(&program.sole_use))
+            .filter_map(|(op, sole)| matches!(op, CompiledOp::Param(_)).then_some(*sole))
+            .collect();
+        assert_eq!(
+            leaves,
+            [false, true, true, true, true, false, false],
+            "uses are counted per parameter, over all of its leaves"
+        );
+        let all: Vec<ParamId> = params.iter().map(|(id, _, _)| id).collect();
+        for ids in [all.clone(), vec![shared, bias_x, bias_y, twice]] {
+            // Every sample accumulates into one store, so the single-use
+            // slots are added into after the first sample.
+            let mut taped = Grads::only(&params, &ids);
+            let mut compiled = Grads::only(&params, &ids);
+            let mut buffers = ReplayBuffers::new();
+            for (index, sample) in data.iter().enumerate() {
+                let seed = 0.3 + 0.2 * index as f32;
+                let mut graph = Graph::new(&params);
+                let loss = build(&mut graph, sample);
+                graph.backward_scaled(loss, &mut taped, seed);
+                program.replay(&params, &mut buffers, &mut compiled, seed, |g| {
+                    build(g, sample)
+                });
+                assert_eq!(
+                    slot_bits(&params, &compiled),
+                    slot_bits(&params, &taped),
+                    "sample {index}, ids {ids:?}"
+                );
+            }
+            let collected = ids.len() == all.len();
+            assert_eq!(compiled.get(once).is_some(), collected, "ids {ids:?}");
+            assert_eq!(compiled.get(bias_out).is_some(), collected, "ids {ids:?}");
+            assert!(compiled.get(shared).is_some() && compiled.get(bias_y).is_some());
+        }
     }
 
     #[test]

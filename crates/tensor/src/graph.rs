@@ -77,11 +77,15 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// True if `f` holds for any operand of the op (leaves have none).
-    fn any_operand(&self, mut f: impl FnMut(Var) -> bool) -> bool {
+    /// Calls `f` on every operand of the op, once per use (leaves have
+    /// none).
+    pub(crate) fn for_each_operand(&self, mut f: impl FnMut(Var)) {
         match self {
-            Op::Param(_) | Op::Input => false,
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => f(*a) || f(*b),
+            Op::Param(_) | Op::Input => {}
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
+                f(*a);
+                f(*b);
+            }
             Op::Scale(a, _)
             | Op::AddScalar(a)
             | Op::Sigmoid(a)
@@ -92,8 +96,15 @@ impl Op {
             | Op::Mean(a)
             | Op::Slice { src: a, .. }
             | Op::Row { table: a, .. } => f(*a),
-            Op::MatVec { w, x } => f(*w) || f(*x),
-            Op::Linear { w, b, x } => f(*w) || f(*b) || f(*x),
+            Op::MatVec { w, x } => {
+                f(*w);
+                f(*x);
+            }
+            Op::Linear { w, b, x } => {
+                f(*w);
+                f(*b);
+                f(*x);
+            }
             Op::LstmStep {
                 w,
                 b,
@@ -101,8 +112,12 @@ impl Op {
                 h_prev,
                 c_prev,
                 ..
-            } => f(*w) || f(*b) || f(*x) || f(*h_prev) || f(*c_prev),
-            Op::Concat(parts) => parts.iter().any(|part| f(*part)),
+            } => {
+                for operand in [w, b, x, h_prev, c_prev] {
+                    f(*operand);
+                }
+            }
+            Op::Concat(parts) => parts.iter().copied().for_each(f),
         }
     }
 }
@@ -110,7 +125,21 @@ impl Op {
 #[derive(Debug)]
 struct Node {
     op: Op,
-    value: Tensor,
+    /// The node's computed value; `None` for a [`Op::Param`] leaf, whose
+    /// value is the parameter store's own tensor (see [`Node::value`]).
+    value: Option<Tensor>,
+}
+
+impl Node {
+    /// The node's value: a parameter leaf reads the store, every other node
+    /// its own buffer.
+    fn value<'a>(&'a self, params: &'a Params) -> &'a Tensor {
+        match (&self.op, &self.value) {
+            (Op::Param(id), _) => params.get(*id),
+            (_, Some(value)) => value,
+            (op, None) => unreachable!("a {op:?} node always holds its value"),
+        }
+    }
 }
 
 /// A pool of recycled `Vec<f32>` buffers.
@@ -134,6 +163,13 @@ impl BufferPool {
             }
             None => Vec::with_capacity(capacity),
         }
+    }
+
+    /// Pops a buffer holding `len` zeros.
+    fn zeroed(&mut self, len: usize) -> Vec<f32> {
+        let mut buffer = self.take(len);
+        buffer.resize(len, 0.0);
+        buffer
     }
 
     /// Returns a buffer to the pool (zero-capacity buffers are not worth
@@ -160,7 +196,7 @@ impl BufferPool {
 #[derive(Debug, Default)]
 pub struct TapeArena {
     nodes: Vec<Node>,
-    scratch: Vec<Option<Tensor>>,
+    scratch: Vec<Option<Vec<f32>>>,
     marks: Vec<bool>,
     pool: BufferPool,
 }
@@ -193,14 +229,18 @@ impl TapeArena {
         for node in graph.nodes.drain(..) {
             // Input tensors were allocated by the caller, not drawn from the
             // pool; recycling them would grow the pool without bound (one
-            // orphan buffer per input per tape). Every other node's buffer
-            // came from the pool, so takes and puts stay balanced.
-            if !matches!(node.op, Op::Input) {
-                pool.put_tensor(node.value);
+            // orphan buffer per input per tape). Parameter leaves hold no
+            // buffer. Every other node's buffer came from the pool, so takes
+            // and puts stay balanced.
+            match node {
+                Node { op: Op::Input, .. } | Node { value: None, .. } => {}
+                Node {
+                    value: Some(value), ..
+                } => pool.put_tensor(value),
             }
         }
         for slot in graph.scratch.drain(..).flatten() {
-            pool.put_tensor(slot);
+            pool.put(slot);
         }
         self.nodes = std::mem::take(&mut graph.nodes);
         self.scratch = std::mem::take(&mut graph.scratch);
@@ -226,7 +266,8 @@ impl TapeArena {
 pub struct Graph<'p> {
     params: &'p Params,
     nodes: Vec<Node>,
-    scratch: Vec<Option<Tensor>>,
+    /// Backward scratch: each node's gradient slot.
+    scratch: Vec<Option<Vec<f32>>>,
     /// Backward scratch: which nodes can reach a collected parameter.
     marks: Vec<bool>,
     pool: BufferPool,
@@ -282,36 +323,41 @@ impl<'p> Graph<'p> {
 
     /// A recorded node's value length (compile-time accessor).
     pub(crate) fn node_len(&self, index: usize) -> usize {
-        self.nodes[index].value.len()
+        self.value_tensor(Var(index)).len()
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> Var {
-        self.nodes.push(Node { op, value });
+        self.nodes.push(Node {
+            op,
+            value: Some(value),
+        });
         Var(self.nodes.len() - 1)
     }
 
-    /// The computed value of a node as a slice.
+    /// The computed value of a node as a slice (a parameter leaf's is the
+    /// store's own buffer).
     pub fn value(&self, var: Var) -> &[f32] {
-        self.nodes[var.0].value.data()
+        self.value_tensor(var).data()
     }
 
-    /// The computed value of a node as a tensor.
+    /// The computed value of a node as a tensor (a parameter leaf's is the
+    /// store's own tensor).
     pub fn value_tensor(&self, var: Var) -> &Tensor {
-        &self.nodes[var.0].value
+        self.nodes[var.0].value(self.params)
     }
 
     /// A leaf node referencing a trainable parameter; gradients flow into the
-    /// corresponding [`Grads`] slot during [`Graph::backward`].
+    /// corresponding [`Grads`] slot during [`Graph::backward`]. The leaf
+    /// copies nothing: every read of its value goes to the store.
     pub fn param(&mut self, id: ParamId) -> Var {
         if let Some(bind) = self.bind.as_mut() {
             return bind.param(id);
         }
-        let params = self.params;
-        let src = params.get(id);
-        let mut data = self.pool.take(src.len());
-        data.extend_from_slice(src.data());
-        let value = Tensor::from_vec(data, src.shape().to_vec());
-        self.push(Op::Param(id), value)
+        self.nodes.push(Node {
+            op: Op::Param(id),
+            value: None,
+        });
+        Var(self.nodes.len() - 1)
     }
 
     /// A constant input leaf (no gradient).
@@ -335,19 +381,17 @@ impl<'p> Graph<'p> {
 
     /// Computes an elementwise unary op into a pooled buffer.
     fn map(&mut self, a: Var, f: impl Fn(f32) -> f32) -> Tensor {
-        let len = self.nodes[a.0].value.len();
-        let mut out = self.pool.take(len);
-        let src = &self.nodes[a.0].value;
+        let mut out = self.pool.take(self.value_tensor(a).len());
+        let src = self.value_tensor(a);
         out.extend(src.data().iter().map(|&x| f(x)));
         Tensor::from_vec(out, src.shape().to_vec())
     }
 
     /// Computes an elementwise binary op into a pooled buffer.
     fn zip(&mut self, a: Var, b: Var, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        let len = self.nodes[a.0].value.len();
-        let mut out = self.pool.take(len);
-        let at = &self.nodes[a.0].value;
-        let bt = &self.nodes[b.0].value;
+        let mut out = self.pool.take(self.value_tensor(a).len());
+        let at = self.value_tensor(a);
+        let bt = self.value_tensor(b);
         assert_eq!(
             at.shape(),
             bt.shape(),
@@ -418,8 +462,8 @@ impl<'p> Graph<'p> {
             return bind.matvec(w, x);
         }
         let (m, n) = {
-            let wt = &self.nodes[w.0].value;
-            let xt = &self.nodes[x.0].value;
+            let wt = self.value_tensor(w);
+            let xt = self.value_tensor(x);
             assert_eq!(wt.shape().len(), 2, "matvec weight must be a matrix");
             let (m, n) = (wt.rows(), wt.cols());
             assert_eq!(
@@ -430,15 +474,8 @@ impl<'p> Graph<'p> {
             );
             (m, n)
         };
-        let mut out = self.pool.take(m);
-        out.resize(m, 0.0);
-        kernels::matvec(
-            self.nodes[w.0].value.data(),
-            self.nodes[x.0].value.data(),
-            m,
-            n,
-            &mut out,
-        );
+        let mut out = self.pool.zeroed(m);
+        kernels::matvec(self.value(w), self.value(x), m, n, &mut out);
         self.push(Op::MatVec { w, x }, Tensor::vector(out))
     }
 
@@ -447,26 +484,21 @@ impl<'p> Graph<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if `w` is not `[m, n]`, `b` not `[m]`, or `x` not `[n]`.
+    /// Panics if `w` is not `[m, n]`, `b` not `[m]`, or `x` not `[n]`, or if
+    /// `w` and `b` are the same node (their gradients accumulate in place,
+    /// each in its own slot).
     pub fn linear(&mut self, w: Var, b: Var, x: Var) -> Var {
         if let Some(bind) = self.bind.as_mut() {
             return bind.linear(w, b, x);
         }
+        assert_ne!(w, b, "linear weight and bias must be different nodes");
         let (m, n) = {
-            let wt = &self.nodes[w.0].value;
+            let wt = self.value_tensor(w);
             assert_eq!(wt.shape().len(), 2, "linear weight must be a matrix");
             (wt.rows(), wt.cols())
         };
-        let mut out = self.pool.take(m);
-        out.resize(m, 0.0);
-        kernels::linear(
-            self.nodes[w.0].value.data(),
-            self.nodes[b.0].value.data(),
-            self.nodes[x.0].value.data(),
-            m,
-            n,
-            &mut out,
-        );
+        let mut out = self.pool.zeroed(m);
+        kernels::linear(self.value(w), self.value(b), self.value(x), m, n, &mut out);
         self.push(Op::Linear { w, b, x }, Tensor::vector(out))
     }
 
@@ -476,7 +508,8 @@ impl<'p> Graph<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the operand shapes disagree with `hidden` and `x`'s length.
+    /// Panics if the operand shapes disagree with `hidden` and `x`'s length,
+    /// or if `w` and `b` are the same node.
     pub fn lstm_step(
         &mut self,
         w: Var,
@@ -489,15 +522,15 @@ impl<'p> Graph<'p> {
         let packed = if let Some(bind) = self.bind.as_mut() {
             bind.lstm_step(w, b, x, h_prev, c_prev, hidden)
         } else {
-            let input = self.nodes[x.0].value.len();
-            let mut out = self.pool.take(kernels::lstm_packed_len(hidden));
-            out.resize(kernels::lstm_packed_len(hidden), 0.0);
+            assert_ne!(w, b, "lstm_step weight and bias must be different nodes");
+            let input = self.value(x).len();
+            let mut out = self.pool.zeroed(kernels::lstm_packed_len(hidden));
             kernels::lstm_step(
-                self.nodes[w.0].value.data(),
-                self.nodes[b.0].value.data(),
-                self.nodes[x.0].value.data(),
-                self.nodes[h_prev.0].value.data(),
-                self.nodes[c_prev.0].value.data(),
+                self.value(w),
+                self.value(b),
+                self.value(x),
+                self.value(h_prev),
+                self.value(c_prev),
                 hidden,
                 input,
                 &mut out,
@@ -560,10 +593,10 @@ impl<'p> Graph<'p> {
         if let Some(bind) = self.bind.as_mut() {
             return bind.concat(parts);
         }
-        let total: usize = parts.iter().map(|p| self.nodes[p.0].value.len()).sum();
+        let total: usize = parts.iter().map(|p| self.value(*p).len()).sum();
         let mut data = self.pool.take(total);
         for part in parts {
-            data.extend_from_slice(self.nodes[part.0].value.data());
+            data.extend_from_slice(self.value(*part));
         }
         self.push(Op::Concat(parts.to_vec()), Tensor::vector(data))
     }
@@ -578,7 +611,7 @@ impl<'p> Graph<'p> {
             return bind.slice(src, start, len);
         }
         let mut data = self.pool.take(len);
-        data.extend_from_slice(&self.nodes[src.0].value.data()[start..start + len]);
+        data.extend_from_slice(&self.value(src)[start..start + len]);
         self.push(Op::Slice { src, start, len }, Tensor::vector(data))
     }
 
@@ -591,9 +624,8 @@ impl<'p> Graph<'p> {
         if let Some(bind) = self.bind.as_mut() {
             return bind.row(table, row);
         }
-        let cols = self.nodes[table.0].value.cols();
-        let mut data = self.pool.take(cols);
-        data.extend_from_slice(self.nodes[table.0].value.row(row));
+        let mut data = self.pool.take(self.value_tensor(table).cols());
+        data.extend_from_slice(self.value_tensor(table).row(row));
         self.push(Op::Row { table, row }, Tensor::vector(data))
     }
 
@@ -602,7 +634,7 @@ impl<'p> Graph<'p> {
         if let Some(bind) = self.bind.as_mut() {
             return bind.sum(a);
         }
-        let total: f32 = self.nodes[a.0].value.data().iter().sum();
+        let total: f32 = self.value(a).iter().sum();
         let mut data = self.pool.take(1);
         data.push(total);
         self.push(Op::Sum(a), Tensor::vector(data))
@@ -614,11 +646,11 @@ impl<'p> Graph<'p> {
             return bind.mean(a);
         }
         let mean = {
-            let t = &self.nodes[a.0].value;
+            let t = self.value(a);
             if t.is_empty() {
                 0.0
             } else {
-                t.data().iter().sum::<f32>() / t.len() as f32
+                t.iter().sum::<f32>() / t.len() as f32
             }
         };
         let mut data = self.pool.take(1);
@@ -645,60 +677,56 @@ impl<'p> Graph<'p> {
     /// forward pass over the tape first marks every node that depends on a
     /// collected parameter, and the reverse sweep then skips unmarked
     /// nodes, opens no gradient slot for an unmarked operand, and asks the
-    /// fused kernels for no weight or bias gradient an unmarked `w`/`b`
-    /// would receive. Every consumer of a marked node is marked, so each
+    /// fused kernels for no weight, bias or matvec/linear input gradient an
+    /// unmarked operand would receive. Weight and bias gradients accumulate
+    /// in place in their node slots (see `take_weight_slot`). Every
+    /// consumer of a marked node is marked, so each
     /// collected slot gets the same contributions in the same order — the
     /// same bits — as with a store that collects everything.
     pub fn backward_scaled(&mut self, loss: Var, grads: &mut Grads, seed: f32) {
-        assert_eq!(
-            self.nodes[loss.0].value.len(),
-            1,
-            "backward requires a scalar loss"
-        );
+        assert_eq!(self.value(loss).len(), 1, "backward requires a scalar loss");
+        let params = self.params;
+        let nodes = &self.nodes[..];
+        let pool = &mut self.pool;
+        let value = |var: Var| nodes[var.0].value(params);
         let mut marks = std::mem::take(&mut self.marks);
         marks.clear();
-        for node in &self.nodes {
+        for node in nodes {
             let reaches = match &node.op {
                 Op::Param(id) => grads.collects(*id),
-                op => op.any_operand(|operand| marks[operand.0]),
+                op => {
+                    let mut reaches = false;
+                    op.for_each_operand(|operand| reaches |= marks[operand.0]);
+                    reaches
+                }
             };
             marks.push(reaches);
         }
         let mut node_grads = std::mem::take(&mut self.scratch);
         node_grads.clear();
-        node_grads.resize_with(self.nodes.len(), || None);
+        node_grads.resize_with(nodes.len(), || None);
         if marks[loss.0] {
-            let mut seed_data = self.pool.take(1);
+            let mut seed_data = pool.take(1);
             seed_data.push(seed);
-            node_grads[loss.0] = Some(Tensor::vector(seed_data));
+            node_grads[loss.0] = Some(seed_data);
         }
-        // A zeroed pooled buffer for a weight or bias gradient, or `None`
-        // when the operand cannot reach a collected parameter.
-        let weight_grad = |pool: &mut BufferPool, var: Var, len: usize| {
-            marks[var.0].then(|| {
-                let mut data = pool.take(len);
-                data.resize(len, 0.0);
-                data
-            })
-        };
 
-        for index in (0..self.nodes.len()).rev() {
+        for index in (0..nodes.len()).rev() {
             let Some(grad) = node_grads[index].take() else {
                 continue;
             };
-            let node = &self.nodes[index];
+            let node = &nodes[index];
             let slots = &mut node_grads[..];
-            let pool = &mut self.pool;
             match &node.op {
                 Op::Input => {}
-                Op::Param(id) => grads.accumulate(*id, &grad, 1.0),
+                Op::Param(id) => grads.accumulate_at(*id, params.get(*id).shape(), 0, &grad, 1.0),
                 Op::Add(a, b) => {
-                    add_grad(slots, &marks, pool, *a, grad.data(), 1.0);
-                    add_grad(slots, &marks, pool, *b, grad.data(), 1.0);
+                    add_grad(slots, &marks, pool, *a, &grad, 1.0);
+                    add_grad(slots, &marks, pool, *b, &grad, 1.0);
                 }
                 Op::Sub(a, b) => {
-                    add_grad(slots, &marks, pool, *a, grad.data(), 1.0);
-                    add_grad(slots, &marks, pool, *b, grad.data(), -1.0);
+                    add_grad(slots, &marks, pool, *a, &grad, 1.0);
+                    add_grad(slots, &marks, pool, *b, &grad, -1.0);
                 }
                 Op::Mul(a, b) => {
                     for (target, other) in [(*a, *b), (*b, *a)] {
@@ -706,63 +734,52 @@ impl<'p> Graph<'p> {
                             continue;
                         }
                         let mut d = pool.take(grad.len());
-                        d.extend(
-                            grad.data()
-                                .iter()
-                                .zip(self.nodes[other.0].value.data())
-                                .map(|(g, v)| g * v),
-                        );
+                        d.extend(grad.iter().zip(value(other).data()).map(|(g, v)| g * v));
                         add_grad_owned(slots, &marks, pool, target, d);
                     }
                 }
-                Op::Scale(a, factor) => add_grad(slots, &marks, pool, *a, grad.data(), *factor),
-                Op::AddScalar(a) => add_grad(slots, &marks, pool, *a, grad.data(), 1.0),
+                Op::Scale(a, factor) => add_grad(slots, &marks, pool, *a, &grad, *factor),
+                Op::AddScalar(a) => add_grad(slots, &marks, pool, *a, &grad, 1.0),
                 Op::MatVec { w, x } => {
-                    let wt = &self.nodes[w.0].value;
-                    let xt = &self.nodes[x.0].value;
+                    let (wt, xt) = (value(*w), value(*x));
                     let (m, n) = (wt.rows(), wt.cols());
-                    let mut dw = weight_grad(pool, *w, m * n);
-                    let mut dx = pool.take(n);
-                    dx.resize(n, 0.0);
+                    let mut dw = take_weight_slot(slots, &marks, pool, *w, m * n);
+                    let mut dx = zeroed_grad(&marks, pool, *x, n);
                     kernels::matvec_grad(
                         wt.data(),
                         xt.data(),
-                        grad.data(),
+                        &grad,
                         m,
                         n,
                         dw.as_deref_mut(),
-                        &mut dx,
+                        dx.as_deref_mut(),
                     );
-                    if let Some(dw) = dw {
-                        add_grad_shaped(slots, pool, *w, Tensor::matrix(m, n, dw));
+                    slots[w.0] = dw;
+                    if let Some(dx) = dx {
+                        add_grad_owned(slots, &marks, pool, *x, dx);
                     }
-                    add_grad_owned(slots, &marks, pool, *x, dx);
                 }
                 Op::Linear { w, b, x } => {
-                    let wt = &self.nodes[w.0].value;
-                    let xt = &self.nodes[x.0].value;
+                    let (wt, xt) = (value(*w), value(*x));
                     let (m, n) = (wt.rows(), wt.cols());
-                    let mut dw = weight_grad(pool, *w, m * n);
-                    let mut db = weight_grad(pool, *b, m);
-                    let mut dx = pool.take(n);
-                    dx.resize(n, 0.0);
+                    let mut dw = take_weight_slot(slots, &marks, pool, *w, m * n);
+                    let mut db = take_weight_slot(slots, &marks, pool, *b, m);
+                    let mut dx = zeroed_grad(&marks, pool, *x, n);
                     kernels::linear_grad(
                         wt.data(),
                         xt.data(),
-                        grad.data(),
+                        &grad,
                         m,
                         n,
                         dw.as_deref_mut(),
                         db.as_deref_mut(),
-                        &mut dx,
+                        dx.as_deref_mut(),
                     );
-                    if let Some(dw) = dw {
-                        add_grad_shaped(slots, pool, *w, Tensor::matrix(m, n, dw));
+                    slots[w.0] = dw;
+                    slots[b.0] = db;
+                    if let Some(dx) = dx {
+                        add_grad_owned(slots, &marks, pool, *x, dx);
                     }
-                    if let Some(db) = db {
-                        add_grad_owned(slots, &marks, pool, *b, db);
-                    }
-                    add_grad_owned(slots, &marks, pool, *x, dx);
                 }
                 Op::LstmStep {
                     w,
@@ -773,23 +790,19 @@ impl<'p> Graph<'p> {
                     hidden,
                 } => {
                     let hidden = *hidden;
-                    let input = self.nodes[x.0].value.len();
-                    let width = input + hidden;
-                    let mut dw = weight_grad(pool, *w, 4 * hidden * width);
-                    let mut db = weight_grad(pool, *b, 4 * hidden);
-                    let mut dx = pool.take(input);
-                    dx.resize(input, 0.0);
-                    let mut dh = pool.take(hidden);
-                    dh.resize(hidden, 0.0);
-                    let mut dc = pool.take(hidden);
-                    dc.resize(hidden, 0.0);
+                    let input = value(*x).len();
+                    let mut dw = take_weight_slot(slots, &marks, pool, *w, value(*w).len());
+                    let mut db = take_weight_slot(slots, &marks, pool, *b, 4 * hidden);
+                    let mut dx = pool.zeroed(input);
+                    let mut dh = pool.zeroed(hidden);
+                    let mut dc = pool.zeroed(hidden);
                     kernels::lstm_step_grad(
-                        self.nodes[w.0].value.data(),
-                        self.nodes[x.0].value.data(),
-                        self.nodes[h_prev.0].value.data(),
-                        self.nodes[c_prev.0].value.data(),
-                        node.value.data(),
-                        grad.data(),
+                        value(*w).data(),
+                        value(*x).data(),
+                        value(*h_prev).data(),
+                        value(*c_prev).data(),
+                        value(Var(index)).data(),
+                        &grad,
                         hidden,
                         input,
                         dw.as_deref_mut(),
@@ -798,12 +811,8 @@ impl<'p> Graph<'p> {
                         &mut dh,
                         &mut dc,
                     );
-                    if let Some(dw) = dw {
-                        add_grad_shaped(slots, pool, *w, Tensor::matrix(4 * hidden, width, dw));
-                    }
-                    if let Some(db) = db {
-                        add_grad_owned(slots, &marks, pool, *b, db);
-                    }
+                    slots[w.0] = dw;
+                    slots[b.0] = db;
                     add_grad_owned(slots, &marks, pool, *x, dx);
                     add_grad_owned(slots, &marks, pool, *h_prev, dh);
                     add_grad_owned(slots, &marks, pool, *c_prev, dc);
@@ -811,9 +820,8 @@ impl<'p> Graph<'p> {
                 Op::Sigmoid(a) => {
                     let mut d = pool.take(grad.len());
                     d.extend(
-                        grad.data()
-                            .iter()
-                            .zip(node.value.data())
+                        grad.iter()
+                            .zip(value(Var(index)).data())
                             .map(|(g, y)| g * y * (1.0 - y)),
                     );
                     add_grad_owned(slots, &marks, pool, *a, d);
@@ -821,50 +829,44 @@ impl<'p> Graph<'p> {
                 Op::Tanh(a) => {
                     let mut d = pool.take(grad.len());
                     d.extend(
-                        grad.data()
-                            .iter()
-                            .zip(node.value.data())
+                        grad.iter()
+                            .zip(value(Var(index)).data())
                             .map(|(g, y)| g * (1.0 - y * y)),
                     );
                     add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Relu(a) => {
                     let mut d = pool.take(grad.len());
-                    d.extend(
-                        grad.data()
-                            .iter()
-                            .zip(self.nodes[a.0].value.data())
-                            .map(|(g, x)| if *x > 0.0 { *g } else { 0.0 }),
-                    );
+                    d.extend(grad.iter().zip(value(*a).data()).map(|(g, x)| {
+                        if *x > 0.0 {
+                            *g
+                        } else {
+                            0.0
+                        }
+                    }));
                     add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Abs(a) => {
                     let mut d = pool.take(grad.len());
-                    d.extend(
-                        grad.data()
-                            .iter()
-                            .zip(self.nodes[a.0].value.data())
-                            .map(|(g, x)| if *x >= 0.0 { *g } else { -*g }),
-                    );
+                    d.extend(grad.iter().zip(value(*a).data()).map(|(g, x)| {
+                        if *x >= 0.0 {
+                            *g
+                        } else {
+                            -*g
+                        }
+                    }));
                     add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Concat(parts) => {
                     let mut offset = 0;
                     for part in parts {
-                        let len = self.nodes[part.0].value.len();
-                        add_grad(
-                            slots,
-                            &marks,
-                            pool,
-                            *part,
-                            &grad.data()[offset..offset + len],
-                            1.0,
-                        );
+                        let len = value(*part).len();
+                        add_grad(slots, &marks, pool, *part, &grad[offset..offset + len], 1.0);
                         offset += len;
                     }
                 }
                 Op::Slice { src, start, len } => {
-                    let total = self.nodes[src.0].value.len();
+                    let total = value(*src).len();
                     add_grad_window(
                         slots,
                         &marks,
@@ -876,46 +878,34 @@ impl<'p> Graph<'p> {
                     );
                 }
                 Op::Row { table, row } => {
+                    let table_value = value(*table);
+                    let offset = row * table_value.cols();
                     // Fast path: embedding tables are parameter leaves, so the
                     // gradient can be scattered sparsely without materializing a
                     // dense table-sized gradient on the tape.
-                    let table_node = &self.nodes[table.0];
-                    if let Op::Param(id) = table_node.op {
-                        let cols = table_node.value.cols();
-                        grads.accumulate_at(
-                            id,
-                            table_node.value.shape(),
-                            row * cols,
-                            grad.data(),
-                            1.0,
-                        );
+                    if let Op::Param(id) = nodes[table.0].op {
+                        grads.accumulate_at(id, table_value.shape(), offset, &grad, 1.0);
                     } else {
-                        let shape = table_node.value.shape().to_vec();
-                        let total = table_node.value.len();
-                        let cols = table_node.value.cols();
-                        let mut d = pool.take(total);
-                        d.resize(total, 0.0);
-                        d[row * cols..row * cols + grad.len()].copy_from_slice(grad.data());
-                        add_grad_shaped(slots, pool, *table, Tensor::from_vec(d, shape));
+                        let total = table_value.len();
+                        let mut d = pool.zeroed(total);
+                        d[offset..offset + grad.len()].copy_from_slice(&grad);
+                        add_grad_owned(slots, &marks, pool, *table, d);
                     }
                 }
                 Op::Sum(a) => {
-                    let g = grad.item();
-                    let len = self.nodes[a.0].value.len();
+                    let len = value(*a).len();
                     let mut d = pool.take(len);
-                    d.resize(len, g);
+                    d.resize(len, grad[0]);
                     add_grad_owned(slots, &marks, pool, *a, d);
                 }
                 Op::Mean(a) => {
-                    let len = self.nodes[a.0].value.len().max(1);
-                    let g = grad.item() / len as f32;
-                    let len = self.nodes[a.0].value.len();
+                    let len = value(*a).len();
                     let mut d = pool.take(len);
-                    d.resize(len, g);
+                    d.resize(len, grad[0] / len.max(1) as f32);
                     add_grad_owned(slots, &marks, pool, *a, d);
                 }
             }
-            self.pool.put_tensor(grad);
+            pool.put(grad);
         }
         node_grads.clear();
         self.scratch = node_grads;
@@ -937,7 +927,7 @@ impl<'p> Graph<'p> {
 /// from the pool. A no-op for an operand that cannot reach a collected
 /// parameter (`marks[var]` is false).
 fn add_grad(
-    slots: &mut [Option<Tensor>],
+    slots: &mut [Option<Vec<f32>>],
     marks: &[bool],
     pool: &mut BufferPool,
     var: Var,
@@ -949,23 +939,23 @@ fn add_grad(
     }
     match &mut slots[var.0] {
         Some(existing) => {
-            for (dst, src) in existing.data_mut().iter_mut().zip(values) {
+            for (dst, src) in existing.iter_mut().zip(values) {
                 *dst += src * scale;
             }
         }
         slot @ None => {
             let mut data = pool.take(values.len());
             data.extend(values.iter().map(|v| v * scale));
-            *slot = Some(Tensor::vector(data));
+            *slot = Some(data);
         }
     }
 }
 
-/// Adds an owned, already-scaled vector buffer into a node-gradient slot,
+/// Adds an owned, already-scaled buffer into a node-gradient slot,
 /// recycling it into the pool when the slot is already populated or the
 /// operand cannot reach a collected parameter.
 fn add_grad_owned(
-    slots: &mut [Option<Tensor>],
+    slots: &mut [Option<Vec<f32>>],
     marks: &[bool],
     pool: &mut BufferPool,
     var: Var,
@@ -977,13 +967,41 @@ fn add_grad_owned(
     }
     match &mut slots[var.0] {
         Some(existing) => {
-            for (dst, src) in existing.data_mut().iter_mut().zip(&data) {
+            for (dst, src) in existing.iter_mut().zip(&data) {
                 *dst += src;
             }
             pool.put(data);
         }
-        slot @ None => *slot = Some(Tensor::vector(data)),
+        slot @ None => *slot = Some(data),
     }
+}
+
+/// A zeroed pooled `len`-float buffer for a kernel's input gradient, or
+/// `None` when the operand cannot reach a collected parameter.
+fn zeroed_grad(marks: &[bool], pool: &mut BufferPool, var: Var, len: usize) -> Option<Vec<f32>> {
+    marks[var.0].then(|| pool.zeroed(len))
+}
+
+/// Takes a weight or bias operand's gradient slot out of `slots` so a fused
+/// kernel can accumulate into it in place, or `None` when the operand cannot
+/// reach a collected parameter. A slot that already holds a gradient is
+/// handed over as it is, an empty one as a zeroed pooled buffer; the caller
+/// puts the slot back after the kernel.
+///
+/// This gives the bits of a zeroed per-call buffer added into the slot
+/// afterwards: each element takes exactly one `+= d·x` (or `+= d`) per
+/// call, so the in-place `slot + p` equals `slot + (0 + p)` unless both are
+/// −0, and a slot whose first write is `0 + p` and whose later writes are
+/// adds is never −0.
+fn take_weight_slot(
+    slots: &mut [Option<Vec<f32>>],
+    marks: &[bool],
+    pool: &mut BufferPool,
+    var: Var,
+    len: usize,
+) -> Option<Vec<f32>> {
+    let slot = slots[var.0].take();
+    slot.or_else(|| zeroed_grad(marks, pool, var, len))
 }
 
 /// Adds a gradient that is zero outside `window` into a `total`-long
@@ -992,41 +1010,28 @@ fn add_grad_owned(
 /// their window alone. A no-op for an operand that cannot reach a
 /// collected parameter (`marks[var]` is false).
 fn add_grad_window(
-    slots: &mut [Option<Tensor>],
+    slots: &mut [Option<Vec<f32>>],
     marks: &[bool],
     pool: &mut BufferPool,
     var: Var,
     total: usize,
     window: std::ops::Range<usize>,
-    values: &Tensor,
+    values: &[f32],
 ) {
     if !marks[var.0] {
         return;
     }
     match &mut slots[var.0] {
         Some(existing) => {
-            for (dst, src) in existing.data_mut()[window].iter_mut().zip(values.data()) {
+            for (dst, src) in existing[window].iter_mut().zip(values) {
                 *dst += src;
             }
         }
         slot @ None => {
-            let mut data = pool.take(total);
-            data.resize(total, 0.0);
-            data[window].copy_from_slice(values.data());
-            *slot = Some(Tensor::vector(data));
+            let mut data = pool.zeroed(total);
+            data[window].copy_from_slice(values);
+            *slot = Some(data);
         }
-    }
-}
-
-/// Adds a shaped (matrix) gradient tensor into a node-gradient slot,
-/// recycling its buffer when the slot is already populated.
-fn add_grad_shaped(slots: &mut [Option<Tensor>], pool: &mut BufferPool, var: Var, value: Tensor) {
-    match &mut slots[var.0] {
-        Some(existing) => {
-            existing.add_scaled(&value, 1.0);
-            pool.put_tensor(value);
-        }
-        slot @ None => *slot = Some(value),
     }
 }
 
@@ -1229,6 +1234,23 @@ mod tests {
         // An identical workload consumes and returns the same buffers: the
         // pool reaches a steady state instead of growing.
         assert_eq!(arena.pooled_buffers(), after_first);
+    }
+
+    #[test]
+    fn a_param_leaf_reads_the_store_and_takes_no_pooled_buffer() {
+        // As many floats as the block LSTM's gate weights (256 × 145).
+        let mut params = Params::new();
+        let w = params.add(
+            "w",
+            Tensor::matrix(256, 145, (0..256 * 145).map(|i| i as f32).collect()),
+        );
+        let mut arena = TapeArena::new();
+        arena.scoped(&params, |graph| {
+            let leaf = graph.param(w);
+            assert_eq!(graph.value(leaf).as_ptr(), params.get(w).data().as_ptr());
+            assert!(std::ptr::eq(graph.value_tensor(leaf), params.get(w)));
+        });
+        assert_eq!(arena.pooled_buffers(), 0, "binding a weight pools nothing");
     }
 
     #[test]

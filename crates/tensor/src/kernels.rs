@@ -23,10 +23,14 @@
 //! through it. That one function holds the crate's only `unsafe` code (the
 //! unaligned loads).
 //!
-//! Backward kernels **accumulate** (`+=`) into caller-provided buffers and
-//! document the zeroing contract; callers hand in freshly zeroed scratch so
-//! that first-write and accumulate paths stay bitwise-identical between
-//! engines.
+//! Backward kernels **accumulate** (`+=`) into caller-provided buffers. A
+//! `dx`, `dh_prev` or `dc_prev` buffer must be zeroed by the caller: each
+//! of its elements sums several products per call, and that sum must form
+//! before it joins the node's gradient. A `dw` or `db` buffer may be
+//! zeroed or already accumulating: each of its elements takes exactly one
+//! `+= d·x` (or `+= d`) per call, so both engines hand in the weight's own
+//! gradient slot and get the bits a zeroed buffer added afterwards would
+//! give.
 
 /// SIMD-ish chunk width the dot-product kernel folds over.
 const LANES: usize = 4;
@@ -146,9 +150,10 @@ pub fn matvec(w: &[f32], x: &[f32], m: usize, n: usize, out: &mut [f32]) {
     }
 }
 
-/// Backward of [`matvec`]: accumulates `dw += g ⊗ x` and `dx += wᵀ g` into
-/// caller-zeroed buffers. With `dw = None` the weight gradient is not
-/// computed; `dx` gets the same bits either way.
+/// Backward of [`matvec`]: accumulates `dw += g ⊗ x` (one add per element,
+/// into a zeroed or already-accumulating buffer) and `dx += wᵀ g` (into a
+/// caller-zeroed buffer). A `None` gradient is not computed, and the other
+/// gets the same bits either way.
 ///
 /// Rows whose output gradient is exactly `0.0` are skipped, matching the
 /// tape's historical behavior (and avoiding `0 * inf = NaN` pollution from
@@ -161,7 +166,7 @@ pub fn matvec_grad(
     m: usize,
     n: usize,
     mut dw: Option<&mut [f32]>,
-    dx: &mut [f32],
+    mut dx: Option<&mut [f32]>,
 ) {
     assert_eq!(w.len(), m * n, "matvec_grad weight shape mismatch");
     assert_eq!(x.len(), n, "matvec_grad input shape mismatch");
@@ -169,25 +174,22 @@ pub fn matvec_grad(
     if let Some(dw) = &dw {
         assert_eq!(dw.len(), m * n, "matvec_grad dw shape mismatch");
     }
-    assert_eq!(dx.len(), n, "matvec_grad dx shape mismatch");
+    if let Some(dx) = &dx {
+        assert_eq!(dx.len(), n, "matvec_grad dx shape mismatch");
+    }
     for i in 0..m {
         let gi = g[i];
         if gi == 0.0 {
             continue;
         }
-        let row = &w[i * n..(i + 1) * n];
-        match dw.as_deref_mut() {
-            Some(dw) => {
-                let drow = &mut dw[i * n..(i + 1) * n];
-                for j in 0..n {
-                    drow[j] += gi * x[j];
-                    dx[j] += gi * row[j];
-                }
+        if let Some(dw) = dw.as_deref_mut() {
+            for (d, xj) in dw[i * n..(i + 1) * n].iter_mut().zip(x) {
+                *d += gi * xj;
             }
-            None => {
-                for (d, wj) in dx.iter_mut().zip(row) {
-                    *d += gi * wj;
-                }
+        }
+        if let Some(dx) = dx.as_deref_mut() {
+            for (d, wj) in dx.iter_mut().zip(&w[i * n..(i + 1) * n]) {
+                *d += gi * wj;
             }
         }
     }
@@ -209,10 +211,11 @@ pub fn linear(w: &[f32], b: &[f32], x: &[f32], m: usize, n: usize, out: &mut [f3
     }
 }
 
-/// Backward of [`linear`]: accumulates `dw += g ⊗ x`, `db += g`, and
-/// `dx += wᵀ g` into caller-zeroed buffers, with the same zero-gradient row
-/// skip as [`matvec_grad`] for `dw`/`dx` (`db` always accumulates, matching
-/// the unfused add's backward). `None` skips that weight or bias gradient.
+/// Backward of [`linear`]: accumulates `dw += g ⊗ x`, `db += g` (one add per
+/// element each) and `dx += wᵀ g` (into a caller-zeroed buffer), with the
+/// same zero-gradient row skip as [`matvec_grad`] for `dw`/`dx` (`db`
+/// always accumulates, matching the unfused add's backward). `None` skips
+/// that gradient.
 #[inline]
 #[allow(clippy::too_many_arguments)] // a flat slice signature keeps both engines' call sites identical
 pub fn linear_grad(
@@ -223,7 +226,7 @@ pub fn linear_grad(
     n: usize,
     dw: Option<&mut [f32]>,
     db: Option<&mut [f32]>,
-    dx: &mut [f32],
+    dx: Option<&mut [f32]>,
 ) {
     if let Some(db) = db {
         assert_eq!(db.len(), m, "linear_grad db shape mismatch");
@@ -321,9 +324,10 @@ pub fn lstm_step(
 /// is the gradient flowing into it, of which only the `h` segment
 /// (`0..hidden`) and `c` segment (`hidden..2*hidden`) are read — the gate
 /// segments are internal to the fused op and never exposed as graph outputs.
-/// All five output buffers accumulate (`+=`) and must be zeroed by the
-/// caller. `dw`/`db` may be `None` when the weights need no gradient; `dx`,
-/// `dh_prev` and `dc_prev` get the same bits either way.
+/// All five output buffers accumulate (`+=`). `dx`, `dh_prev` and `dc_prev`
+/// must be zeroed by the caller; `dw`/`db` take one add per element and may
+/// already hold a gradient. `dw`/`db` may be `None` when the weights need no
+/// gradient; `dx`, `dh_prev` and `dc_prev` get the same bits either way.
 #[inline]
 #[allow(clippy::too_many_arguments)] // a flat slice signature keeps both engines' call sites identical
 pub fn lstm_step_grad(
@@ -592,7 +596,7 @@ mod tests {
         let g = [0.0, 1.0];
         let mut dw = [0.0; 4];
         let mut dx = [0.0; 2];
-        matvec_grad(&w, &x, &g, 2, 2, Some(&mut dw), &mut dx);
+        matvec_grad(&w, &x, &g, 2, 2, Some(&mut dw), Some(&mut dx));
         // The infinite first row is skipped because its gradient is zero.
         assert_eq!(dw, [0.0, 0.0, 0.5, 0.25]);
         assert_eq!(dx, [2.0, 3.0]);
@@ -610,10 +614,13 @@ mod tests {
         let x = [0.5, -0.25, 2.0];
         let g = [0.0, 1.5, -0.75];
         let (mut dw, mut db, mut dx) = ([0.0; 9], [0.0; 3], [0.0; 3]);
-        matvec_grad(&w, &x, &g, 3, 3, Some(&mut dw), &mut dx);
+        matvec_grad(&w, &x, &g, 3, 3, Some(&mut dw), Some(&mut dx));
         let mut dx_none = [0.0; 3];
-        matvec_grad(&w, &x, &g, 3, 3, None, &mut dx_none);
+        matvec_grad(&w, &x, &g, 3, 3, None, Some(&mut dx_none));
         assert_eq!(bits(&dx), bits(&dx_none));
+        let mut dw_only = [0.0; 9];
+        matvec_grad(&w, &x, &g, 3, 3, Some(&mut dw_only), None);
+        assert_eq!(bits(&dw_only), bits(&dw), "dw without dx");
         assert!(dx.iter().all(|v| v.is_finite()), "{dx:?}");
         assert_eq!(dw[..3], [0.0; 3], "the zero-gradient row is skipped");
 
@@ -626,7 +633,7 @@ mod tests {
             3,
             Some(&mut dw),
             Some(&mut db),
-            &mut dx_linear,
+            Some(&mut dx_linear),
         );
         for (dw_given, db_given) in [(true, false), (false, true), (false, false)] {
             let (mut dw2, mut db2, mut dx2) = ([0.0; 9], [0.0; 3], [0.0; 3]);
@@ -638,7 +645,7 @@ mod tests {
                 3,
                 dw_given.then_some(&mut dw2[..]),
                 db_given.then_some(&mut db2[..]),
-                &mut dx2,
+                Some(&mut dx2),
             );
             assert_eq!(bits(&dx_linear), bits(&dx2));
         }
