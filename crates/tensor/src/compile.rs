@@ -180,7 +180,7 @@ impl CompiledProgram {
         let mut lens = Vec::with_capacity(count);
         let mut values_len = 0usize;
         // Operand uses per parameter, summed over every leaf of it.
-        let mut uses: HashMap<ParamId, usize> = HashMap::new();
+        let mut uses = vec![0usize; graph.params().len()];
         let mut reaches_param = Vec::with_capacity(count);
         for index in 0..count {
             let op = graph.node_op(index);
@@ -188,13 +188,13 @@ impl CompiledProgram {
             op.for_each_operand(|operand| {
                 reaches |= reaches_param[operand.0];
                 if let Op::Param(id) = graph.node_op(operand.0) {
-                    *uses.entry(*id).or_default() += 1;
+                    uses[id.0] += 1;
                 }
             });
             reaches_param.push(reaches);
         }
         let sole_use = (0..count)
-            .map(|index| matches!(graph.node_op(index), Op::Param(id) if uses.get(id) == Some(&1)))
+            .map(|index| matches!(graph.node_op(index), Op::Param(id) if uses[id.0] == 1))
             .collect();
         for index in 0..count {
             let len = graph.node_len(index);
@@ -388,7 +388,7 @@ impl CompiledProgram {
                         &mut set,
                         targets,
                     );
-                    let [store_w] = grads.slots_mut(params, [store_w]);
+                    let [store_w, _] = grads.slots_mut(params, [store_w, None]);
                     kernels::matvec_grad(value_of(*w), value_of(*x), g, len, n, dw.or(store_w), dx);
                     self.add_spills(glo, &scratch, &mut set, targets, spills);
                 }

@@ -311,6 +311,11 @@ impl<'p> Graph<'p> {
         self.bind.take()
     }
 
+    /// The parameter store the graph reads (compile-time accessor).
+    pub(crate) fn params(&self) -> &'p Params {
+        self.params
+    }
+
     /// The number of recorded tape nodes (compile-time accessor).
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()

@@ -200,34 +200,41 @@ impl Grads {
         }
     }
 
-    /// The slots of distinct parameters as mutable slices, each created as
-    /// zeros shaped like its parameter in `params` if empty, so a kernel can
-    /// accumulate a gradient straight into the store. An entry is `None`
-    /// where its id is `None` or the store does not collect it.
-    pub(crate) fn slots_mut<const N: usize>(
+    /// The slots of a weight and a bias parameter as mutable slices, each
+    /// created as zeros shaped like its parameter in `params` if empty, so a
+    /// kernel can accumulate a gradient straight into the store. An entry is
+    /// `None` where its id is `None` or the store does not collect it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both ids are the same parameter.
+    pub(crate) fn slots_mut(
         &mut self,
         params: &Params,
-        ids: [Option<ParamId>; N],
-    ) -> [Option<&mut [f32]>; N] {
-        let mut out: [Option<&mut [f32]>; N] = std::array::from_fn(|_| None);
-        if ids.iter().all(Option::is_none) {
-            return out;
-        }
+        ids: [Option<ParamId>; 2],
+    ) -> [Option<&mut [f32]>; 2] {
+        let ids = ids.map(|id| id.filter(|&id| self.collects(id)));
         for id in ids.into_iter().flatten() {
-            if !self.collects(id) {
-                continue;
-            }
             if self.slots.len() <= id.0 {
                 self.slots.resize(id.0 + 1, None);
             }
             self.slots[id.0].get_or_insert_with(|| Tensor::zeros(params.get(id).shape().to_vec()));
         }
-        for (index, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(i) = ids.iter().position(|id| *id == Some(ParamId(index))) {
-                out[i] = slot.as_mut().map(Tensor::data_mut);
+        match ids {
+            [Some(w), Some(b)] => {
+                let [w, b] = self
+                    .slots
+                    .get_disjoint_mut([w.0, b.0])
+                    .expect("a weight and its bias are distinct parameters");
+                [
+                    w.as_mut().map(Tensor::data_mut),
+                    b.as_mut().map(Tensor::data_mut),
+                ]
             }
+            [Some(w), None] => [self.slots[w.0].as_mut().map(Tensor::data_mut), None],
+            [None, Some(b)] => [None, self.slots[b.0].as_mut().map(Tensor::data_mut)],
+            [None, None] => [None, None],
         }
-        out
     }
 
     /// Clears all accumulated gradients (keeping allocations).
