@@ -97,8 +97,7 @@ fn bench_surrogate(c: &mut Criterion) {
     // over blocks it has never seen, so each opcode's leading state is
     // computed the first time it appears; `_warm_shapes` cycles through
     // blocks it has already predicted, so every instruction starts from
-    // its memo. (The ids are kept from when the engine compiled programs
-    // per block shape.)
+    // its memo. (The ids name blocks of fresh and of repeated shapes.)
     let table = default_params(Microarch::Haswell);
     let fresh = distinct_blocks(4096);
     bench_forward(

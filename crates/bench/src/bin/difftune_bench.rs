@@ -2,7 +2,7 @@
 //!
 //! Runs the DiffTune pipeline at a chosen scale, timing each stage
 //! separately, and (with `--json`) emits one `BENCH_<stage>.json` record per
-//! stage in the shared `difftune-bench/2` schema:
+//! stage in the shared `difftune-bench/3` schema:
 //!
 //! * `generate` — simulated-dataset generation (`Session::generate_dataset`)
 //! * `fit`      — surrogate training (`Session::fit_surrogate`)
@@ -15,29 +15,16 @@
 //! rerunning fit/optimize with one thread, recording the speedup and failing
 //! if the tables' fingerprints diverge.
 //!
-//! Surrogate training runs on the compiled engine, which records one
-//! schedule per graph structure and replays it; the taped engine rebuilds a
-//! tape per sample. The engines are bit-identical; `--compare-taped` proves
-//! it by rerunning the pipeline on the tape at the same thread count,
-//! failing if the learned tables' fingerprints diverge, and recording the
-//! compiled engine's fit-stage speedup — a ratio that, unlike
-//! `--compare-serial`'s, is meaningful on 1-core machines. The speedup is
-//! the median over back-to-back (taped, compiled) run pairs: each pair's
-//! runs are temporally adjacent so machine-load noise hits both engines
-//! alike, and the median over pairs keeps one scheduler hiccup on a shared
-//! runner from faking a regression.
-//!
 //! ```text
 //! difftune-bench [--scale smoke|small|paper] [--seed N] [--json]
-//!                [--out-dir DIR] [--compare-serial] [--compare-taped]
+//!                [--out-dir DIR] [--compare-serial]
 //!                [--max-seconds STAGE=SECS]... [--min-speedup STAGE=RATIO]...
-//!                [--min-taped-speedup STAGE=RATIO]...
 //! ```
 //!
-//! `--max-seconds`, `--min-speedup`, and `--min-taped-speedup` turn the run
-//! into a CI tripwire: if any stage's wall time exceeds its ceiling, or a
-//! measured speedup falls under its floor, the process exits nonzero after
-//! reporting every violation.
+//! `--max-seconds` and `--min-speedup` turn the run into a CI tripwire: if
+//! any stage's wall time exceeds its ceiling, or a measured speedup falls
+//! under its floor, the process exits nonzero after reporting every
+//! violation.
 
 #![forbid(unsafe_code)]
 
@@ -50,11 +37,10 @@ use difftune_bench::record::{fingerprint_table, BenchRecord};
 use difftune_bench::{dataset_for, mca, pairs, Scale};
 use difftune_cpu::{default_params, Microarch};
 use difftune_sim::{SimParams, Simulator};
-use difftune_surrogate::train::Engine;
 
 const USAGE: &str = "usage: difftune-bench [--scale smoke|small|paper] [--seed N] [--json] \
-     [--out-dir DIR] [--compare-serial] [--compare-taped] [--max-seconds STAGE=SECS]... \
-     [--min-speedup STAGE=RATIO]... [--min-taped-speedup STAGE=RATIO]...";
+     [--out-dir DIR] [--compare-serial] [--max-seconds STAGE=SECS]... \
+     [--min-speedup STAGE=RATIO]...";
 
 #[derive(Debug)]
 struct Args {
@@ -63,15 +49,11 @@ struct Args {
     json: bool,
     out_dir: String,
     compare_serial: bool,
-    compare_taped: bool,
     /// `(stage, ceiling_seconds)` pairs from `--max-seconds`.
     ceilings: Vec<(String, f64)>,
     /// `(stage, minimum speedup_vs_serial)` pairs from `--min-speedup`
     /// (requires `--compare-serial`).
     min_speedups: Vec<(String, f64)>,
-    /// `(stage, minimum speedup_vs_taped)` pairs from `--min-taped-speedup`
-    /// (requires `--compare-taped`).
-    min_taped_speedups: Vec<(String, f64)>,
 }
 
 fn parse_args(flags: &mut Flags) -> Result<Args, String> {
@@ -81,10 +63,8 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
         json: false,
         out_dir: ".".to_string(),
         compare_serial: false,
-        compare_taped: false,
         ceilings: Vec::new(),
         min_speedups: Vec::new(),
-        min_taped_speedups: Vec::new(),
     };
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
@@ -93,7 +73,6 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
             "--json" => args.json = true,
             "--out-dir" => args.out_dir = flags.value("--out-dir")?,
             "--compare-serial" => args.compare_serial = true,
-            "--compare-taped" => args.compare_taped = true,
             "--max-seconds" => {
                 args.ceilings
                     .push(flags.pair("--max-seconds", str::parse, str::parse)?)
@@ -102,11 +81,6 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
                 args.min_speedups
                     .push(flags.pair("--min-speedup", str::parse, str::parse)?)
             }
-            "--min-taped-speedup" => args.min_taped_speedups.push(flags.pair(
-                "--min-taped-speedup",
-                str::parse,
-                str::parse,
-            )?),
             other => return Err(cli::unknown(other)),
         }
     }
@@ -131,7 +105,6 @@ fn run_pipeline(
     scale: Scale,
     seed: u64,
     threads: usize,
-    engine: Engine,
     train_pairs: &[(difftune_isa::BasicBlock, f64)],
 ) -> StageTimes {
     let mut config = scale.difftune_config(seed);
@@ -139,7 +112,6 @@ fn run_pipeline(
         config.threads = threads;
         config.surrogate_train.threads = threads;
     }
-    config.surrogate_train.engine = engine;
     let epochs = config.surrogate_train.epochs;
     let table_epochs = config.table_epochs;
     let defaults = default_params(Microarch::Haswell);
@@ -236,14 +208,7 @@ fn main() {
     );
 
     let simulator = mca();
-    let times = run_pipeline(
-        &simulator,
-        scale,
-        seed,
-        threads,
-        Engine::Compiled,
-        &train_pairs,
-    );
+    let times = run_pipeline(&simulator, scale, seed, threads, &train_pairs);
     let fingerprint = fingerprint_table(&times.learned);
 
     let mut generate = BenchRecord::stage(
@@ -271,9 +236,6 @@ fn main() {
         times.optimize_samples,
     );
     optimize.table_fingerprint = Some(fingerprint.clone());
-    // Only the fit stage names its engine: generate/optimize/simulate run
-    // the same code under either engine.
-    fit.engine = Some("compiled".to_string());
 
     // Determinism violations are reported *after* the records are written:
     // when a check trips in CI, the measurements (and all fingerprints)
@@ -281,7 +243,7 @@ fn main() {
     let mut violations = Vec::new();
     if args.compare_serial {
         eprintln!("[difftune-bench] rerunning with 1 thread for the determinism/speedup check");
-        let serial = run_pipeline(&simulator, scale, seed, 1, Engine::Compiled, &train_pairs);
+        let serial = run_pipeline(&simulator, scale, seed, 1, &train_pairs);
         let serial_fingerprint = fingerprint_table(&serial.learned);
         if serial_fingerprint == fingerprint {
             eprintln!("[difftune-bench] learned tables bit-identical across thread counts ✓");
@@ -295,58 +257,6 @@ fn main() {
         fit.speedup_vs_serial = Some(serial.fit_seconds / times.fit_seconds);
         optimize.speedup_vs_serial = Some(serial.optimize_seconds / times.optimize_seconds);
     }
-    if args.compare_taped {
-        // Wall-clock ratios of a single ~10ms fit run swing ±30% on a busy
-        // shared runner, and slow phases last seconds — long enough to
-        // swallow several consecutive runs, so neither a single rerun nor a
-        // best-of-N over each engine separately is stable. Instead the two
-        // engines run back-to-back in pairs (temporally adjacent runs see
-        // the same machine load), each pair yields a taped/compiled fit
-        // ratio, and the reported speedup is the median over the pairs. The
-        // fingerprint check covers every taped run (they are deterministic,
-        // so all must match the main run's table).
-        const COMPARE_TAPED_PAIRS: usize = 5;
-        eprintln!(
-            "[difftune-bench] rerunning on the taped engine for the engine-equality/speedup \
-             check (median of {COMPARE_TAPED_PAIRS} back-to-back pairs)"
-        );
-        let mut ratios = Vec::with_capacity(COMPARE_TAPED_PAIRS);
-        let mut engines_match = true;
-        for _ in 0..COMPARE_TAPED_PAIRS {
-            let taped = run_pipeline(
-                &simulator,
-                scale,
-                seed,
-                threads,
-                Engine::Taped,
-                &train_pairs,
-            );
-            let taped_fingerprint = fingerprint_table(&taped.learned);
-            if taped_fingerprint != fingerprint {
-                engines_match = false;
-                violations.push(format!(
-                    "DETERMINISM VIOLATION: the learned table depends on the execution engine \
-                     (taped {taped_fingerprint}, compiled {fingerprint})"
-                ));
-                break;
-            }
-            let rerun = run_pipeline(
-                &simulator,
-                scale,
-                seed,
-                threads,
-                Engine::Compiled,
-                &train_pairs,
-            );
-            ratios.push(taped.fit_seconds / rerun.fit_seconds);
-        }
-        if engines_match {
-            eprintln!("[difftune-bench] learned tables bit-identical across engines ✓");
-            ratios.sort_by(|a, b| a.total_cmp(b));
-            fit.speedup_vs_taped = Some(ratios[ratios.len() / 2]);
-        }
-    }
-
     let (simulate_seconds, simulated_blocks) =
         run_simulate_stage(&simulator, &times.learned, &test_blocks);
     let simulate = BenchRecord::stage(
@@ -360,30 +270,25 @@ fn main() {
 
     let records = [generate, fit, optimize, simulate];
     outln!(
-        "{:<10} {:>10} {:>12} {:>14} {:>10} {:>10} {:>10}",
+        "{:<10} {:>10} {:>12} {:>14} {:>10}",
         "stage",
         "seconds",
         "samples",
         "samples/sec",
-        "engine",
-        "vs-serial",
-        "vs-taped"
+        "vs-serial"
     );
     for record in &records {
-        let ratio = |value: Option<f64>| {
-            value
-                .map(|s| format!("{s:.2}x"))
-                .unwrap_or_else(|| "-".to_string())
-        };
+        let vs_serial = record
+            .speedup_vs_serial
+            .map(|s| format!("{s:.2}x"))
+            .unwrap_or_else(|| "-".to_string());
         outln!(
-            "{:<10} {:>10.3} {:>12} {:>14.1} {:>10} {:>10} {:>10}",
+            "{:<10} {:>10.3} {:>12} {:>14.1} {:>10}",
             record.stage,
             record.wall_time_seconds,
             record.samples,
             record.samples_per_second,
-            record.engine.as_deref().unwrap_or("-"),
-            ratio(record.speedup_vs_serial),
-            ratio(record.speedup_vs_taped),
+            vs_serial,
         );
     }
     outln!("learned table fingerprint: {fingerprint}");
@@ -436,26 +341,6 @@ fn main() {
             )),
         }
     }
-    for (stage, floor) in &args.min_taped_speedups {
-        match records.iter().find(|r| &r.stage == stage) {
-            Some(record) => match record.speedup_vs_taped {
-                Some(speedup) if speedup < *floor => violations.push(format!(
-                    "stage {stage} ran only {speedup:.2}x faster than the taped engine, under \
-                     the {floor:.2}x floor (threads {}, {} cores)",
-                    record.threads, record.cpu_cores
-                )),
-                Some(_) => {}
-                None => violations.push(format!(
-                    "no taped-engine comparison was measured for stage {stage} (requires \
-                     --compare-taped; only fit has an engine choice)"
-                )),
-            },
-            None => violations.push(format!(
-                "--min-taped-speedup names unknown stage {stage:?} (valid: generate, fit, \
-                 optimize, simulate)"
-            )),
-        }
-    }
     for violation in &violations {
         eprintln!("difftune-bench: PERF GATE VIOLATION: {violation}");
     }
@@ -490,7 +375,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(args.scale, Some(Scale::Smoke));
-        assert!(args.json && args.compare_serial && !args.compare_taped);
+        assert!(args.json && args.compare_serial);
         assert_eq!(args.out_dir, "bench-out");
         assert_eq!(
             stages(&args.ceilings),
@@ -502,18 +387,7 @@ mod tests {
             ]
         );
         assert_eq!(stages(&args.min_speedups), [("fit", 1.3)]);
-        assert!(args.min_taped_speedups.is_empty());
         assert_eq!(args.seed, 0);
-
-        // CI's fit-perf job.
-        let args = parse(
-            "--scale smoke --json --out-dir fit-perf-out --compare-taped \
-             --max-seconds fit=900 --min-taped-speedup fit=1.5",
-        )
-        .unwrap();
-        assert!(args.compare_taped && !args.compare_serial);
-        assert_eq!(stages(&args.ceilings), [("fit", 900.0)]);
-        assert_eq!(stages(&args.min_taped_speedups), [("fit", 1.5)]);
 
         // The README's example leaves the scale to DIFFTUNE_SCALE.
         let args = parse("--json --compare-serial --seed 3").unwrap();

@@ -352,8 +352,8 @@ pub fn run_cell_with(
     })?;
     let mut forward = SurrogateForward::from_artifact(&artifact)
         .map_err(|error| format!("cell {key}: exported surrogate does not load: {error}"))?;
-    // Warm the compiled-program cache off the clock, then time a pure
-    // replay pass — the steady-state throughput a server would see.
+    // Warm the encoder memo off the clock, then time a warm pass — the
+    // steady-state throughput a server would see.
     if measure_throughput {
         forward.predict_batch(&blocks);
     }

@@ -3,7 +3,7 @@
 //! Every performance artifact this repository produces — the
 //! `difftune-bench` stage runner and the vendored criterion shim's optional
 //! JSON output — serializes to the same [`BenchRecord`] shape (schema
-//! `difftune-bench/2`), so one set of tooling can consume the whole perf
+//! `difftune-bench/3`), so one set of tooling can consume the whole perf
 //! trajectory. The scenario-matrix runner (`difftune-matrix`, see
 //! [`crate::matrix`]) emits one [`MatrixRecord`] per tuned cell plus a
 //! [`MatrixSummary`] roll-up, both under schema `difftune-matrix/3`.
@@ -23,10 +23,12 @@ use serde::{Deserialize, Serialize};
 
 /// The schema tag every benchmark record carries.
 ///
-/// `difftune-bench/2` extends `/1` with [`BenchRecord::engine`] (which
-/// execution engine ran the stage) and [`BenchRecord::speedup_vs_taped`]
-/// (the compiled engine's core-count-independent speedup over the tape).
-pub const BENCH_SCHEMA: &str = "difftune-bench/2";
+/// `difftune-bench/2` extended `/1` with `engine` (which execution engine
+/// ran the stage) and `speedup_vs_taped` (the fit stage's speedup over the
+/// tape). `difftune-bench/3` drops both again: training has one engine, the
+/// tape. `/3` has exactly `/1`'s fields, so `/1` records load as they are,
+/// and `/2` records load with the two extra fields ignored.
+pub const BENCH_SCHEMA: &str = "difftune-bench/3";
 
 /// The schema tag every matrix record and summary carries.
 ///
@@ -86,16 +88,6 @@ pub struct BenchRecord {
     /// baselines were produced on such a machine) — that is scheduler
     /// overhead, not an engine regression.
     pub speedup_vs_serial: Option<f64>,
-    /// Which execution engine ran the stage's forward/backward passes:
-    /// `"taped"` or `"compiled"`. Absent on stages that have no engine
-    /// choice (generate/simulate/serve/criterion).
-    pub engine: Option<String>,
-    /// Wall-time ratio of a taped-engine rerun of the same stage to this
-    /// (compiled) run, when `--compare-taped` measured one. Both runs use
-    /// the same thread count, so — unlike
-    /// [`speedup_vs_serial`](BenchRecord::speedup_vs_serial) — this ratio is
-    /// meaningful on any machine, including 1-core CI containers.
-    pub speedup_vs_taped: Option<f64>,
 }
 
 impl BenchRecord {
@@ -125,8 +117,6 @@ impl BenchRecord {
             median_ns_per_iter: None,
             table_fingerprint: None,
             speedup_vs_serial: None,
-            engine: None,
-            speedup_vs_taped: None,
         }
     }
 
@@ -388,10 +378,8 @@ mod tests {
         let mut record = BenchRecord::stage("fit", "smoke", 4, 7, 1.5, 6000);
         record.table_fingerprint = Some("0xdeadbeef".to_string());
         record.speedup_vs_serial = Some(2.5);
-        record.engine = Some("compiled".to_string());
-        record.speedup_vs_taped = Some(1.8);
         let json = record.to_json();
-        assert!(json.contains("difftune-bench/2"));
+        assert!(json.contains("difftune-bench/3"));
         assert_eq!(BenchRecord::from_json(&json).unwrap(), record);
         assert_eq!(record.file_name(), "BENCH_fit.json");
         assert_eq!(record.samples_per_second, 4000.0);
@@ -530,7 +518,17 @@ mod tests {
         assert_eq!(record.samples, 0);
         assert_eq!(record.table_fingerprint, None);
         assert_eq!(record.speedup_vs_serial, None);
-        assert_eq!(record.engine, None);
-        assert_eq!(record.speedup_vs_taped, None);
+    }
+
+    #[test]
+    fn older_schema_records_still_load() {
+        let v1 = r#"{"schema":"difftune-bench/1","stage":"fit","scale":"smoke","threads":4,"cpu_cores":1,"seed":0,"wall_time_seconds":0.05,"samples":4320,"samples_per_second":86400.0,"median_ns_per_iter":null,"table_fingerprint":null,"speedup_vs_serial":0.5}"#;
+        let v2 = r#"{"schema":"difftune-bench/2","stage":"fit","scale":"smoke","threads":4,"cpu_cores":1,"seed":0,"wall_time_seconds":0.05,"samples":4320,"samples_per_second":86400.0,"median_ns_per_iter":null,"table_fingerprint":null,"speedup_vs_serial":0.5,"engine":"compiled","speedup_vs_taped":1.5}"#;
+        for json in [v1, v2] {
+            let record = BenchRecord::from_json(json).expect("an older record loads");
+            assert_eq!(record.stage, "fit");
+            assert_eq!(record.samples, 4320);
+            assert_eq!(record.speedup_vs_serial, Some(0.5));
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! requests over one or more keep-alive connections (each connection waits
 //! for its response before sending the next request — a closed loop), and
 //! writes the measured throughput as `BENCH_serve.json` (direct) or
-//! `BENCH_router.json` (routed; stage `route`) in the `difftune-bench/2`
+//! `BENCH_router.json` (routed; stage `route`) in the `difftune-bench/3`
 //! schema, extending the perf trajectory the training stages already record.
 //!
 //! ```text

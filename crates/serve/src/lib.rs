@@ -31,7 +31,7 @@
 //!
 //! Two binaries ship with the crate: `difftune-serve` (the server) and
 //! `difftune-loadtest` (a closed-loop generator that measures throughput
-//! into `BENCH_serve.json`, schema `difftune-bench/2`).
+//! into `BENCH_serve.json`, schema `difftune-bench/3`).
 //!
 //! [`Simulator::predict_batch`]: difftune_sim::Simulator::predict_batch
 //!

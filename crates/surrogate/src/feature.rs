@@ -257,16 +257,6 @@ impl SurrogateModel for FeatureMlpModel {
     fn uses_parameter_inputs(&self) -> bool {
         self.config.parameter_inputs
     }
-
-    fn program_key(&self, block: &TokenizedBlock) -> Option<difftune_tensor::ProgramKey> {
-        // The op sequence only depends on the number of pooled feature
-        // vectors (one per instruction) and the surrogate-mode flag.
-        Some(vec![
-            1,
-            u32::from(self.config.parameter_inputs),
-            u32::try_from(block.len()).ok()?,
-        ])
-    }
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ pub use feature::{FeatureMlpConfig, FeatureMlpModel};
 pub use infer::SurrogateForward;
 pub use model::{EncoderMemo, IthemalConfig, IthemalModel};
 
-use difftune_tensor::{Graph, ProgramKey, Tensor, Var};
+use difftune_tensor::{Graph, Tensor, Var};
 
 /// A differentiable surrogate model: predicts a block timing from a tokenized
 /// block and (optionally) parameter features already present in the graph.
@@ -149,17 +149,6 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
     /// Whether the model consumes parameter features (surrogate mode) or not
     /// (baseline mode).
     fn uses_parameter_inputs(&self) -> bool;
-
-    /// Names the graph structure [`forward`](SurrogateModel::forward) builds
-    /// for `block`, for the compiled execution engine: two blocks map to the
-    /// same key **iff** they build identical op sequences (only input data,
-    /// embedding rows, and scalar constants may differ). Return `None` for
-    /// blocks whose structure the model cannot key — they fall back to the
-    /// tape.
-    fn program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
-        let _ = block;
-        None
-    }
 }
 
 impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
@@ -212,9 +201,5 @@ impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
 
     fn uses_parameter_inputs(&self) -> bool {
         (**self).uses_parameter_inputs()
-    }
-
-    fn program_key(&self, block: &TokenizedBlock) -> Option<ProgramKey> {
-        (**self).program_key(block)
     }
 }

@@ -353,7 +353,7 @@ impl SurrogateModel for IthemalModel {
             block.len(),
             per_inst_features,
             global_feature_var,
-            |graph, index| graph.input_ref(encoded[index]),
+            |graph, index| graph.input(encoded[index].clone()),
         )
     }
 
@@ -404,19 +404,6 @@ impl SurrogateModel for IthemalModel {
 
     fn uses_parameter_inputs(&self) -> bool {
         self.config.parameter_inputs
-    }
-
-    fn program_key(&self, block: &TokenizedBlock) -> Option<difftune_tensor::ProgramKey> {
-        // The op sequence depends on the per-instruction token counts (the
-        // instruction LSTM unrolls per token) and the surrogate-mode flag;
-        // token *values* only rebind embedding rows.
-        let mut key = Vec::with_capacity(block.len() + 2);
-        key.push(2);
-        key.push(u32::from(self.config.parameter_inputs));
-        for inst in &block.insts {
-            key.push(u32::try_from(inst.tokens.len()).ok()?);
-        }
-        Some(key)
     }
 }
 

@@ -15,7 +15,7 @@
 //! asserts exact equality).
 
 use difftune_tensor::optim::{Adam, Optimizer};
-use difftune_tensor::{Batch, Grads, Graph, ProgramCache, Tensor, Var};
+use difftune_tensor::{Batch, Grads, Graph, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -38,33 +38,6 @@ pub struct TrainSample {
     pub target: f64,
 }
 
-/// Which execution engine computes per-sample forward/backward passes.
-///
-/// Both engines share the same fused kernels and the same deterministic
-/// reduction, so they produce **bit-identical** losses, gradients, and
-/// trained weights; `Compiled` is simply faster (no per-sample tape
-/// construction). The enforcing test lives in `tests/engine.rs` at the
-/// workspace root.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Engine {
-    /// Rebuild a fresh autodiff tape for every sample. Always available,
-    /// including for models that cannot key their graph structure.
-    Taped,
-    /// Record one compiled schedule per graph structure
-    /// ([`SurrogateModel::program_key`]) and replay samples against it;
-    /// unkeyable samples fall back to the tape inside the same batch.
-    Compiled,
-}
-
-// The vendored serde derive cannot parse variant attributes, so the
-// non-first default variant needs a manual impl.
-#[allow(clippy::derivable_impls)]
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::Compiled
-    }
-}
-
 /// Training hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
@@ -82,9 +55,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Number of worker threads (0 = use all available cores).
     pub threads: usize,
-    /// Execution engine for per-sample forward/backward passes. The choice
-    /// never changes results (the engines are bit-identical), only speed.
-    pub engine: Engine,
 }
 
 impl Default for TrainConfig {
@@ -96,7 +66,6 @@ impl Default for TrainConfig {
             grad_clip: 5.0,
             seed: 0,
             threads: 0,
-            engine: Engine::default(),
         }
     }
 }
@@ -198,17 +167,22 @@ impl TrainReport {
     }
 }
 
-/// Names the graph structure [`sample_loss`] builds for one sample: the
-/// model's own key for the block, extended with which optional feature
-/// inputs are present (they add input and concat nodes).
-fn sample_program_key<M: SurrogateModel + ?Sized>(
+/// Builds the model's prediction for one sample on the graph, binding its
+/// feature tensors as inputs.
+fn sample_prediction<M: SurrogateModel + ?Sized>(
     model: &M,
+    graph: &mut Graph<'_>,
     sample: &TrainSample,
-) -> Option<difftune_tensor::ProgramKey> {
-    let mut key = model.program_key(&sample.block)?;
-    key.push(u32::from(sample.per_inst_features.is_some()));
-    key.push(u32::from(sample.global_features.is_some()));
-    Some(key)
+) -> Var {
+    let feature_vars: Option<Vec<Var>> = sample
+        .per_inst_features
+        .as_ref()
+        .map(|features| features.iter().map(|f| graph.input(f.clone())).collect());
+    let global_var = sample
+        .global_features
+        .as_ref()
+        .map(|g| graph.input(g.clone()));
+    model.forward(graph, &sample.block, feature_vars.as_deref(), global_var)
 }
 
 /// Builds the per-sample loss `|f̂(θ, x) − target| / target` on the graph.
@@ -217,12 +191,7 @@ fn sample_loss<M: SurrogateModel + ?Sized>(
     graph: &mut Graph<'_>,
     sample: &TrainSample,
 ) -> Var {
-    let feature_vars: Option<Vec<Var>> = sample
-        .per_inst_features
-        .as_ref()
-        .map(|features| features.iter().map(|f| graph.input_ref(f)).collect());
-    let global_var = sample.global_features.as_ref().map(|g| graph.input_ref(g));
-    let prediction = model.forward(graph, &sample.block, feature_vars.as_deref(), global_var);
+    let prediction = sample_prediction(model, graph, sample);
     let target = sample.target.max(1e-3) as f32;
     let target_var = graph.input(Tensor::scalar(target));
     let diff = graph.sub(prediction, target_var);
@@ -266,9 +235,6 @@ pub fn train_observed<M: SurrogateModel>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut engine = Batch::new(config.threads);
     let mut grads = Grads::new(model.params());
-    // Compiled schedules depend only on graph *structure*, which optimizer
-    // steps never change, so one cache serves the whole run.
-    let mut cache = ProgramCache::new();
 
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
@@ -280,15 +246,9 @@ pub fn train_observed<M: SurrogateModel>(
 
             grads.reset(model.params());
             let model_ref: &M = &*model;
-            // The taped engine is the same loop with no sample keyed.
-            let batch_loss = engine.accumulate_compiled(
+            let batch_loss = engine.accumulate(
                 model_ref.params(),
                 &batch_samples,
-                &mut cache,
-                |sample| match config.engine {
-                    Engine::Taped => None,
-                    Engine::Compiled => sample_program_key(model_ref, sample),
-                },
                 |graph, sample| sample_loss(model_ref, graph, sample),
                 seed,
                 &mut grads,
@@ -325,20 +285,7 @@ pub fn evaluate<M: SurrogateModel>(model: &M, samples: &[TrainSample]) -> f64 {
     let mut total = 0.0;
     for sample in samples {
         let mut graph = Graph::new(model.params());
-        let feature_vars: Option<Vec<Var>> = sample
-            .per_inst_features
-            .as_ref()
-            .map(|features| features.iter().map(|f| graph.input(f.clone())).collect());
-        let global_var = sample
-            .global_features
-            .as_ref()
-            .map(|g| graph.input(g.clone()));
-        let prediction = model.forward(
-            &mut graph,
-            &sample.block,
-            feature_vars.as_deref(),
-            global_var,
-        );
+        let prediction = sample_prediction(model, &mut graph, sample);
         let predicted = f64::from(graph.value(prediction)[0]);
         let target = sample.target.max(1e-3);
         total += (predicted - target).abs() / target;
@@ -459,105 +406,66 @@ mod tests {
 
     #[test]
     fn multi_threaded_training_is_bit_identical_to_single_threaded() {
-        let samples = make_samples(true);
+        // Batches of 16 span two reduction chunks, so they split over workers.
+        let samples: Vec<TrainSample> = make_samples(true).into_iter().cycle().take(24).collect();
         let config_single = TrainConfig {
             learning_rate: 1e-3,
-            batch_size: 8,
+            batch_size: 16,
             epochs: 3,
             threads: 1,
             ..TrainConfig::default()
         };
-
-        let make_model = |seed| {
-            FeatureMlpModel::new(FeatureMlpConfig {
-                hidden_dim: 16,
-                seed,
-                ..FeatureMlpConfig::default()
-            })
-        };
-        let mut single = make_model(5);
-        let single_report = train(&mut single, &samples, &config_single).unwrap();
-
-        // Same data, same seed, same batches: the deterministic batch engine
-        // reduces gradients in sample order, so every thread count must
-        // reproduce the serial run bit for bit — weights and losses alike.
-        for threads in [2, 4] {
-            let config_multi = TrainConfig {
-                threads,
-                ..config_single.clone()
-            };
-            let mut multi = make_model(5);
-            let multi_report = train(&mut multi, &samples, &config_multi).unwrap();
-            assert_eq!(
-                single.params(),
-                multi.params(),
-                "weights diverged with {threads} threads"
-            );
-            let single_bits: Vec<u64> = single_report
-                .epoch_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect();
-            let multi_bits: Vec<u64> = multi_report
-                .epoch_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect();
-            assert_eq!(
-                single_bits, multi_bits,
-                "epoch losses diverged with {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_engine_trains_bit_identically_to_taped() {
-        let samples = make_samples(true);
-        let config_for = |engine: Engine| TrainConfig {
-            learning_rate: 1e-3,
-            batch_size: 4,
-            epochs: 3,
-            threads: 2,
-            engine,
-            ..TrainConfig::default()
-        };
-
-        // MLP family.
-        let mut taped_mlp = FeatureMlpModel::new(FeatureMlpConfig {
-            hidden_dim: 16,
-            seed: 5,
-            ..FeatureMlpConfig::default()
-        });
-        let mut compiled_mlp = FeatureMlpModel::new(FeatureMlpConfig {
-            hidden_dim: 16,
-            seed: 5,
-            ..FeatureMlpConfig::default()
-        });
-        let taped_report = train(&mut taped_mlp, &samples, &config_for(Engine::Taped)).unwrap();
-        let compiled_report =
-            train(&mut compiled_mlp, &samples, &config_for(Engine::Compiled)).unwrap();
-        assert_eq!(taped_mlp.params(), compiled_mlp.params());
+        // Both families: the MLP, and the LSTM over variable-length blocks.
+        let families: [fn() -> Box<dyn SurrogateModel>; 2] = [
+            || {
+                Box::new(FeatureMlpModel::new(FeatureMlpConfig {
+                    hidden_dim: 16,
+                    seed: 5,
+                    ..FeatureMlpConfig::default()
+                }))
+            },
+            || {
+                Box::new(IthemalModel::new(IthemalConfig {
+                    embed_dim: 8,
+                    hidden_dim: 12,
+                    instr_layers: 1,
+                    block_layers: 1,
+                    parameter_inputs: true,
+                    seed: 5,
+                }))
+            },
+        ];
         let bits = |report: &TrainReport| -> Vec<u64> {
             report.epoch_losses.iter().map(|l| l.to_bits()).collect()
         };
-        assert_eq!(bits(&taped_report), bits(&compiled_report));
 
-        // LSTM family (variable-length blocks → several compiled programs).
-        let tiny = IthemalConfig {
-            embed_dim: 8,
-            hidden_dim: 12,
-            instr_layers: 1,
-            block_layers: 1,
-            parameter_inputs: true,
-            seed: 5,
-        };
-        let mut taped_lstm = IthemalModel::new(tiny);
-        let mut compiled_lstm = IthemalModel::new(tiny);
-        let taped_report = train(&mut taped_lstm, &samples, &config_for(Engine::Taped)).unwrap();
-        let compiled_report =
-            train(&mut compiled_lstm, &samples, &config_for(Engine::Compiled)).unwrap();
-        assert_eq!(taped_lstm.params(), compiled_lstm.params());
-        assert_eq!(bits(&taped_report), bits(&compiled_report));
+        for make_model in families {
+            let mut single = make_model();
+            let single_report = train(&mut single, &samples, &config_single).unwrap();
+
+            // Same data, same seed, same batches: the deterministic batch
+            // engine reduces gradients in sample order, so every thread
+            // count must reproduce the serial run bit for bit — weights and
+            // losses alike.
+            for threads in [2, 4] {
+                let config_multi = TrainConfig {
+                    threads,
+                    ..config_single.clone()
+                };
+                let mut multi = make_model();
+                let multi_report = train(&mut multi, &samples, &config_multi).unwrap();
+                assert_eq!(
+                    single.params(),
+                    multi.params(),
+                    "weights diverged with {threads} threads"
+                );
+                assert_eq!(
+                    bits(&single_report),
+                    bits(&multi_report),
+                    "epoch losses diverged with {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

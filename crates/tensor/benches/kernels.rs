@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the fused SIMD-width kernels.
 //!
-//! These time the raw inner loops both execution engines share — the 4-lane
-//! dot/matvec (rows taken four at a time through `dot4`, SSE2 on x86_64),
+//! These time the raw inner loops the tape and plain inference share — the
+//! 4-lane dot/matvec (rows taken four at a time through `dot4`, SSE2 on x86_64),
 //! the fused matvec+bias (`Linear::forward`), and the fused LSTM gate step —
 //! plus their backward kernels (the LSTM one also without weight gradients,
 //! as table optimization runs it). The shapes are the ones `tune` runs with
@@ -10,11 +10,11 @@
 //! 15 θ features and 2 global features), a 256×145 gate matvec (the block
 //! LSTM's four gate rows per unit over `[x ‖ h]`), and the square 64×64
 //! layer. The backward benches hand the kernel a `dw`/`db` that is zeroed
-//! once and then keeps accumulating, as both engines' weight slots do, so
+//! once and then keeps accumulating, as the tape's weight slots do, so
 //! they time the kernel rather than a per-call memset; `dx`, `dh_prev` and
-//! `dc_prev` are zeroed per call, as the engines zero them. With
+//! `dc_prev` are zeroed per call, as the tape zeroes them. With
 //! `DIFFTUNE_BENCH_JSON` set, each median lands in a
-//! `BENCH_criterion_<id>.json` record (`difftune-bench/2` schema) next to
+//! `BENCH_criterion_<id>.json` record (`difftune-bench/3` schema) next to
 //! the pipeline runner's stage records.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -17,17 +17,16 @@
 //! [`Graph::new`] (unit-tested below, property-tested via the
 //! [`Batch`](crate::Batch) engine).
 
-use crate::compile::Binder;
 use crate::kernels;
 use crate::params::{Grads, ParamId, Params};
 use crate::Tensor;
 
 /// A node handle within a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Var(pub(crate) usize);
+pub struct Var(usize);
 
 #[derive(Debug, Clone)]
-pub(crate) enum Op {
+enum Op {
     /// A leaf referencing a trainable parameter.
     Param(ParamId),
     /// A leaf holding constant input data.
@@ -79,7 +78,7 @@ pub(crate) enum Op {
 impl Op {
     /// Calls `f` on every operand of the op, once per use (leaves have
     /// none).
-    pub(crate) fn for_each_operand(&self, mut f: impl FnMut(Var)) {
+    fn for_each_operand(&self, mut f: impl FnMut(Var)) {
         match self {
             Op::Param(_) | Op::Input => {}
             Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
@@ -142,26 +141,32 @@ impl Node {
     }
 }
 
-/// A pool of recycled `Vec<f32>` buffers.
+/// A pool of recycled `Vec<f32>` buffers, kept in power-of-two size
+/// classes.
 ///
-/// Buffers are handed out cleared (length zero) with at least the requested
-/// capacity reserved, so reuse can never leak stale values into a
-/// computation.
+/// Buffers are handed out cleared (length zero), so reuse can never leak
+/// stale values into a computation. A pooled buffer is only handed out for
+/// a request it already fits, and is never reallocated: a large buffer
+/// never serves a small value, so no pooled buffer creeps toward the
+/// largest size the pool has ever served.
 #[derive(Debug, Default)]
 struct BufferPool {
-    buffers: Vec<Vec<f32>>,
+    /// `buffers[k]` holds buffers whose capacity is at least `2^k` and
+    /// below `2^(k + 1)`.
+    buffers: Vec<Vec<Vec<f32>>>,
 }
 
 impl BufferPool {
-    /// Pops a cleared buffer, reserving at least `capacity` elements.
+    /// Pops a cleared buffer of at least `capacity` elements from the
+    /// smallest class that fits, or allocates one of that class's size.
     fn take(&mut self, capacity: usize) -> Vec<f32> {
-        match self.buffers.pop() {
+        let class = capacity.next_power_of_two().trailing_zeros() as usize;
+        match self.buffers.get_mut(class).and_then(Vec::pop) {
             Some(mut buffer) => {
                 buffer.clear();
-                buffer.reserve(capacity);
                 buffer
             }
-            None => Vec::with_capacity(capacity),
+            None => Vec::with_capacity(1 << class),
         }
     }
 
@@ -175,9 +180,14 @@ impl BufferPool {
     /// Returns a buffer to the pool (zero-capacity buffers are not worth
     /// keeping).
     fn put(&mut self, buffer: Vec<f32>) {
-        if buffer.capacity() > 0 {
-            self.buffers.push(buffer);
+        let Some(class) = buffer.capacity().checked_ilog2() else {
+            return;
+        };
+        let class = class as usize;
+        if self.buffers.len() <= class {
+            self.buffers.resize_with(class + 1, Vec::new);
         }
+        self.buffers[class].push(buffer);
     }
 
     /// Recycles a tensor's backing buffer.
@@ -222,7 +232,6 @@ impl TapeArena {
             scratch: std::mem::take(&mut self.scratch),
             marks: std::mem::take(&mut self.marks),
             pool: std::mem::take(&mut self.pool),
-            bind: None,
         };
         let result = f(&mut graph);
         let mut pool = std::mem::take(&mut graph.pool);
@@ -252,7 +261,7 @@ impl TapeArena {
     /// Number of buffers currently parked in the pool (useful for asserting
     /// reuse in tests and diagnostics).
     pub fn pooled_buffers(&self) -> usize {
-        self.pool.buffers.len()
+        self.pool.buffers.iter().map(Vec::len).sum()
     }
 }
 
@@ -271,13 +280,6 @@ pub struct Graph<'p> {
     /// Backward scratch: which nodes can reach a collected parameter.
     marks: Vec<bool>,
     pool: BufferPool,
-    /// When `Some`, the graph is in **bind mode**: op methods validate the
-    /// call against a [`CompiledProgram`](crate::CompiledProgram)'s recorded
-    /// schedule and capture dynamic data (input tensors, row indices,
-    /// scalar constants) instead of computing values. [`Graph::value`] and
-    /// [`Graph::backward`] are unavailable in this mode — the program's
-    /// `replay` does the computing.
-    bind: Option<Box<Binder>>,
 }
 
 impl<'p> Graph<'p> {
@@ -289,46 +291,7 @@ impl<'p> Graph<'p> {
             scratch: Vec::new(),
             marks: Vec::new(),
             pool: BufferPool::default(),
-            bind: None,
         }
-    }
-
-    /// Creates a graph in bind mode over a compiled program (see the `bind`
-    /// field docs); used exclusively by `CompiledProgram::replay`.
-    pub(crate) fn bound(params: &'p Params, binder: Box<Binder>) -> Self {
-        Graph {
-            params,
-            nodes: Vec::new(),
-            scratch: Vec::new(),
-            marks: Vec::new(),
-            pool: BufferPool::default(),
-            bind: Some(binder),
-        }
-    }
-
-    /// Takes the binder back out of a bind-mode graph.
-    pub(crate) fn take_binder(&mut self) -> Option<Box<Binder>> {
-        self.bind.take()
-    }
-
-    /// The parameter store the graph reads (compile-time accessor).
-    pub(crate) fn params(&self) -> &'p Params {
-        self.params
-    }
-
-    /// The number of recorded tape nodes (compile-time accessor).
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// A recorded node's op (compile-time accessor).
-    pub(crate) fn node_op(&self, index: usize) -> &Op {
-        &self.nodes[index].op
-    }
-
-    /// A recorded node's value length (compile-time accessor).
-    pub(crate) fn node_len(&self, index: usize) -> usize {
-        self.value_tensor(Var(index)).len()
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> Var {
@@ -355,9 +318,6 @@ impl<'p> Graph<'p> {
     /// corresponding [`Grads`] slot during [`Graph::backward`]. The leaf
     /// copies nothing: every read of its value goes to the store.
     pub fn param(&mut self, id: ParamId) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.param(id);
-        }
         self.nodes.push(Node {
             op: Op::Param(id),
             value: None,
@@ -367,21 +327,7 @@ impl<'p> Graph<'p> {
 
     /// A constant input leaf (no gradient).
     pub fn input(&mut self, value: Tensor) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.input(&value);
-        }
         self.push(Op::Input, value)
-    }
-
-    /// [`Graph::input`] from a borrowed tensor. In bind mode the data is
-    /// copied straight into the replay arena with no intermediate clone —
-    /// the fast path for per-sample feature tensors that outlive the graph;
-    /// on the tape it clones, exactly like [`Graph::input`].
-    pub fn input_ref(&mut self, value: &Tensor) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.input(value);
-        }
-        self.push(Op::Input, value.clone())
     }
 
     /// Computes an elementwise unary op into a pooled buffer.
@@ -410,49 +356,30 @@ impl<'p> Graph<'p> {
 
     /// Elementwise addition. Shapes must match.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.add(a, b);
-        }
         let value = self.zip(a, b, |x, y| x + y);
         self.push(Op::Add(a, b), value)
     }
 
     /// Elementwise subtraction (`a - b`). Shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.sub(a, b);
-        }
         let value = self.zip(a, b, |x, y| x - y);
         self.push(Op::Sub(a, b), value)
     }
 
     /// Elementwise multiplication. Shapes must match.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.mul(a, b);
-        }
         let value = self.zip(a, b, |x, y| x * y);
         self.push(Op::Mul(a, b), value)
     }
 
     /// Multiplies every element by a constant.
-    ///
-    /// The factor is a per-call dynamic value: compiled replays rebind it, so
-    /// sample-dependent scales (e.g. `1 / target`) work in both engines.
     pub fn scale(&mut self, a: Var, factor: f32) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.scale(a, factor);
-        }
         let value = self.map(a, |x| x * factor);
         self.push(Op::Scale(a, factor), value)
     }
 
-    /// Adds a constant to every element (rebound per replay, like
-    /// [`Graph::scale`]).
+    /// Adds a constant to every element.
     pub fn add_scalar(&mut self, a: Var, constant: f32) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.add_scalar(a, constant);
-        }
         let value = self.map(a, |x| x + constant);
         self.push(Op::AddScalar(a), value)
     }
@@ -463,9 +390,6 @@ impl<'p> Graph<'p> {
     ///
     /// Panics if the shapes are incompatible.
     pub fn matvec(&mut self, w: Var, x: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.matvec(w, x);
-        }
         let (m, n) = {
             let wt = self.value_tensor(w);
             let xt = self.value_tensor(x);
@@ -493,9 +417,6 @@ impl<'p> Graph<'p> {
     /// `w` and `b` are the same node (their gradients accumulate in place,
     /// each in its own slot).
     pub fn linear(&mut self, w: Var, b: Var, x: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.linear(w, b, x);
-        }
         assert_ne!(w, b, "linear weight and bias must be different nodes");
         let (m, n) = {
             let wt = self.value_tensor(w);
@@ -524,34 +445,30 @@ impl<'p> Graph<'p> {
         c_prev: Var,
         hidden: usize,
     ) -> (Var, Var) {
-        let packed = if let Some(bind) = self.bind.as_mut() {
-            bind.lstm_step(w, b, x, h_prev, c_prev, hidden)
-        } else {
-            assert_ne!(w, b, "lstm_step weight and bias must be different nodes");
-            let input = self.value(x).len();
-            let mut out = self.pool.zeroed(kernels::lstm_packed_len(hidden));
-            kernels::lstm_step(
-                self.value(w),
-                self.value(b),
-                self.value(x),
-                self.value(h_prev),
-                self.value(c_prev),
+        assert_ne!(w, b, "lstm_step weight and bias must be different nodes");
+        let input = self.value(x).len();
+        let mut out = self.pool.zeroed(kernels::lstm_packed_len(hidden));
+        kernels::lstm_step(
+            self.value(w),
+            self.value(b),
+            self.value(x),
+            self.value(h_prev),
+            self.value(c_prev),
+            hidden,
+            input,
+            &mut out,
+        );
+        let packed = self.push(
+            Op::LstmStep {
+                w,
+                b,
+                x,
+                h_prev,
+                c_prev,
                 hidden,
-                input,
-                &mut out,
-            );
-            self.push(
-                Op::LstmStep {
-                    w,
-                    b,
-                    x,
-                    h_prev,
-                    c_prev,
-                    hidden,
-                },
-                Tensor::vector(out),
-            )
-        };
+            },
+            Tensor::vector(out),
+        );
         let h = self.slice(packed, 0, hidden);
         let c = self.slice(packed, hidden, hidden);
         (h, c)
@@ -559,45 +476,30 @@ impl<'p> Graph<'p> {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.sigmoid(a);
-        }
         let value = self.map(a, kernels::sigmoid);
         self.push(Op::Sigmoid(a), value)
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.tanh(a);
-        }
         let value = self.map(a, f32::tanh);
         self.push(Op::Tanh(a), value)
     }
 
     /// Elementwise rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.relu(a);
-        }
         let value = self.map(a, |x| x.max(0.0));
         self.push(Op::Relu(a), value)
     }
 
     /// Elementwise absolute value.
     pub fn abs(&mut self, a: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.abs(a);
-        }
         let value = self.map(a, f32::abs);
         self.push(Op::Abs(a), value)
     }
 
     /// Concatenates vectors into one vector.
     pub fn concat(&mut self, parts: &[Var]) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.concat(parts);
-        }
         let total: usize = parts.iter().map(|p| self.value(*p).len()).sum();
         let mut data = self.pool.take(total);
         for part in parts {
@@ -612,9 +514,6 @@ impl<'p> Graph<'p> {
     ///
     /// Panics if the slice is out of range.
     pub fn slice(&mut self, src: Var, start: usize, len: usize) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.slice(src, start, len);
-        }
         let mut data = self.pool.take(len);
         data.extend_from_slice(&self.value(src)[start..start + len]);
         self.push(Op::Slice { src, start, len }, Tensor::vector(data))
@@ -626,9 +525,6 @@ impl<'p> Graph<'p> {
     ///
     /// Panics if the node is not a matrix or the row is out of range.
     pub fn row(&mut self, table: Var, row: usize) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.row(table, row);
-        }
         let mut data = self.pool.take(self.value_tensor(table).cols());
         data.extend_from_slice(self.value_tensor(table).row(row));
         self.push(Op::Row { table, row }, Tensor::vector(data))
@@ -636,9 +532,6 @@ impl<'p> Graph<'p> {
 
     /// Sum of all elements (produces a scalar).
     pub fn sum(&mut self, a: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.sum(a);
-        }
         let total: f32 = self.value(a).iter().sum();
         let mut data = self.pool.take(1);
         data.push(total);
@@ -647,9 +540,6 @@ impl<'p> Graph<'p> {
 
     /// Mean of all elements (produces a scalar).
     pub fn mean(&mut self, a: Var) -> Var {
-        if let Some(bind) = self.bind.as_mut() {
-            return bind.mean(a);
-        }
         let mean = {
             let t = self.value(a);
             if t.is_empty() {
@@ -1258,6 +1148,75 @@ mod tests {
         assert_eq!(arena.pooled_buffers(), 0, "binding a weight pools nothing");
     }
 
+    /// The floats the arena's pool holds parked.
+    fn pooled_capacity(arena: &TapeArena) -> usize {
+        arena.pool.buffers.iter().flatten().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn small_graphs_after_a_large_weight_gradient_keep_the_pool_flat() {
+        // As many floats as the block LSTM's gate weights (4 · 64 × 145).
+        let mut params = Params::new();
+        let w = params.add(
+            "w",
+            Tensor::matrix(
+                256,
+                145,
+                (0..256 * 145).map(|i| (i % 17) as f32 * 0.01).collect(),
+            ),
+        );
+        let p = params.add(
+            "p",
+            Tensor::vector((0..64).map(|i| i as f32 * 0.02).collect()),
+        );
+        let mut arena = TapeArena::new();
+        let mut grads = Grads::new(&params);
+        arena.scoped(&params, |graph| {
+            let w = graph.param(w);
+            let x = graph.input(Tensor::vector(vec![0.5; 145]));
+            let y = graph.matvec(w, x);
+            let loss = graph.sum(y);
+            graph.backward(loss, &mut grads);
+        });
+        let small = |graph: &mut Graph<'_>, grads: &mut Grads, step: usize| {
+            let mut acc = graph.param(p);
+            for k in 0..24 {
+                let x = graph.input(Tensor::vector(vec![(step + k) as f32 * 0.01; 64]));
+                let m = graph.mul(acc, x);
+                acc = graph.tanh(m);
+            }
+            let loss = graph.mean(acc);
+            graph.backward(loss, grads);
+        };
+        let mut flat = None;
+        for step in 0..20 {
+            arena.scoped(&params, |graph| small(graph, &mut grads, step));
+            let parked = (pooled_capacity(&arena), arena.pooled_buffers());
+            assert_eq!(*flat.get_or_insert(parked), parked, "small graph {step}");
+        }
+
+        // `take` hands out only a buffer that already fits, from the
+        // smallest class that does: it neither grows a small buffer nor
+        // lends out a large one.
+        let mut pool = BufferPool::default();
+        pool.put(Vec::with_capacity(1));
+        pool.put(Vec::with_capacity(256 * 145));
+        let buffer = pool.take(64);
+        assert!(
+            (64..128).contains(&buffer.capacity()),
+            "{}",
+            buffer.capacity()
+        );
+        assert_eq!(pool.buffers.iter().map(Vec::len).sum::<usize>(), 2);
+        pool.put(buffer);
+        let reused = pool.take(40);
+        assert!(
+            (64..128).contains(&reused.capacity()),
+            "{}",
+            reused.capacity()
+        );
+    }
+
     #[test]
     fn arena_graph_with_smaller_tape_leaves_no_stale_nodes() {
         let (params, ids) = workload_params();
@@ -1276,5 +1235,451 @@ mod tests {
             let expected: f32 = params.get(ids[0]).data().iter().sum();
             assert_eq!(graph.value(loss), &[expected]);
         });
+    }
+
+    /// One synthetic "sample": an input vector, an embedding row pair, and a
+    /// per-sample loss scale.
+    struct Sample {
+        x: Vec<f32>,
+        row: usize,
+        scale: f32,
+    }
+
+    fn samples() -> Vec<Sample> {
+        (0..7)
+            .map(|i| Sample {
+                x: (0..4)
+                    .map(|j| ((i * 5 + j * 3) % 9) as f32 * 0.4 - 1.3)
+                    .collect(),
+                row: (i * 3) % 5,
+                scale: 1.0 / (0.5 + i as f32),
+            })
+            .collect()
+    }
+
+    fn test_params() -> Params {
+        let mut params = Params::new();
+        params.add(
+            "w",
+            Tensor::matrix(3, 4, (0..12).map(|i| 0.21 * i as f32 - 1.1).collect()),
+        );
+        params.add(
+            "table",
+            Tensor::matrix(5, 3, (0..15).map(|i| 0.09 * i as f32 - 0.55).collect()),
+        );
+        params.add(
+            "bias",
+            Tensor::vector((0..3).map(|i| 0.3 - 0.2 * i as f32).collect()),
+        );
+        params
+    }
+
+    /// An op-diverse model: matvec, fused linear, row lookups (both the
+    /// sparse-param and repeated-use paths), elementwise ops, concat,
+    /// slices, dynamic scale/add_scalar, and both reductions.
+    fn build_loss(graph: &mut Graph<'_>, sample: &Sample) -> Var {
+        let w = graph.param(ParamId(0));
+        let table = graph.param(ParamId(1));
+        let bias = graph.param(ParamId(2));
+        let x = graph.input(Tensor::vector(sample.x.clone()));
+        let h = graph.linear(w, bias, x);
+        let t = graph.tanh(h);
+        let m = graph.matvec(w, x);
+        let s = graph.sigmoid(m);
+        let r0 = graph.row(table, sample.row);
+        let r1 = graph.row(table, (sample.row + 2) % 5);
+        let mixed = graph.mul(r0, r1);
+        let diff = graph.sub(t, s);
+        let a = graph.abs(diff);
+        let cat = graph.concat(&[a, mixed]);
+        let lo = graph.slice(cat, 0, 3);
+        let hi = graph.slice(cat, 3, 3);
+        let summed = graph.add(lo, hi);
+        let rl = graph.relu(summed);
+        let scaled = graph.scale(rl, sample.scale);
+        let shifted = graph.add_scalar(scaled, 0.25 * sample.scale);
+        let total = graph.sum(shifted);
+        let mean = graph.mean(shifted);
+        let both = graph.concat(&[total, mean]);
+        graph.mean(both)
+    }
+
+    /// [`test_params`] plus a fused LSTM cell (hidden 2, input 3).
+    fn lstm_params() -> Params {
+        let mut params = test_params();
+        params.add(
+            "lstm_w",
+            Tensor::matrix(
+                8,
+                5,
+                (0..40).map(|i| 0.07 * (i % 11) as f32 - 0.35).collect(),
+            ),
+        );
+        params.add(
+            "lstm_b",
+            Tensor::vector((0..8).map(|i| 0.05 * i as f32 - 0.2).collect()),
+        );
+        params
+    }
+
+    /// [`build_loss`] plus a fused LSTM step whose input comes from the
+    /// table, whose hidden state comes from the weight matrix, and whose
+    /// cell state is an input, so every collected subset prunes a
+    /// different part of the graph.
+    fn build_lstm_loss(graph: &mut Graph<'_>, sample: &Sample) -> Var {
+        let base = build_loss(graph, sample);
+        let w = graph.param(ParamId(0));
+        let table = graph.param(ParamId(1));
+        let lstm_w = graph.param(ParamId(3));
+        let lstm_b = graph.param(ParamId(4));
+        let x = graph.input(Tensor::vector(sample.x.clone()));
+        let projected = graph.matvec(w, x);
+        let h_prev = graph.slice(projected, 1, 2);
+        let c_prev = graph.input(Tensor::vector(vec![0.5, -0.25]));
+        let row = graph.row(table, sample.row);
+        let (h, c) = graph.lstm_step(lstm_w, lstm_b, row, h_prev, c_prev, 2);
+        let joined = graph.concat(&[base, h, c]);
+        graph.mean(joined)
+    }
+
+    /// A store's slots as bit patterns, `None` where nothing was written.
+    fn slot_bits(params: &Params, grads: &Grads) -> Vec<Option<Vec<u32>>> {
+        params
+            .iter()
+            .map(|(id, _, _)| {
+                grads
+                    .get(id)
+                    .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_subset_store_gets_the_full_stores_bits_and_nothing_else() {
+        let params = lstm_params();
+        let ids: Vec<ParamId> = params.iter().map(|(id, _, _)| id).collect();
+        for (index, sample) in samples().iter().enumerate() {
+            let seed = 0.2 + index as f32 * 0.15;
+            let mut graph = Graph::new(&params);
+            let loss = build_lstm_loss(&mut graph, sample);
+            let mut full = Grads::new(&params);
+            graph.backward_scaled(loss, &mut full, seed);
+            let full = slot_bits(&params, &full);
+            assert!(full.iter().all(Option::is_some));
+            for mask in 0u32..1 << ids.len() {
+                let subset: Vec<ParamId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|id| mask & (1 << id.index()) != 0)
+                    .collect();
+                let expected: Vec<Option<Vec<u32>>> = full
+                    .iter()
+                    .enumerate()
+                    .map(|(i, bits)| bits.clone().filter(|_| mask & (1 << i) != 0))
+                    .collect();
+
+                let mut only = Grads::only(&params, &subset);
+                let mut graph = Graph::new(&params);
+                let loss = build_lstm_loss(&mut graph, sample);
+                graph.backward_scaled(loss, &mut only, seed);
+                assert_eq!(
+                    slot_bits(&params, &only),
+                    expected,
+                    "sample {index}, subset {subset:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_slices_of_a_theta_sized_parameter_agree_with_a_dense_sum() {
+        // As many floats as a parameter table θ, sliced the way its
+        // per-instruction features are: 15-float windows, some repeated and
+        // some overlapping, read both straight from the parameter and
+        // through an elementwise op (a non-parameter source slot).
+        const THETA_LEN: usize = 12_017;
+        const WINDOWS: [(usize, usize); 8] = [
+            (0, 15),
+            (15, 15),
+            (0, 15),
+            (7, 15),
+            (6_000, 15),
+            (6_000, 15),
+            (6_010, 15),
+            (THETA_LEN - 15, 15),
+        ];
+        let mut params = Params::new();
+        let theta = params.add(
+            "theta",
+            Tensor::vector(
+                (0..THETA_LEN)
+                    .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013)
+                    .collect(),
+            ),
+        );
+        // Per-window weights, with signed zeros so the gradient carries -0.
+        let weights = |window: usize| -> Vec<f32> {
+            (0..15)
+                .map(|j| match (window + j) % 7 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    r => (r as f32 - 3.5) * 0.21,
+                })
+                .collect()
+        };
+        let build = |graph: &mut Graph<'_>| -> Var {
+            let theta = graph.param(theta);
+            let squashed = graph.tanh(theta);
+            let mut terms = Vec::new();
+            for (index, &(start, len)) in WINDOWS.iter().enumerate() {
+                for src in [theta, squashed] {
+                    let window = graph.slice(src, start, len);
+                    let c = graph.input(Tensor::vector(weights(index)));
+                    let product = graph.mul(window, c);
+                    terms.push(graph.sum(product));
+                }
+            }
+            let all = graph.concat(&terms);
+            graph.sum(all)
+        };
+        let seed = 0.75f32;
+
+        // Dense reference: each source's gradient summed window by window
+        // in the tape's reverse order, then the tanh path folded in.
+        let mut direct = vec![0.0f32; THETA_LEN];
+        let mut through_tanh = vec![0.0f32; THETA_LEN];
+        for (index, &(start, _)) in WINDOWS.iter().enumerate().rev() {
+            for (j, c) in weights(index).iter().enumerate() {
+                through_tanh[start + j] += seed * c;
+            }
+            for (j, c) in weights(index).iter().enumerate() {
+                direct[start + j] += seed * c;
+            }
+        }
+        let theta_values = params.get(theta).data();
+        let mut reference = vec![0.0f32; THETA_LEN];
+        for i in 0..THETA_LEN {
+            let y = theta_values[i].tanh();
+            reference[i] += direct[i] + through_tanh[i] * (1.0 - y * y);
+        }
+
+        let mut graph = Graph::new(&params);
+        let loss = build(&mut graph);
+        let mut taped = Grads::new(&params);
+        graph.backward_scaled(loss, &mut taped, seed);
+        let reference_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(slot_bits(&params, &taped), vec![Some(reference_bits)]);
+    }
+
+    /// One step of [`weight_gradients_accumulate_in_place_like_per_call_buffers`]:
+    /// the step's inputs, and the weights its `h` and `c` are scored with.
+    struct LstmCase {
+        x: [f32; 2],
+        h_prev: [f32; 3],
+        c_prev: [f32; 3],
+        h_weights: [f32; 3],
+        c_weights: [f32; 3],
+    }
+
+    /// Adds a per-call gradient buffer into a node slot the way the tape
+    /// used to: the first buffer becomes the slot, later ones are added.
+    fn add_per_call(slot: &mut Option<Vec<f32>>, buffer: Vec<f32>) {
+        match slot {
+            Some(existing) => existing.iter_mut().zip(&buffer).for_each(|(d, v)| *d += v),
+            None => *slot = Some(buffer),
+        }
+    }
+
+    #[test]
+    fn weight_gradients_accumulate_in_place_like_per_call_buffers() {
+        const HIDDEN: usize = 3;
+        const INPUT: usize = 2;
+        const WIDTH: usize = INPUT + HIDDEN;
+        let mut weights: Vec<f32> = (0..4 * HIDDEN * WIDTH)
+            .map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.11)
+            .collect();
+        // Unit 1's forget-gate row sees `x[0] > 0` through an inf weight in
+        // every step: the gate saturates at 1 and its gradient row is zero.
+        weights[(HIDDEN + 1) * WIDTH] = f32::INFINITY;
+        let mut params = Params::new();
+        let w = params.add("w", Tensor::matrix(4 * HIDDEN, WIDTH, weights));
+        let b = params.add(
+            "b",
+            Tensor::vector((0..4 * HIDDEN).map(|i| 0.05 * i as f32 - 0.3).collect()),
+        );
+        let cases = [
+            // A first step: `h_prev = +0`, so a negative gate gradient
+            // makes a −0 product in the `h` columns of `dw`.
+            LstmCase {
+                x: [0.7, -0.4],
+                h_prev: [0.0; 3],
+                c_prev: [0.0; 3],
+                h_weights: [-0.9, -0.6, -1.3],
+                c_weights: [-0.5, 0.8, -0.2],
+            },
+            // Unit 2 is not scored: its four gate rows get zero gradient.
+            LstmCase {
+                x: [0.3, 0.9],
+                h_prev: [0.2, -0.5, 0.4],
+                c_prev: [-0.3, 0.6, 0.1],
+                h_weights: [0.4, -0.7, 0.0],
+                c_weights: [0.6, 0.3, 0.0],
+            },
+            LstmCase {
+                x: [1.1, -0.2],
+                h_prev: [-0.6, 0.1, 0.8],
+                c_prev: [0.5, -0.4, -0.9],
+                h_weights: [-0.3, 0.5, 0.9],
+                c_weights: [0.2, -0.8, 0.4],
+            },
+        ];
+        let build = |graph: &mut Graph<'_>| -> Var {
+            let w = graph.param(w);
+            let b = graph.param(b);
+            let mut terms = Vec::new();
+            for case in &cases {
+                let x = graph.input(Tensor::vector(case.x.to_vec()));
+                let h_prev = graph.input(Tensor::vector(case.h_prev.to_vec()));
+                let c_prev = graph.input(Tensor::vector(case.c_prev.to_vec()));
+                let (h, c) = graph.lstm_step(w, b, x, h_prev, c_prev, HIDDEN);
+                for (state, scores) in [(h, case.h_weights), (c, case.c_weights)] {
+                    let scores = graph.input(Tensor::vector(scores.to_vec()));
+                    let product = graph.mul(state, scores);
+                    terms.push(graph.sum(product));
+                }
+            }
+            let all = graph.concat(&terms);
+            graph.sum(all)
+        };
+        let seed = 0.5f32;
+
+        // Reference: each step's weight gradients in a zeroed per-call
+        // buffer, added into the node slot afterwards, in the tape's
+        // reverse step order, then flushed into a fresh store slot.
+        let (w_values, b_values) = (params.get(w).data(), params.get(b).data());
+        let (mut slot_w, mut slot_b) = (None, None);
+        for (index, case) in cases.iter().enumerate().rev() {
+            let mut packed = vec![0.0f32; kernels::lstm_packed_len(HIDDEN)];
+            kernels::lstm_step(
+                w_values,
+                b_values,
+                &case.x,
+                &case.h_prev,
+                &case.c_prev,
+                HIDDEN,
+                INPUT,
+                &mut packed,
+            );
+            // The `c` slice's gradient lands first, in a zero-filled slot;
+            // the `h` slice's is added into it.
+            let mut g_packed = vec![0.0f32; kernels::lstm_packed_len(HIDDEN)];
+            for k in 0..HIDDEN {
+                g_packed[k] = 0.0 + seed * case.h_weights[k];
+                g_packed[HIDDEN + k] = seed * case.c_weights[k];
+            }
+            let mut dw = vec![0.0f32; w_values.len()];
+            let mut db = vec![0.0f32; 4 * HIDDEN];
+            kernels::lstm_step_grad(
+                w_values,
+                &case.x,
+                &case.h_prev,
+                &case.c_prev,
+                &packed,
+                &g_packed,
+                HIDDEN,
+                INPUT,
+                Some(&mut dw),
+                Some(&mut db),
+                &mut [0.0; INPUT],
+                &mut [0.0; HIDDEN],
+                &mut [0.0; HIDDEN],
+            );
+            // The cases cover what they claim to.
+            assert_eq!(db[HIDDEN + 1], 0.0, "the inf row's gate is saturated");
+            if index == 0 {
+                assert!(
+                    db.iter().any(|d| *d < 0.0),
+                    "a negative gate at h_prev = +0"
+                );
+            }
+            if index == 1 {
+                assert!((0..4).all(|gate| db[gate * HIDDEN + 2] == 0.0));
+            }
+            add_per_call(&mut slot_w, dw);
+            add_per_call(&mut slot_b, db);
+        }
+        let flushed = |slot: Option<Vec<f32>>| -> Option<Vec<u32>> {
+            Some(slot?.iter().map(|v| (0.0f32 + v).to_bits()).collect())
+        };
+        let expected = vec![flushed(slot_w), flushed(slot_b)];
+
+        let mut graph = Graph::new(&params);
+        let loss = build(&mut graph);
+        let mut taped = Grads::new(&params);
+        graph.backward_scaled(loss, &mut taped, seed);
+        assert_eq!(slot_bits(&params, &taped), expected);
+    }
+
+    #[test]
+    fn shared_weights_give_a_subset_store_the_full_stores_bits_across_samples() {
+        let mut params = Params::new();
+        let ramp = |len: usize, step: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| (i as f32 - len as f32 / 2.0) * step)
+                .collect()
+        };
+        let shared = params.add("shared", Tensor::matrix(3, 4, ramp(12, 0.17)));
+        let bias_x = params.add("bias_x", Tensor::vector(ramp(3, 0.2)));
+        let bias_y = params.add("bias_y", Tensor::vector(ramp(3, -0.3)));
+        let once = params.add("once", Tensor::matrix(2, 3, ramp(6, 0.4)));
+        let bias_out = params.add("bias_out", Tensor::vector(vec![-0.1, 0.05]));
+        // Bound by two leaves, consumed in the reverse of their leaf order.
+        let twice = params.add("twice", Tensor::matrix(2, 2, ramp(4, 0.6)));
+        let build = |graph: &mut Graph<'_>, sample: &Sample| -> Var {
+            let shared = graph.param(shared);
+            let bias_x = graph.param(bias_x);
+            let bias_y = graph.param(bias_y);
+            let once = graph.param(once);
+            let bias_out = graph.param(bias_out);
+            let twice_early = graph.param(twice);
+            let x = graph.input(Tensor::vector(sample.x.clone()));
+            let y = graph.input(Tensor::vector(sample.x.iter().map(|v| v * -0.5).collect()));
+            let hx = graph.linear(shared, bias_x, x);
+            let hy = graph.linear(shared, bias_y, y);
+            let sum = graph.add(hx, hy);
+            let t = graph.tanh(sum);
+            let out = graph.linear(once, bias_out, t);
+            // A negative output's zero gradient skips its row of `once`.
+            let r = graph.relu(out);
+            let twice_late = graph.param(twice);
+            let u = graph.matvec(twice_late, r);
+            let v = graph.matvec(twice_early, u);
+            let scaled = graph.scale(v, sample.scale);
+            graph.sum(scaled)
+        };
+        let mut data = samples();
+        // `+0` inputs make `±0` products in the shared weight's gradient.
+        data[1].x = vec![0.0, 0.8, 0.0, -0.6];
+        let all: Vec<ParamId> = params.iter().map(|(id, _, _)| id).collect();
+        let subset = [shared, bias_x, bias_y, twice];
+        // Every sample accumulates into one store per set, so each slot is
+        // added into after the first sample.
+        let mut full = Grads::new(&params);
+        let mut only = Grads::only(&params, &subset);
+        for (index, sample) in data.iter().enumerate() {
+            let seed = 0.3 + 0.2 * index as f32;
+            for grads in [&mut full, &mut only] {
+                let mut graph = Graph::new(&params);
+                let loss = build(&mut graph, sample);
+                graph.backward_scaled(loss, grads, seed);
+            }
+            let expected: Vec<Option<Vec<u32>>> = slot_bits(&params, &full)
+                .into_iter()
+                .zip(&all)
+                .map(|(bits, id)| bits.filter(|_| subset.contains(id)))
+                .collect();
+            assert_eq!(slot_bits(&params, &only), expected, "sample {index}");
+        }
+        assert!(full.get(once).is_some() && full.get(bias_out).is_some());
     }
 }

@@ -1,11 +1,11 @@
-//! Fused, SIMD-width-chunked inner-loop kernels shared by the eager tape and
-//! the compiled executor.
+//! Fused, SIMD-width-chunked inner-loop kernels shared by the tape and
+//! plain (tape-free) inference.
 //!
 //! Every kernel here is a plain function over `f32` slices with a **fixed,
-//! documented summation order**, and both execution engines route their hot
-//! loops through the same functions. That sharing is what makes the
-//! compiled-vs-taped bit-equality invariant cheap to uphold: the two engines
-//! differ in scheduling and memory management, never in arithmetic.
+//! documented summation order**, and both the tape and the plain forward
+//! passes route their hot loops through the same functions. That sharing is
+//! what makes plain inference bit-equal to a taped forward pass: the two
+//! differ in memory management, never in arithmetic.
 //!
 //! The dot-product core accumulates in four parallel lanes over 4-wide
 //! chunks and folds the lanes in a fixed `(s0 + s2) + (s1 + s3)` order, with
@@ -28,8 +28,8 @@
 //! of its elements sums several products per call, and that sum must form
 //! before it joins the node's gradient. A `dw` or `db` buffer may be
 //! zeroed or already accumulating: each of its elements takes exactly one
-//! `+= d·x` (or `+= d`) per call, so both engines hand in the weight's own
-//! gradient slot and get the bits a zeroed buffer added afterwards would
+//! `+= d·x` (or `+= d`) per call, so the tape hands in the weight's own
+//! gradient slot and gets the bits a zeroed buffer added afterwards would
 //! give.
 
 /// SIMD-ish chunk width the dot-product kernel folds over.
@@ -217,7 +217,7 @@ pub fn linear(w: &[f32], b: &[f32], x: &[f32], m: usize, n: usize, out: &mut [f3
 /// always accumulates, matching the unfused add's backward). `None` skips
 /// that gradient.
 #[inline]
-#[allow(clippy::too_many_arguments)] // a flat slice signature keeps both engines' call sites identical
+#[allow(clippy::too_many_arguments)] // flat slices: one argument per buffer
 pub fn linear_grad(
     w: &[f32],
     x: &[f32],
@@ -237,7 +237,7 @@ pub fn linear_grad(
     matvec_grad(w, x, g, m, n, dw, dx);
 }
 
-/// Logistic sigmoid, the exact expression both engines use.
+/// Logistic sigmoid, the exact expression the tape and plain inference use.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
@@ -265,7 +265,7 @@ pub const fn lstm_packed_len(hidden: usize) -> usize {
 /// segments `[h, c, i, f, g, o, c_act]`: the new hidden and cell states
 /// followed by the gate activations the backward kernel replays from.
 #[inline]
-#[allow(clippy::too_many_arguments)] // a flat slice signature keeps both engines' call sites identical
+#[allow(clippy::too_many_arguments)] // flat slices: one argument per buffer
 pub fn lstm_step(
     w: &[f32],
     b: &[f32],
@@ -329,7 +329,7 @@ pub fn lstm_step(
 /// already hold a gradient. `dw`/`db` may be `None` when the weights need no
 /// gradient; `dx`, `dh_prev` and `dc_prev` get the same bits either way.
 #[inline]
-#[allow(clippy::too_many_arguments)] // a flat slice signature keeps both engines' call sites identical
+#[allow(clippy::too_many_arguments)] // flat slices: one argument per buffer
 pub fn lstm_step_grad(
     w: &[f32],
     x: &[f32],

@@ -19,12 +19,8 @@
 //! * [`Batch`] — the deterministic data-parallel gradient engine: per-sample
 //!   forward/backward on scoped worker threads, gradients reduced in fixed
 //!   sample order so every thread count produces bit-identical results.
-//! * [`CompiledProgram`] / [`ProgramCache`] — graph-once compiled execution
-//!   for training: one recorded schedule per graph structure, replayed per
-//!   sample against reusable [`ReplayBuffers`], bit-identical to the tape.
-//! * [`kernels`] — the fused, SIMD-width-chunked inner loops the tape, the
-//!   compiled engine and plain inference share (dot/matvec, fused linear,
-//!   fused LSTM step).
+//! * [`kernels`] — the fused, SIMD-width-chunked inner loops the tape and
+//!   plain inference share (dot/matvec, fused linear, fused LSTM step).
 //! * [`nn`] — the layers the Ithemal-style surrogate needs: linear layers,
 //!   embedding tables, and (stacked) LSTM cells, each with a plain-slice
 //!   forward for inference off the tape.
@@ -57,7 +53,6 @@
 
 mod batch;
 pub mod check;
-mod compile;
 mod graph;
 pub mod kernels;
 pub mod nn;
@@ -66,7 +61,6 @@ mod params;
 mod tensor;
 
 pub use batch::{resolve_threads, Batch, REDUCTION_CHUNK};
-pub use compile::{CompiledProgram, ProgramCache, ProgramKey, ReplayBuffers};
 pub use graph::{Graph, TapeArena, Var};
 pub use params::{Grads, ParamId, Params};
 pub use tensor::Tensor;

@@ -4,8 +4,9 @@
 //! (`difftune_tensor::Batch`), so a run's learned table, losses, and
 //! surrogate weights must be **bit-identical** for every thread count. These
 //! tests drive the whole pipeline (dataset generation → surrogate fit →
-//! table optimization) for both simulator families at smoke scale and
-//! compare a one-thread run against a multi-thread run bit for bit.
+//! table optimization) for both simulator families at smoke scale, and for
+//! the paper's LSTM surrogate at a reduced scale, and compare a one-thread
+//! run against a multi-thread run bit for bit.
 //!
 //! CI's `determinism` job runs this suite twice — `DIFFTUNE_THREADS=1` and
 //! `DIFFTUNE_THREADS=4` — which selects the parallel side's widths here:
@@ -20,7 +21,7 @@ use difftune_repro::core::{
 };
 use difftune_repro::cpu::{default_params, Microarch};
 use difftune_repro::sim::{McaSimulator, Simulator, UopSimulator};
-use difftune_repro::surrogate::{train::TrainConfig, FeatureMlpConfig};
+use difftune_repro::surrogate::{train::TrainConfig, FeatureMlpConfig, IthemalConfig};
 
 /// The worker widths compared against the one-thread baseline:
 /// `DIFFTUNE_THREADS` when it names a parallel width, 2 when it pins one
@@ -35,15 +36,24 @@ fn parallel_widths() -> Vec<usize> {
     }
 }
 
-fn smoke_config(seed: u64, threads: usize) -> DiffTuneConfig {
+fn mlp(seed: u64) -> SurrogateKind {
+    SurrogateKind::Mlp(FeatureMlpConfig {
+        hidden_dim: 24,
+        seed,
+        ..FeatureMlpConfig::default()
+    })
+}
+
+fn smoke_config(
+    surrogate: SurrogateKind,
+    max_simulated: usize,
+    seed: u64,
+    threads: usize,
+) -> DiffTuneConfig {
     DiffTuneConfig {
-        surrogate: SurrogateKind::Mlp(FeatureMlpConfig {
-            hidden_dim: 24,
-            seed,
-            ..FeatureMlpConfig::default()
-        }),
+        surrogate,
         simulated_multiplier: 4.0,
-        max_simulated: 600,
+        max_simulated,
         surrogate_train: TrainConfig {
             epochs: 2,
             batch_size: 32,
@@ -59,12 +69,17 @@ fn smoke_config(seed: u64, threads: usize) -> DiffTuneConfig {
     }
 }
 
-fn run(simulator: &dyn Simulator, spec: &ParamSpec, seed: u64, threads: usize) -> DiffTuneResult {
+fn run(
+    simulator: &dyn Simulator,
+    spec: &ParamSpec,
+    config: DiffTuneConfig,
+    num_blocks: usize,
+) -> DiffTuneResult {
     let dataset = Dataset::build(
         Microarch::Haswell,
         &CorpusConfig {
-            num_blocks: 300,
-            seed,
+            num_blocks,
+            seed: config.seed,
             ..CorpusConfig::default()
         },
     );
@@ -73,7 +88,7 @@ fn run(simulator: &dyn Simulator, spec: &ParamSpec, seed: u64, threads: usize) -
         .iter()
         .map(|r| (r.block.clone(), r.timing))
         .collect();
-    DiffTuneBuilder::new(smoke_config(seed, threads))
+    DiffTuneBuilder::new(config)
         .build(simulator, spec, &default_params(Microarch::Haswell), &train)
         .expect("inputs are valid")
         .run_to_completion()
@@ -123,9 +138,14 @@ fn assert_bit_identical(serial: &DiffTuneResult, parallel: &DiffTuneResult, thre
 fn mca_pipeline_is_bit_identical_across_thread_counts() {
     let simulator = McaSimulator::default();
     let spec = ParamSpec::llvm_mca();
-    let serial = run(&simulator, &spec, 11, 1);
+    let serial = run(&simulator, &spec, smoke_config(mlp(11), 600, 11, 1), 300);
     for threads in parallel_widths() {
-        let parallel = run(&simulator, &spec, 11, threads);
+        let parallel = run(
+            &simulator,
+            &spec,
+            smoke_config(mlp(11), 600, 11, threads),
+            300,
+        );
         assert_bit_identical(&serial, &parallel, threads);
     }
 }
@@ -134,9 +154,35 @@ fn mca_pipeline_is_bit_identical_across_thread_counts() {
 fn uop_pipeline_is_bit_identical_across_thread_counts() {
     let simulator = UopSimulator::default();
     let spec = ParamSpec::llvm_sim();
-    let serial = run(&simulator, &spec, 5, 1);
+    let serial = run(&simulator, &spec, smoke_config(mlp(5), 600, 5, 1), 300);
     for threads in parallel_widths() {
-        let parallel = run(&simulator, &spec, 5, threads);
+        let parallel = run(
+            &simulator,
+            &spec,
+            smoke_config(mlp(5), 600, 5, threads),
+            300,
+        );
+        assert_bit_identical(&serial, &parallel, threads);
+    }
+}
+
+#[test]
+fn lstm_pipeline_is_bit_identical_across_thread_counts() {
+    // The paper's surrogate exercises the fused LSTM step and the
+    // embedding-row gradients; a reduced scale keeps the runs fast.
+    let simulator = McaSimulator::default();
+    let spec = ParamSpec::llvm_mca();
+    let lstm = SurrogateKind::Lstm(IthemalConfig {
+        embed_dim: 8,
+        hidden_dim: 12,
+        instr_layers: 1,
+        block_layers: 1,
+        parameter_inputs: true,
+        seed: 7,
+    });
+    let serial = run(&simulator, &spec, smoke_config(lstm, 150, 7, 1), 80);
+    for threads in parallel_widths() {
+        let parallel = run(&simulator, &spec, smoke_config(lstm, 150, 7, threads), 80);
         assert_bit_identical(&serial, &parallel, threads);
     }
 }

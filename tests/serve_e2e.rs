@@ -886,7 +886,7 @@ fn hot_reload_swaps_the_surrogate_under_inflight_traffic_byte_identically() {
         before.contains(&format!("\"predictions\":[{expected_old:?}]")),
         "{before}"
     );
-    // Warm the cache and the compiled-program cache.
+    // Warm the cache.
     assert_eq!(client.post_json("/predict", body).unwrap().status, 200);
 
     // Hammer the surrogate backend from two connections while the artifact
@@ -916,8 +916,7 @@ fn hot_reload_swaps_the_surrogate_under_inflight_traffic_byte_identically() {
     std::thread::sleep(std::time::Duration::from_millis(50));
 
     // A re-tuned surrogate lands in the same cell; one reload swaps it in
-    // and purges exactly the stale backend's cache (and with it the only
-    // reachable compiled programs of the old engine).
+    // and purges exactly the stale backend's cache.
     let new_artifact = write_surrogate_artifact(&dir, 6);
     assert_ne!(new_artifact.fingerprint, old_artifact.fingerprint);
     let reloaded = client.post_json("/reload", "").expect("reload answers");
@@ -943,7 +942,7 @@ fn hot_reload_swaps_the_surrogate_under_inflight_traffic_byte_identically() {
     assert_ne!(after, before, "the reload swapped the surrogate");
 
     // Every in-flight response was one of the two artifacts' exact bytes —
-    // never a torn state, never a stale-program answer under the new
+    // never a torn state, never a stale-weights answer under the new
     // fingerprint.
     for worker in workers {
         let seen = worker.join().expect("worker thread finished");

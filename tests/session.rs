@@ -428,7 +428,7 @@ fn absurd_thread_counts_are_rejected_by_validation() {
 
 /// The learned table of a small LSTM-surrogate run, pinned: the LSTM's
 /// optimize stage (frozen instruction summaries, block-level model per
-/// sample) and fit stage (compiled replay) must keep producing these exact
+/// sample) and fit stage (the tape) must keep producing these exact
 /// bits, at every thread count.
 #[test]
 fn a_small_lstm_session_learns_the_pinned_table() {
