@@ -4,7 +4,8 @@
 //! 4-lane dot/matvec (rows taken four at a time through `dot4`, SSE2 on x86_64),
 //! the fused matvec+bias (`Linear::forward`), and the fused LSTM gate step —
 //! plus their backward kernels (the LSTM one also without weight gradients,
-//! as table optimization runs it). The shapes are the ones `tune` runs with
+//! as table optimization runs it) and the owned activations over four-lane
+//! slices (`exp`, `sigmoid`, `tanh`). The shapes are the ones `tune` runs with
 //! the default Ithemal-style surrogate (64-dim hidden states): the token
 //! LSTM (input 32), the block LSTM (input 81: a 64-dim instruction summary,
 //! 15 θ features and 2 global features), a 256×145 gate matvec (the block
@@ -179,5 +180,32 @@ fn bench_lstm_shape(criterion: &mut Criterion, hidden: usize, input: usize, suff
     );
 }
 
-criterion_group!(kernel_benches, bench_matvec, bench_lstm_step);
+/// The activations over 256 values, four lanes at a time, as the tape's
+/// elementwise ops run them. The inputs span ±4, where LSTM
+/// pre-activations and cell states live.
+fn bench_activations(criterion: &mut Criterion) {
+    let x: Vec<f32> = filled(256, 10).iter().map(|v| 8.0 * v).collect();
+    let mut out = vec![0.0f32; x.len()];
+    type SliceKernel = fn(&[f32], &mut [f32]);
+    let slices: [(&str, SliceKernel); 3] = [
+        ("kernels/exp x256", kernels::exp_slice),
+        ("kernels/sigmoid x256", kernels::sigmoid_slice),
+        ("kernels/tanh x256", kernels::tanh_slice),
+    ];
+    for (id, kernel) in slices {
+        criterion.bench_function(id, |bencher| {
+            bencher.iter(|| {
+                kernel(black_box(&x), &mut out);
+                out[0]
+            })
+        });
+    }
+}
+
+criterion_group!(
+    kernel_benches,
+    bench_matvec,
+    bench_lstm_step,
+    bench_activations
+);
 criterion_main!(kernel_benches);

@@ -338,6 +338,14 @@ impl<'p> Graph<'p> {
         Tensor::from_vec(out, src.shape().to_vec())
     }
 
+    /// Computes an elementwise unary slice kernel into a pooled buffer.
+    fn map_slice(&mut self, a: Var, kernel: fn(&[f32], &mut [f32])) -> Tensor {
+        let mut out = self.pool.zeroed(self.value_tensor(a).len());
+        let src = self.value_tensor(a);
+        kernel(src.data(), &mut out);
+        Tensor::from_vec(out, src.shape().to_vec())
+    }
+
     /// Computes an elementwise binary op into a pooled buffer.
     fn zip(&mut self, a: Var, b: Var, f: impl Fn(f32, f32) -> f32) -> Tensor {
         let mut out = self.pool.take(self.value_tensor(a).len());
@@ -476,13 +484,13 @@ impl<'p> Graph<'p> {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.map(a, kernels::sigmoid);
+        let value = self.map_slice(a, kernels::sigmoid_slice);
         self.push(Op::Sigmoid(a), value)
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.map(a, f32::tanh);
+        let value = self.map_slice(a, kernels::tanh_slice);
         self.push(Op::Tanh(a), value)
     }
 
@@ -1459,7 +1467,7 @@ mod tests {
         let theta_values = params.get(theta).data();
         let mut reference = vec![0.0f32; THETA_LEN];
         for i in 0..THETA_LEN {
-            let y = theta_values[i].tanh();
+            let y = kernels::tanh(theta_values[i]);
             reference[i] += direct[i] + through_tanh[i] * (1.0 - y * y);
         }
 

@@ -20,8 +20,16 @@
 //! that bounds a single [`dot`]; SSE2 is part of the x86_64 baseline, so no
 //! runtime detection is needed. On other targets it is four [`dot`] calls.
 //! [`matvec`], [`linear`] and [`lstm_step`] take their rows four at a time
-//! through it. That one function holds the crate's only `unsafe` code (the
-//! unaligned loads).
+//! through it.
+//!
+//! [`exp`], [`sigmoid`] and [`tanh`] are owned ports of glibc 2.36's `expf`
+//! and `tanhf`, bit-equal to them on every input, so no activation's bits
+//! depend on the host libm or on whether the CPU has FMA. On x86_64 the
+//! private `sse2` module also evaluates them four lanes at a time, each lane
+//! bit-equal to the scalar call; [`lstm_step`] and the tape's elementwise
+//! [`sigmoid_slice`]/[`tanh_slice`] run through those. The `sse2` module
+//! holds the crate's only `unsafe` code (unaligned loads and stores, and
+//! calls into its SSE2 `#[target_feature]` functions).
 //!
 //! Backward kernels **accumulate** (`+=`) into caller-provided buffers. A
 //! `dx`, `dh_prev` or `dc_prev` buffer must be zeroed by the caller: each
@@ -79,15 +87,274 @@ pub fn dot4(rows: [&[f32]; 4], x: &[f32]) -> [f32; 4] {
     }
 }
 
-/// The x86_64 body of [`dot4`], the crate's only `unsafe` code.
+/// The x86_64 bodies of [`dot4`] and of the four-lane `exp`, `sigmoid` and
+/// `tanh`: the crate's only `unsafe` code.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod sse2 {
-    use super::LANES;
-    use std::arch::x86_64::{
-        _mm_add_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_setzero_ps,
-        _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+    use super::{
+        EXPM1_Q, EXP_INV_LN2_N, EXP_INV_LN2_N_HI, EXP_INV_LN2_N_LO, EXP_POLY, EXP_SHIFT, EXP_TABLE,
+        INV_LN2, LANES, LN2_HI, LN2_LO,
     };
+    use std::arch::x86_64::{
+        __m128, __m128d, __m128i, _mm_add_epi32, _mm_add_epi64, _mm_add_pd, _mm_add_ps, _mm_and_ps,
+        _mm_and_si128, _mm_andnot_ps, _mm_andnot_si128, _mm_castpd_si128, _mm_castps_si128,
+        _mm_castsi128_pd, _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_cmpge_ps, _mm_cmpgt_epi32,
+        _mm_cmplt_epi32, _mm_cvtepi32_ps, _mm_cvtpd_ps, _mm_cvtps_pd, _mm_cvtsi128_si64,
+        _mm_cvttps_epi32, _mm_div_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
+        _mm_movemask_epi8, _mm_mul_pd, _mm_mul_ps, _mm_or_ps, _mm_or_si128, _mm_set1_epi32,
+        _mm_set1_pd, _mm_set1_ps, _mm_set_epi64x, _mm_setzero_ps, _mm_slli_epi32, _mm_slli_epi64,
+        _mm_srai_epi32, _mm_storeu_ps, _mm_sub_epi32, _mm_sub_pd, _mm_sub_ps, _mm_unpackhi_epi64,
+        _mm_unpackhi_ps, _mm_unpacklo_ps, _mm_xor_ps,
+    };
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(x: [f32; 4]) -> __m128 {
+        // SAFETY: the unaligned load reads exactly the four floats of `x`.
+        unsafe { _mm_loadu_ps(x.as_ptr()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn store(v: __m128) -> [f32; 4] {
+        let mut out = [0.0f32; 4];
+        // SAFETY: the unaligned store writes exactly the four floats of `out`.
+        unsafe { _mm_storeu_ps(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// Lane-wise `if mask { a } else { b }` on all-ones/all-zeros masks.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn select(mask: __m128i, a: __m128i, b: __m128i) -> __m128i {
+        _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b))
+    }
+
+    /// The sign bit of every lane.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn sign_bits() -> __m128i {
+        _mm_set1_epi32(i32::MIN)
+    }
+
+    /// Whether any lane's bits without the sign lie outside `low..high`.
+    /// With `high <= 0x7f80_0000`, a non-finite lane is always outside.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn any_outside(x: __m128, low: i32, high: i32) -> bool {
+        let magnitude = _mm_andnot_si128(sign_bits(), _mm_castps_si128(x));
+        let outside = _mm_or_si128(
+            _mm_cmplt_epi32(magnitude, _mm_set1_epi32(low)),
+            _mm_cmpgt_epi32(magnitude, _mm_set1_epi32(high - 1)),
+        );
+        _mm_movemask_epi8(outside) != 0
+    }
+
+    /// [`super::exp`]'s main path on two lanes widened to `f64`: the same
+    /// operations in the same order, with the table read per lane.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn exp_pd(xd: __m128d) -> __m128d {
+        let shift = _mm_set1_pd(EXP_SHIFT);
+        let shifted = _mm_add_pd(_mm_mul_pd(_mm_set1_pd(EXP_INV_LN2_N), xd), shift);
+        let ki = _mm_castpd_si128(shifted);
+        let kd = _mm_sub_pd(shifted, shift);
+        let r = _mm_add_pd(
+            _mm_sub_pd(_mm_mul_pd(xd, _mm_set1_pd(EXP_INV_LN2_N_HI)), kd),
+            _mm_mul_pd(xd, _mm_set1_pd(EXP_INV_LN2_N_LO)),
+        );
+        let entry = |k: i64| EXP_TABLE[(k as u64 % 32) as usize] as i64;
+        let table = _mm_set_epi64x(
+            entry(_mm_cvtsi128_si64(_mm_unpackhi_epi64(ki, ki))),
+            entry(_mm_cvtsi128_si64(ki)),
+        );
+        let scale = _mm_castsi128_pd(_mm_add_epi64(table, _mm_slli_epi64::<47>(ki)));
+        let [c0, c1, c2] = EXP_POLY;
+        let (c0, c1, c2) = (_mm_set1_pd(c0), _mm_set1_pd(c1), _mm_set1_pd(c2));
+        let y = _mm_add_pd(
+            _mm_mul_pd(_mm_add_pd(_mm_mul_pd(c0, r), c1), _mm_mul_pd(r, r)),
+            _mm_add_pd(_mm_mul_pd(c2, r), _mm_set1_pd(1.0)),
+        );
+        _mm_mul_pd(y, scale)
+    }
+
+    /// [`exp_pd`] over four lanes, each rounded once to `f32`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn exp_ps(x: __m128) -> __m128 {
+        let low = _mm_cvtpd_ps(exp_pd(_mm_cvtps_pd(x)));
+        let high = _mm_cvtpd_ps(exp_pd(_mm_cvtps_pd(_mm_movehl_ps(x, x))));
+        _mm_movelh_ps(low, high)
+    }
+
+    /// Magnitude bits from which [`super::exp`] leaves its main path
+    /// (`|x| >= 88`, and non-finite).
+    const EXP_SPECIAL: i32 = 0x42b0_0000;
+
+    /// [`super::exp`] on four lanes, bit-equal lane by lane. A chunk with a
+    /// lane at `|x| >= 88` or non-finite takes the scalar path whole.
+    #[inline]
+    pub(super) fn exp4(x: [f32; 4]) -> [f32; 4] {
+        // SAFETY: SSE2, the one target feature `exp4_sse2` enables, is part
+        // of the x86_64 baseline.
+        unsafe { exp4_sse2(x) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn exp4_sse2(x: [f32; 4]) -> [f32; 4] {
+        let xv = load(x);
+        if any_outside(xv, 0, EXP_SPECIAL) {
+            return x.map(super::exp);
+        }
+        store(exp_ps(xv))
+    }
+
+    /// [`super::sigmoid`] on four lanes, bit-equal lane by lane: `divps`
+    /// rounds correctly, as scalar division does. A chunk with a lane
+    /// outside [`exp4`]'s range takes the scalar path whole.
+    #[inline]
+    pub(super) fn sigmoid4(x: [f32; 4]) -> [f32; 4] {
+        // SAFETY: SSE2, the one target feature `sigmoid4_sse2` enables, is
+        // part of the x86_64 baseline.
+        unsafe { sigmoid4_sse2(x) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn sigmoid4_sse2(x: [f32; 4]) -> [f32; 4] {
+        let xv = load(x);
+        if any_outside(xv, 0, EXP_SPECIAL) {
+            return x.map(super::sigmoid);
+        }
+        let one = _mm_set1_ps(1.0);
+        let e = exp_ps(_mm_xor_ps(xv, _mm_castsi128_ps(sign_bits())));
+        store(_mm_div_ps(one, _mm_add_ps(one, e)))
+    }
+
+    /// [`super::expm1_for_tanh`] on four lanes: every branch of `k` is
+    /// computed in every lane and the lane's own is kept.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn expm1_for_tanh4(u: __m128) -> __m128 {
+        let sign_bit = sign_bits();
+        let ui = _mm_castps_si128(u);
+        let hu = _mm_andnot_si128(sign_bit, ui);
+        // k = ±1 between ln2/2 and 1.5·ln2, `u/ln2` rounded half away
+        // from zero above, 0 below.
+        let k_unit = _mm_or_si128(_mm_srai_epi32::<31>(ui), _mm_set1_epi32(1));
+        let half = _mm_castsi128_ps(_mm_or_si128(
+            _mm_castps_si128(_mm_set1_ps(0.5)),
+            _mm_and_si128(ui, sign_bit),
+        ));
+        let k_far = _mm_cvttps_epi32(_mm_add_ps(_mm_mul_ps(_mm_set1_ps(INV_LN2), u), half));
+        let k = select(
+            _mm_cmplt_epi32(hu, _mm_set1_epi32(0x3f851592)),
+            k_unit,
+            k_far,
+        );
+        let k = _mm_and_si128(_mm_cmpgt_epi32(hu, _mm_set1_epi32(0x3eb17218)), k);
+
+        let t = _mm_cvtepi32_ps(k);
+        let hi = _mm_sub_ps(u, _mm_mul_ps(t, _mm_set1_ps(LN2_HI)));
+        let lo = _mm_mul_ps(t, _mm_set1_ps(LN2_LO));
+        let x = _mm_sub_ps(hi, lo);
+        let c = _mm_sub_ps(_mm_sub_ps(hi, x), lo);
+        let hfx = _mm_mul_ps(_mm_set1_ps(0.5), x);
+        let hxs = _mm_mul_ps(x, hfx);
+        let one = _mm_set1_ps(1.0);
+        // Horner from Q5 down: `Q1 + hxs·(Q2 + hxs·(… + hxs·Q5))`.
+        let mut poly = _mm_set1_ps(EXPM1_Q[4]);
+        for q in EXPM1_Q[..4].iter().rev() {
+            poly = _mm_add_ps(_mm_set1_ps(*q), _mm_mul_ps(hxs, poly));
+        }
+        let r1 = _mm_add_ps(one, _mm_mul_ps(hxs, poly));
+        let t = _mm_sub_ps(_mm_set1_ps(3.0), _mm_mul_ps(r1, hfx));
+        let e = _mm_mul_ps(
+            hxs,
+            _mm_div_ps(
+                _mm_sub_ps(r1, t),
+                _mm_sub_ps(_mm_set1_ps(6.0), _mm_mul_ps(x, t)),
+            ),
+        );
+        let k0 = _mm_sub_ps(x, _mm_sub_ps(_mm_mul_ps(x, e), hxs));
+        let e = _mm_sub_ps(_mm_sub_ps(_mm_mul_ps(x, _mm_sub_ps(e, c)), c), hxs);
+        let half = _mm_set1_ps(0.5);
+        let k_minus1 = _mm_sub_ps(_mm_mul_ps(half, _mm_sub_ps(x, e)), half);
+        // Adds k to a lane's exponent field.
+        let exponent = _mm_slli_epi32::<23>(k);
+        let e_minus_x = _mm_sub_ps(e, x);
+        let far = _mm_sub_ps(
+            _mm_castsi128_ps(_mm_add_epi32(
+                _mm_castps_si128(_mm_sub_ps(one, e_minus_x)),
+                exponent,
+            )),
+            one,
+        );
+        // 2^-k, valid in the lanes that read it (3 <= k <= 56).
+        let pow = _mm_castsi128_ps(_mm_slli_epi32::<23>(_mm_sub_epi32(_mm_set1_epi32(0x7f), k)));
+        let mid = _mm_add_epi32(
+            _mm_castps_si128(_mm_sub_ps(_mm_sub_ps(one, pow), e_minus_x)),
+            exponent,
+        );
+        let high = _mm_add_epi32(
+            _mm_castps_si128(_mm_add_ps(_mm_sub_ps(x, _mm_add_ps(e, pow)), one)),
+            exponent,
+        );
+
+        let is_far = _mm_or_si128(
+            _mm_cmplt_epi32(k, _mm_set1_epi32(-1)),
+            _mm_cmpgt_epi32(k, _mm_set1_epi32(56)),
+        );
+        let is_mid = _mm_cmplt_epi32(k, _mm_set1_epi32(23));
+        let out = select(is_mid, mid, high);
+        let out = select(is_far, _mm_castps_si128(far), out);
+        let out = select(
+            _mm_cmpeq_epi32(k, _mm_set1_epi32(-1)),
+            _mm_castps_si128(k_minus1),
+            out,
+        );
+        let out = select(
+            _mm_cmpeq_epi32(k, _mm_set1_epi32(0)),
+            _mm_castps_si128(k0),
+            out,
+        );
+        _mm_castsi128_ps(out)
+    }
+
+    /// [`super::tanh`] on four lanes, bit-equal lane by lane. A chunk with a
+    /// lane at `|x| < 2^-26` (where `expm1f` returns its argument),
+    /// `|x| >= 22` or non-finite takes the scalar path whole.
+    #[inline]
+    pub(super) fn tanh4(x: [f32; 4]) -> [f32; 4] {
+        // SAFETY: SSE2, the one target feature `tanh4_sse2` enables, is part
+        // of the x86_64 baseline.
+        unsafe { tanh4_sse2(x) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn tanh4_sse2(x: [f32; 4]) -> [f32; 4] {
+        let xv = load(x);
+        if any_outside(xv, 0x3280_0000, 0x41b0_0000) {
+            return x.map(super::tanh);
+        }
+        let sign_bit = _mm_castsi128_ps(sign_bits());
+        let sign = _mm_and_ps(xv, sign_bit);
+        let ax = _mm_xor_ps(xv, sign);
+        let one = _mm_set1_ps(1.0);
+        let two = _mm_set1_ps(2.0);
+        // u = 2|x| from 1 up, else −2|x|.
+        let large = _mm_cmpge_ps(ax, one);
+        let u = _mm_or_ps(_mm_add_ps(ax, ax), _mm_andnot_ps(large, sign_bit));
+        let t = expm1_for_tanh4(u);
+        let denominator = _mm_add_ps(t, two);
+        let z_large = _mm_sub_ps(one, _mm_div_ps(two, denominator));
+        let z_small = _mm_div_ps(_mm_xor_ps(t, sign_bit), denominator);
+        let z = _mm_or_ps(_mm_and_ps(large, z_large), _mm_andnot_ps(large, z_small));
+        store(_mm_xor_ps(z, sign))
+    }
 
     /// [`super::dot4`] with each row's four lanes in one SSE2 register.
     #[inline]
@@ -237,10 +504,275 @@ pub fn linear_grad(
     matvec_grad(w, x, g, m, n, dw, dx);
 }
 
-/// Logistic sigmoid, the exact expression the tape and plain inference use.
+/// `__exp2f_data.tab` of glibc's `expf`: the bits of `2^(i/32)` minus
+/// `i << 47`, so adding `k << 47` to entry `k % 32` gives `2^(k/32)`.
+const EXP_TABLE: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+/// `32 / ln 2`, the reduction factor of `expf`.
+const EXP_INV_LN2_N: f64 = f64::from_bits(0x40471547652b82fe);
+/// [`EXP_INV_LN2_N`] with its low 25 mantissa bits cleared: 28 significant
+/// bits, so its product with any `f32` widened to `f64` is exact.
+const EXP_INV_LN2_N_HI: f64 = f64::from_bits(0x40471547652b82fe & !0x1ff_ffff);
+/// The cleared bits, `EXP_INV_LN2_N - EXP_INV_LN2_N_HI` exactly (at most 25
+/// significant bits, so this product is exact too).
+const EXP_INV_LN2_N_LO: f64 = EXP_INV_LN2_N - EXP_INV_LN2_N_HI;
+/// `1.5 · 2^52`: adding it rounds to an integer held in the low mantissa bits.
+const EXP_SHIFT: f64 = f64::from_bits(0x4338000000000000);
+/// The cubic of `2^(r/32)`, highest degree first (`poly_scaled`).
+const EXP_POLY: [f64; 3] = [
+    f64::from_bits(0x3ebc6af84b912394),
+    f64::from_bits(0x3f2ebfce50fac4f3),
+    f64::from_bits(0x3f962e42ff0c52d6),
+];
+
+/// `e^x`, bit-equal to glibc 2.36's `expf` (its FMA build, which x86_64
+/// hosts with FMA run) on every input, with no libm call and no FMA.
+///
+/// `x · 32/ln 2 = k + r` rounds `k` to even and reduces, and
+/// `2^(k/32) · p(r)` is formed in `f64` and rounded once to `f32`. glibc's
+/// one contraction that changes bits, `r = fma(32/ln 2, x, −k)`, is
+/// reproduced exactly by splitting the constant into a 28-bit `hi` and the
+/// rest, `lo`: both products are exact and `x·hi − k` is exact by
+/// Sterbenz, so only the final add rounds, as the fma does.
+#[inline]
+pub fn exp(x: f32) -> f32 {
+    let abstop = (x.to_bits() >> 20) & 0x7ff;
+    // |x| >= 88 or NaN.
+    if abstop >= 0x42b {
+        if x == f32::NEG_INFINITY {
+            return 0.0;
+        }
+        if abstop >= 0x7f8 {
+            return x + x;
+        }
+        // Above ln(2^128) overflows; below ln(2^-150) underflows.
+        if x > f32::from_bits(0x42b17217) {
+            return f32::INFINITY;
+        }
+        if x < f32::from_bits(0xc2cff1b4) {
+            return 0.0;
+        }
+    }
+    let xd = f64::from(x);
+    let shifted = EXP_INV_LN2_N * xd + EXP_SHIFT;
+    let ki = shifted.to_bits();
+    let kd = shifted - EXP_SHIFT;
+    let r = (xd * EXP_INV_LN2_N_HI - kd) + xd * EXP_INV_LN2_N_LO;
+    let scale = f64::from_bits(EXP_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let [c0, c1, c2] = EXP_POLY;
+    let y = (c0 * r + c1) * (r * r) + (c2 * r + 1.0);
+    (y * scale) as f32
+}
+
+/// Logistic sigmoid `1 / (1 + exp(−x))` over [`exp`], the exact expression
+/// the tape and plain inference use; its bits depend on no host library.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+    1.0 / (1.0 + exp(-x))
+}
+
+/// `ln 2` split for `expm1f`'s reduction: `k · LN2_HI` is exact for the
+/// `|k| <= 64` that [`tanh`] reaches.
+const LN2_HI: f32 = f32::from_bits(0x3f317180);
+const LN2_LO: f32 = f32::from_bits(0x3717f7d1);
+const INV_LN2: f32 = f32::from_bits(0x3fb8aa3b);
+/// `expm1f`'s scaled rational coefficients `Q1..Q5`.
+const EXPM1_Q: [f32; 5] = [
+    f32::from_bits(0xbd088889),
+    f32::from_bits(0x3ad00d01),
+    f32::from_bits(0xb8a670cd),
+    f32::from_bits(0x36867e54),
+    f32::from_bits(0xb457edbb),
+];
+
+/// `expm1f`'s reduction factor `k` for an argument `u` with
+/// `|u| >= 2^-25`: 0 up to `ln2/2`, `±1` up to `1.5·ln2`, else
+/// `u/ln2` rounded half away from zero (in `f32`, then truncated).
+#[inline]
+fn expm1_k(u: f32) -> i32 {
+    let hu = u.to_bits() & 0x7fff_ffff;
+    if hu <= 0x3eb17218 {
+        0
+    } else if hu < 0x3f851592 {
+        if u < 0.0 {
+            -1
+        } else {
+            1
+        }
+    } else {
+        (INV_LN2 * u + 0.5f32.copysign(u)) as i32
+    }
+}
+
+/// glibc 2.36's fdlibm `expm1f` on the arguments [`tanh`] gives it:
+/// `u = ±2|x|` with `2^-25 <= |u| < 44`, where `u < 0` only for `|u| < 2`,
+/// so `k` is in `{0, −1, −2, −3} ∪ [3, 64]`.
+#[inline]
+fn expm1_for_tanh(u: f32) -> f32 {
+    let k = expm1_k(u);
+    // For k = ±1 this is `u ∓ ln2_hi` and `±ln2_lo` exactly; for k = 0 it
+    // leaves `x = u` and `c = 0`, as the unreduced branch does.
+    let t = k as f32;
+    let hi = u - t * LN2_HI;
+    let lo = t * LN2_LO;
+    let x = hi - lo;
+    let c = (hi - x) - lo;
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let [q1, q2, q3, q4, q5] = EXPM1_Q;
+    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - x * t));
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    let e = (x * (e - c) - c) - hxs;
+    let with_exponent = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    if k == -1 {
+        0.5 * (x - e) - 0.5
+    } else if k <= -2 || k > 56 {
+        with_exponent(1.0 - (e - x)) - 1.0
+    } else if k < 23 {
+        with_exponent((1.0 - f32::from_bits(((0x7f - k) << 23) as u32)) - (e - x))
+    } else {
+        with_exponent((x - (e + f32::from_bits(((0x7f - k) << 23) as u32))) + 1.0)
+    }
+}
+
+/// Hyperbolic tangent, bit-equal to glibc 2.36's fdlibm `tanhf` (over its
+/// `expm1f`) on every input, in plain `f32` operations with no libm call.
+#[inline]
+pub fn tanh(x: f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    if ix >= 0x7f80_0000 {
+        // tanh(±inf) = ±1, tanh(NaN) = NaN.
+        return if x.is_sign_negative() {
+            1.0 / x - 1.0
+        } else {
+            1.0 / x + 1.0
+        };
+    }
+    if ix >= 0x41b0_0000 {
+        // |x| >= 22: ±(1 − tiny), which rounds to ±1.
+        return 1.0f32.copysign(x);
+    }
+    if ix == 0 {
+        return x;
+    }
+    if ix < 0x2400_0000 {
+        // |x| < 2^-55.
+        return x * (1.0 + x);
+    }
+    let ax = f32::from_bits(ix);
+    let z = if ix >= 0x3f80_0000 {
+        1.0 - 2.0 / (expm1_for_tanh(2.0 * ax) + 2.0)
+    } else {
+        let t = expm1_for_tanh(-2.0 * ax);
+        -t / (t + 2.0)
+    };
+    z.copysign(x)
+}
+
+/// `exp`/`sigmoid`/`tanh` over four lanes: the SSE2 versions on x86_64,
+/// four scalar calls elsewhere. Every lane is bit-equal to the scalar call.
+#[cfg(target_arch = "x86_64")]
+use sse2::{exp4, sigmoid4, tanh4};
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn exp4(x: [f32; 4]) -> [f32; 4] {
+    x.map(exp)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn sigmoid4(x: [f32; 4]) -> [f32; 4] {
+    x.map(sigmoid)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn tanh4(x: [f32; 4]) -> [f32; 4] {
+    x.map(tanh)
+}
+
+/// `out[j] = f(x[j])` four lanes at a time through `f4`, with the
+/// `len % 4` tail through the scalar `f`.
+#[inline]
+fn map4(x: &[f32], out: &mut [f32], f4: fn([f32; 4]) -> [f32; 4], f: fn(f32) -> f32) {
+    assert_eq!(
+        x.len(),
+        out.len(),
+        "elementwise operands must have equal length"
+    );
+    let mut xs = x.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (x4, out4) in (&mut xs).zip(&mut outs) {
+        out4.copy_from_slice(&f4([x4[0], x4[1], x4[2], x4[3]]));
+    }
+    for (xi, out_i) in xs.remainder().iter().zip(outs.into_remainder()) {
+        *out_i = f(*xi);
+    }
+}
+
+/// `out[j] = exp(x[j])`, four lanes at a time, each bit-equal to [`exp`].
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn exp_slice(x: &[f32], out: &mut [f32]) {
+    map4(x, out, exp4, exp);
+}
+
+/// `out[j] = sigmoid(x[j])`, four lanes at a time, each bit-equal to
+/// [`sigmoid`].
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn sigmoid_slice(x: &[f32], out: &mut [f32]) {
+    map4(x, out, sigmoid4, sigmoid);
+}
+
+/// `out[j] = tanh(x[j])`, four lanes at a time, each bit-equal to [`tanh`].
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
+    map4(x, out, tanh4, tanh);
 }
 
 /// Length of the packed LSTM-step output for a given hidden size: the
@@ -255,11 +787,16 @@ pub const fn lstm_packed_len(hidden: usize) -> usize {
 /// `w` is the `4*hidden x (input + hidden)` gate matrix packed row-major in
 /// gate order `[input, forget, cell, output]` (the layout
 /// `difftune_tensor::nn::LstmCell` creates); each row's first `input`
-/// columns multiply `x` and the rest multiply `h_prev`. The kernel walks
-/// units in order and, per unit `k`, touches the four gate rows
-/// `k, hidden+k, 2*hidden+k, 3*hidden+k` — a structure-of-arrays access
-/// pattern over the gate blocks that never materializes the `[x, h_prev]`
-/// concatenation.
+/// columns multiply `x` and the rest multiply `h_prev`. The first pass walks
+/// units in order and, per unit `k`, takes the four gate rows
+/// `k, hidden+k, 2*hidden+k, 3*hidden+k` through [`dot4`] — a
+/// structure-of-arrays access pattern over the gate blocks that never
+/// materializes the `[x, h_prev]` concatenation — and writes each
+/// pre-activation `(x·w_x + h_prev·w_h) + b` into its gate segment of `out`.
+/// The second pass applies the activations and forms
+/// `c = f·c_prev + i·g` and `h = o·tanh(c)` four units at a time through
+/// the four-lane [`sigmoid`] and [`tanh`], with the `hidden % 4` tail
+/// through the scalar ones; every unit gets the same bits either way.
 ///
 /// `out` must have [`lstm_packed_len`] elements and is filled with the
 /// segments `[h, c, i, f, g, o, c_act]`: the new hidden and cell states
@@ -295,26 +832,50 @@ pub fn lstm_step(
         lstm_packed_len(hidden),
         "lstm_step output shape mismatch"
     );
+    let (h_out, rest) = out.split_at_mut(hidden);
+    let (c_out, rest) = rest.split_at_mut(hidden);
+    let (gates, c_act_out) = rest.split_at_mut(4 * hidden);
     for k in 0..hidden {
         let rows: [&[f32]; 4] =
             std::array::from_fn(|gate| &w[(gate * hidden + k) * width..][..width]);
         let from_x = dot4(rows.map(|row| &row[..input]), x);
         let from_h = dot4(rows.map(|row| &row[input..]), h_prev);
-        let pre: [f32; 4] =
-            std::array::from_fn(|gate| (from_x[gate] + from_h[gate]) + b[gate * hidden + k]);
-        let i = sigmoid(pre[0]);
-        let f = sigmoid(pre[1]);
-        let g = pre[2].tanh();
-        let o = sigmoid(pre[3]);
+        for gate in 0..4 {
+            let at = gate * hidden + k;
+            gates[at] = (from_x[gate] + from_h[gate]) + b[at];
+        }
+    }
+    let (i_seg, rest) = gates.split_at_mut(hidden);
+    let (f_seg, rest) = rest.split_at_mut(hidden);
+    let (g_seg, o_seg) = rest.split_at_mut(hidden);
+    let body = hidden - hidden % 4;
+    for k in (0..body).step_by(4) {
+        let pre = |seg: &[f32]| -> [f32; 4] { std::array::from_fn(|l| seg[k + l]) };
+        let i = sigmoid4(pre(i_seg));
+        let f = sigmoid4(pre(f_seg));
+        let g = tanh4(pre(g_seg));
+        let o = sigmoid4(pre(o_seg));
+        let c: [f32; 4] = std::array::from_fn(|l| f[l] * c_prev[k + l] + i[l] * g[l]);
+        let c_act = tanh4(c);
+        for l in 0..4 {
+            let unit = k + l;
+            h_out[unit] = o[l] * c_act[l];
+            c_out[unit] = c[l];
+            (i_seg[unit], f_seg[unit], g_seg[unit], o_seg[unit]) = (i[l], f[l], g[l], o[l]);
+            c_act_out[unit] = c_act[l];
+        }
+    }
+    for k in body..hidden {
+        let i = sigmoid(i_seg[k]);
+        let f = sigmoid(f_seg[k]);
+        let g = tanh(g_seg[k]);
+        let o = sigmoid(o_seg[k]);
         let c = f * c_prev[k] + i * g;
-        let c_act = c.tanh();
-        out[k] = o * c_act;
-        out[hidden + k] = c;
-        out[2 * hidden + k] = i;
-        out[3 * hidden + k] = f;
-        out[4 * hidden + k] = g;
-        out[5 * hidden + k] = o;
-        out[6 * hidden + k] = c_act;
+        let c_act = tanh(c);
+        h_out[k] = o * c_act;
+        c_out[k] = c;
+        (i_seg[k], f_seg[k], g_seg[k], o_seg[k]) = (i, f, g, o);
+        c_act_out[k] = c_act;
     }
 }
 
@@ -858,6 +1419,257 @@ mod tests {
         }
     }
 
+    /// The three activations as (name, scalar, four-lane) triples.
+    type Activation = (&'static str, fn(f32) -> f32, fn([f32; 4]) -> [f32; 4]);
+    const ACTIVATIONS: [Activation; 3] = [
+        ("exp", exp, exp4),
+        ("sigmoid", sigmoid, sigmoid4),
+        ("tanh", tanh, tanh4),
+    ];
+
+    /// `f32` bits with every NaN folded to one pattern: NaN payloads are
+    /// unspecified in Rust, so the pins must not depend on them.
+    fn canonical_bits(v: f32) -> u32 {
+        if v.is_nan() {
+            0x7fc0_0000
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Every 65,537th bit pattern, from `0` to `65535 · 65537`.
+    fn strided_sample() -> Vec<f32> {
+        (0..65_536u32).map(|i| f32::from_bits(i * 65_537)).collect()
+    }
+
+    /// Checks `f4` against `f` on `values` four consecutive lanes at a time,
+    /// and again with each chunk's lanes a quarter of the slice apart, so a
+    /// chunk mixes magnitudes (and `expm1f` branches) across its lanes.
+    fn assert_lanes_match(
+        name: &str,
+        values: &[f32],
+        f: fn(f32) -> f32,
+        f4: fn([f32; 4]) -> [f32; 4],
+    ) {
+        let quarter = values.len() / 4;
+        let consecutive = values.chunks_exact(4).map(|c| [c[0], c[1], c[2], c[3]]);
+        let spread = (0..quarter).map(|j| std::array::from_fn(|l| values[j + l * quarter]));
+        for lanes in consecutive.chain(spread) {
+            let quad = f4(lanes);
+            for (lane, x) in lanes.iter().enumerate() {
+                assert!(
+                    same(quad[lane], f(*x)),
+                    "{name}4 lane {lane} at {:#010x}: {:#010x} vs {:#010x}",
+                    x.to_bits(),
+                    quad[lane].to_bits(),
+                    f(*x).to_bits()
+                );
+            }
+        }
+    }
+
+    /// Pins `exp`, `sigmoid` and `tanh` to glibc 2.36's bits without
+    /// calling any host library: an FNV-1a hash of each function over the
+    /// strided sample, the four-lane versions bit-equal to the scalar ones,
+    /// and the boundary inputs explicitly.
+    #[test]
+    fn activations_are_pinned_to_glibc_bits() {
+        let sample = strided_sample();
+        let expected_hashes = [0xf8bde134d0acd273, 0xa57a74dad40b202f, 0xe27ff5d63c79f32d];
+        for ((name, f, f4), expected) in ACTIVATIONS.into_iter().zip(expected_hashes) {
+            let hash = sample.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, x| {
+                canonical_bits(f(*x))
+                    .to_le_bytes()
+                    .iter()
+                    .fold(hash, |h, byte| {
+                        (h ^ u64::from(*byte)).wrapping_mul(0x100_0000_01b3)
+                    })
+            });
+            assert_eq!(
+                hash, expected,
+                "{name} over the strided sample: {hash:#018x}"
+            );
+            assert_lanes_match(name, &sample, f, f4);
+            // The inputs the four-lane kernels take off the scalar path.
+            let inside: Vec<f32> = sample
+                .iter()
+                .copied()
+                .filter(|x| (2f32.powi(-26)..22.0).contains(&x.abs()))
+                .collect();
+            assert_lanes_match(name, &inside, f, f4);
+        }
+        // (input, [exp, sigmoid, tanh]) bits, NaN canonical.
+        let pins: [(u32, [u32; 3]); 13] = [
+            // The inputs where an `expf` without glibc's fma differs.
+            (0x4202422f, [0x56fc9f1c, 0x3f800000, 0x3f800000]),
+            (0xc27c65d9, [0x11fa2993, 0x11fa2993, 0xbf800000]),
+            // ±0, ±inf, NaN and the smallest subnormal.
+            (0x00000000, [0x3f800000, 0x3f000000, 0x00000000]),
+            (0x80000000, [0x3f800000, 0x3f000000, 0x80000000]),
+            (0x7f800000, [0x7f800000, 0x3f800000, 0x3f800000]),
+            (0xff800000, [0x00000000, 0x00000000, 0xbf800000]),
+            (0x7fc00000, [0x7fc00000, 0x7fc00000, 0x7fc00000]),
+            (0x00000001, [0x3f800000, 0x3f000000, 0x00000001]),
+            // `expf`'s overflow bound (the largest finite result, then inf)
+            // and its underflow bound (the smallest subnormal).
+            (0x42b17217, [0x7f7fff84, 0x3f800000, 0x3f800000]),
+            (0x42b17218, [0x7f800000, 0x3f800000, 0x3f800000]),
+            (0xc2cff1b4, [0x00000001, 0x00000000, 0xbf800000]),
+            // `tanhf`'s saturation at 22 and `expm1f`'s 2^-26 shortcut.
+            (0x41b00000, [0x4f55ad6e, 0x3f800000, 0x3f800000]),
+            (0x32800000, [0x3f800000, 0x3f000000, 0x32800000]),
+        ];
+        for (x, outputs) in pins {
+            for ((name, f, f4), expected) in ACTIVATIONS.into_iter().zip(outputs) {
+                let x = f32::from_bits(x);
+                assert_eq!(
+                    canonical_bits(f(x)),
+                    expected,
+                    "{name}({:#010x})",
+                    x.to_bits()
+                );
+                assert_eq!(
+                    canonical_bits(f4([x; 4])[3]),
+                    expected,
+                    "{name}4({:#010x})",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    /// The host libm's `expf`/`tanhf` (and the sigmoid over its `expf`).
+    #[cfg(target_env = "gnu")]
+    fn host_libm(name: &str, x: f32) -> f32 {
+        match name {
+            "exp" => x.exp(),
+            "sigmoid" => 1.0 / (1.0 + (-x).exp()),
+            _ => x.tanh(),
+        }
+    }
+
+    #[cfg(target_env = "gnu")]
+    #[test]
+    fn activations_match_host_glibc_on_the_strided_sample() {
+        for (name, f, _) in ACTIVATIONS {
+            for x in strided_sample() {
+                let host = host_libm(name, x);
+                assert!(
+                    same(f(x), host),
+                    "{name}({:#010x}) = {:#010x}, host libm {:#010x}",
+                    x.to_bits(),
+                    f(x).to_bits(),
+                    host.to_bits()
+                );
+            }
+        }
+    }
+
+    /// Mismatches of scalar against host libm, and of four-lane against
+    /// scalar, per activation over the bit patterns in `bits`.
+    #[cfg(target_env = "gnu")]
+    fn exhaustive_mismatches(bits: std::ops::Range<u64>) -> [u64; 3] {
+        let mut mismatches = [0u64; 3];
+        for start in bits.step_by(4) {
+            let lanes: [f32; 4] =
+                std::array::from_fn(|l| f32::from_bits((start + l as u64) as u32));
+            for ((name, f, f4), count) in ACTIVATIONS.into_iter().zip(&mut mismatches) {
+                let quad = f4(lanes);
+                for (x, q) in lanes.iter().zip(quad) {
+                    let scalar = f(*x);
+                    if !same(scalar, host_libm(name, *x)) || !same(q, scalar) {
+                        *count += 1;
+                    }
+                }
+            }
+        }
+        mismatches
+    }
+
+    /// All 2^32 inputs on two worker threads (a few minutes in release):
+    /// scalar against host libm and four-lane against scalar. Run with
+    /// `cargo test --release -p difftune-tensor --lib exhaustive -- --ignored`.
+    #[cfg(target_env = "gnu")]
+    #[test]
+    #[ignore = "sweeps all 2^32 inputs; run in release with --ignored"]
+    fn exhaustive_activations_match_host_glibc() {
+        let bounds = [0u64, 1 << 31, 1 << 32];
+        let per_half: Vec<[u64; 3]> = std::thread::scope(|scope| {
+            let workers: Vec<_> = bounds
+                .windows(2)
+                .map(|half| {
+                    let bits = half[0]..half[1];
+                    scope.spawn(move || exhaustive_mismatches(bits))
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (index, (name, _, _)) in ACTIVATIONS.iter().enumerate() {
+            let total: u64 = per_half.iter().map(|m| m[index]).sum();
+            assert_eq!(total, 0, "{name}: {total} of 2^32 inputs differ");
+        }
+    }
+
+    /// [`lstm_step`] as it was before the two passes: each unit's
+    /// pre-activations, activations and cell update in turn, all scalar.
+    #[allow(clippy::too_many_arguments)]
+    fn lstm_step_per_unit(
+        w: &[f32],
+        b: &[f32],
+        x: &[f32],
+        h_prev: &[f32],
+        c_prev: &[f32],
+        hidden: usize,
+        input: usize,
+        out: &mut [f32],
+    ) {
+        let width = input + hidden;
+        for k in 0..hidden {
+            let rows: [&[f32]; 4] =
+                std::array::from_fn(|gate| &w[(gate * hidden + k) * width..][..width]);
+            let from_x = dot4(rows.map(|row| &row[..input]), x);
+            let from_h = dot4(rows.map(|row| &row[input..]), h_prev);
+            let pre: [f32; 4] =
+                std::array::from_fn(|gate| (from_x[gate] + from_h[gate]) + b[gate * hidden + k]);
+            let [i, f, o] = [pre[0], pre[1], pre[3]].map(sigmoid);
+            let g = tanh(pre[2]);
+            let c = f * c_prev[k] + i * g;
+            let c_act = tanh(c);
+            for (segment, value) in [o * c_act, c, i, f, g, o, c_act].into_iter().enumerate() {
+                out[segment * hidden + k] = value;
+            }
+        }
+    }
+
+    #[test]
+    fn lstm_step_is_bit_equal_to_the_per_unit_reference() {
+        let draws: [fn(usize, u32) -> Vec<f32>; 2] = [mixed_values, finite_values];
+        for values in draws {
+            for hidden in [1, 3, 4, 5, 8, 11, 64] {
+                for input in [1, 6, 32] {
+                    let salt = (hidden * 100 + input) as u32;
+                    // Weights scaled up so gates saturate, and some chunks
+                    // mix the four-lane and scalar-fallback ranges.
+                    let w: Vec<f32> = values(4 * hidden * (input + hidden), salt)
+                        .iter()
+                        .map(|v| v * 8.0)
+                        .collect();
+                    let b = values(4 * hidden, salt + 1);
+                    let x = values(input, salt + 2);
+                    let h_prev = values(hidden, salt + 3);
+                    let c_prev = values(hidden, salt + 4);
+                    let mut two_pass = vec![0.0; lstm_packed_len(hidden)];
+                    let mut per_unit = vec![0.0; lstm_packed_len(hidden)];
+                    lstm_step(&w, &b, &x, &h_prev, &c_prev, hidden, input, &mut two_pass);
+                    lstm_step_per_unit(&w, &b, &x, &h_prev, &c_prev, hidden, input, &mut per_unit);
+                    for (at, (a, r)) in two_pass.iter().zip(&per_unit).enumerate() {
+                        assert!(same(*a, *r), "hidden {hidden}, input {input}, slot {at}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn lstm_step_packs_gates_consistently() {
         let hidden = 3;
@@ -886,7 +1698,7 @@ mod tests {
             );
             assert!((-1.0..=1.0).contains(&g) && (-1.0..=1.0).contains(&c_act));
             assert_eq!(c.to_bits(), (f * c_prev[k] + i * g).to_bits());
-            assert_eq!(c_act.to_bits(), c.tanh().to_bits());
+            assert_eq!(c_act.to_bits(), tanh(c).to_bits());
             assert_eq!(h.to_bits(), (o * c_act).to_bits());
         }
     }
