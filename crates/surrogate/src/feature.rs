@@ -169,30 +169,11 @@ impl SurrogateModel for FeatureMlpModel {
         per_inst_features: Option<&[Var]>,
         global_feature_var: Option<Var>,
     ) -> Var {
-        self.forward_with_static(graph, block, None, per_inst_features, global_feature_var)
-    }
-
-    /// The block's [`static_features`](FeatureMlpModel::static_features).
-    fn static_inputs(&self, block: &TokenizedBlock) -> Option<Tensor> {
-        Some(Self::static_features(block))
-    }
-
-    fn forward_with_static(
-        &self,
-        graph: &mut Graph<'_>,
-        block: &TokenizedBlock,
-        static_inputs: Option<&Tensor>,
-        per_inst_features: Option<&[Var]>,
-        global_feature_var: Option<Var>,
-    ) -> Var {
         assert!(
             !block.is_empty(),
             "cannot run the surrogate on an empty block"
         );
-        let static_features = graph.input(match static_inputs {
-            Some(features) => features.clone(),
-            None => Self::static_features(block),
-        });
+        let static_features = graph.input(Self::static_features(block));
         let input = if self.config.parameter_inputs {
             let features =
                 per_inst_features.expect("surrogate mode requires per-instruction features");
@@ -329,35 +310,6 @@ mod tests {
         );
         assert!(a.is_finite() && b.is_finite());
         assert!((a - b).abs() > 1e-9);
-    }
-
-    #[test]
-    fn forward_with_prebuilt_static_inputs_is_bit_equal_to_forward() {
-        let model = FeatureMlpModel::new(FeatureMlpConfig {
-            hidden_dim: 16,
-            ..FeatureMlpConfig::default()
-        });
-        let block = tokenized("movq (%rdi), %rax\nimulq %rax, %rbx\nmovq %rbx, 8(%rdi)");
-        let table = SimParams::uniform_default();
-        let static_inputs = model.static_inputs(&block);
-        assert!(static_inputs.is_some());
-        let predict = |prebuilt: Option<&Tensor>| {
-            let mut graph = Graph::new(model.params());
-            let features: Vec<Var> = block_param_features(&table, &block)
-                .into_iter()
-                .map(|f| graph.input(f))
-                .collect();
-            let global = graph.input(global_features(&table));
-            let out = model.forward_with_static(
-                &mut graph,
-                &block,
-                prebuilt,
-                Some(&features),
-                Some(global),
-            );
-            graph.value(out)[0].to_bits()
-        };
-        assert_eq!(predict(static_inputs.as_ref()), predict(None));
     }
 
     #[test]

@@ -69,34 +69,6 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
         global_feature_var: Option<Var>,
     ) -> Var;
 
-    /// The block's parameter-independent inputs, which
-    /// [`forward_with_static`](SurrogateModel::forward_with_static) reads
-    /// instead of rebuilding them: a trainer computes them once per sample
-    /// rather than once per sample per epoch.
-    ///
-    /// The default, for a model that has none, is `None`.
-    fn static_inputs(&self, block: &TokenizedBlock) -> Option<Tensor> {
-        let _ = block;
-        None
-    }
-
-    /// [`forward`](SurrogateModel::forward) with the block's
-    /// [`static_inputs`](SurrogateModel::static_inputs) already built (or
-    /// `None` to build them here), bit-equal to `forward`.
-    ///
-    /// The default ignores `static_inputs` and runs `forward`.
-    fn forward_with_static(
-        &self,
-        graph: &mut Graph<'_>,
-        block: &TokenizedBlock,
-        static_inputs: Option<&Tensor>,
-        per_inst_features: Option<&[Var]>,
-        global_feature_var: Option<Var>,
-    ) -> Var {
-        let _ = static_inputs;
-        self.forward(graph, block, per_inst_features, global_feature_var)
-    }
-
     /// Encodes instructions under the current weights into the vectors the
     /// block-level model reads (for the LSTM surrogate, each instruction's
     /// token-LSTM summary): one tensor per instruction, in order, computed
@@ -188,27 +160,6 @@ impl<T: SurrogateModel + ?Sized> SurrogateModel for Box<T> {
         global_feature_var: Option<Var>,
     ) -> Var {
         (**self).forward(graph, block, per_inst_features, global_feature_var)
-    }
-
-    fn static_inputs(&self, block: &TokenizedBlock) -> Option<Tensor> {
-        (**self).static_inputs(block)
-    }
-
-    fn forward_with_static(
-        &self,
-        graph: &mut Graph<'_>,
-        block: &TokenizedBlock,
-        static_inputs: Option<&Tensor>,
-        per_inst_features: Option<&[Var]>,
-        global_feature_var: Option<Var>,
-    ) -> Var {
-        (**self).forward_with_static(
-            graph,
-            block,
-            static_inputs,
-            per_inst_features,
-            global_feature_var,
-        )
     }
 
     fn encode_instructions_with(

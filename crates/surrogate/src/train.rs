@@ -168,13 +168,11 @@ impl TrainReport {
 }
 
 /// Builds the model's prediction for one sample on the graph, binding its
-/// feature tensors as inputs. `static_inputs` are the block's
-/// [`SurrogateModel::static_inputs`], if already built.
+/// feature tensors as inputs.
 fn sample_prediction<M: SurrogateModel + ?Sized>(
     model: &M,
     graph: &mut Graph<'_>,
     sample: &TrainSample,
-    static_inputs: Option<&Tensor>,
 ) -> Var {
     let feature_vars: Option<Vec<Var>> = sample
         .per_inst_features
@@ -184,13 +182,7 @@ fn sample_prediction<M: SurrogateModel + ?Sized>(
         .global_features
         .as_ref()
         .map(|g| graph.input(g.clone()));
-    model.forward_with_static(
-        graph,
-        &sample.block,
-        static_inputs,
-        feature_vars.as_deref(),
-        global_var,
-    )
+    model.forward(graph, &sample.block, feature_vars.as_deref(), global_var)
 }
 
 /// Builds the per-sample loss `|f̂(θ, x) − target| / target` on the graph.
@@ -198,9 +190,8 @@ fn sample_loss<M: SurrogateModel + ?Sized>(
     model: &M,
     graph: &mut Graph<'_>,
     sample: &TrainSample,
-    static_inputs: Option<&Tensor>,
 ) -> Var {
-    let prediction = sample_prediction(model, graph, sample, static_inputs);
+    let prediction = sample_prediction(model, graph, sample);
     let target = sample.target.max(1e-3) as f32;
     let target_var = graph.input(Tensor::scalar(target));
     let diff = graph.sub(prediction, target_var);
@@ -244,21 +235,13 @@ pub fn train_observed<M: SurrogateModel>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut engine = Batch::new(config.threads);
     let mut grads = Grads::new(model.params());
-    // Parameter-independent, so built once for the whole run.
-    let static_inputs: Vec<Option<Tensor>> = samples
-        .iter()
-        .map(|sample| model.static_inputs(&sample.block))
-        .collect();
 
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for batch in order.chunks(config.batch_size) {
-            let batch_samples: Vec<(&TrainSample, Option<&Tensor>)> = batch
-                .iter()
-                .map(|&i| (&samples[i], static_inputs[i].as_ref()))
-                .collect();
+            let batch_samples: Vec<&TrainSample> = batch.iter().map(|&i| &samples[i]).collect();
             let seed = 1.0 / batch_samples.len() as f32;
 
             grads.reset(model.params());
@@ -266,9 +249,7 @@ pub fn train_observed<M: SurrogateModel>(
             let batch_loss = engine.accumulate(
                 model_ref.params(),
                 &batch_samples,
-                |graph, &(sample, static_inputs)| {
-                    sample_loss(model_ref, graph, sample, static_inputs)
-                },
+                |graph, sample| sample_loss(model_ref, graph, sample),
                 seed,
                 &mut grads,
             );
@@ -304,7 +285,7 @@ pub fn evaluate<M: SurrogateModel>(model: &M, samples: &[TrainSample]) -> f64 {
     let mut total = 0.0;
     for sample in samples {
         let mut graph = Graph::new(model.params());
-        let prediction = sample_prediction(model, &mut graph, sample, None);
+        let prediction = sample_prediction(model, &mut graph, sample);
         let predicted = f64::from(graph.value(prediction)[0]);
         let target = sample.target.max(1e-3);
         total += (predicted - target).abs() / target;

@@ -1,22 +1,22 @@
 //! Criterion microbenchmarks for the fused SIMD-width kernels.
 //!
 //! These time the raw inner loops the tape and plain inference share — the
-//! 4-lane dot/matvec (rows taken four at a time through `dot4`, SSE2 on x86_64),
-//! the fused matvec+bias (`Linear::forward`), and the fused LSTM gate step —
-//! plus their backward kernels (the LSTM one also without weight gradients,
-//! as table optimization runs it) and the owned activations over four-lane
-//! slices (`exp`, `sigmoid`, `tanh`). The shapes are the ones `tune` runs with
-//! the default Ithemal-style surrogate (64-dim hidden states): the token
-//! LSTM (input 32), the block LSTM (input 81: a 64-dim instruction summary,
-//! 15 θ features and 2 global features), a 256×145 gate matvec (the block
-//! LSTM's four gate rows per unit over `[x ‖ h]`), and the square 64×64
-//! layer. The backward benches hand the kernel a `dw`/`db` that is zeroed
-//! once and then keeps accumulating, as the tape's weight slots do, so
-//! they time the kernel rather than a per-call memset; `dx`, `dh_prev` and
-//! `dc_prev` are zeroed per call, as the tape zeroes them. With
+//! 4-lane dot/matvec (rows taken four at a time through `dot4`, SSE2 on
+//! x86_64), the fused matvec+bias (`Linear::forward`), and the fused LSTM gate
+//! step — plus their backward kernels (the LSTM one also without weight
+//! gradients, as table optimization runs it) and the owned activations over
+//! 256-value slices (`exp`, and the four-lane `sigmoid` and `tanh`). The shapes
+//! are the ones `tune` runs with the default Ithemal-style surrogate (64-dim
+//! hidden states): the token LSTM (input 32), the block LSTM (input 81: a
+//! 64-dim instruction summary, 15 θ features and 2 global features), a 256×145
+//! gate matvec (the block LSTM's four gate rows per unit over `[x ‖ h]`), and
+//! the square 64×64 layer. The backward benches hand the kernel a `dw`/`db`
+//! that is zeroed once and then keeps accumulating, as the tape's weight slots
+//! do, so they time the kernel rather than a per-call memset; `dx`, `dh_prev`
+//! and `dc_prev` are zeroed per call, as the tape zeroes them. With
 //! `DIFFTUNE_BENCH_JSON` set, each median lands in a
-//! `BENCH_criterion_<id>.json` record (`difftune-bench/3` schema) next to
-//! the pipeline runner's stage records.
+//! `BENCH_criterion_<id>.json` record (`difftune-bench/3` schema) next to the
+//! pipeline runner's stage records.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use difftune_tensor::kernels;
@@ -180,15 +180,20 @@ fn bench_lstm_shape(criterion: &mut Criterion, hidden: usize, input: usize, suff
     );
 }
 
-/// The activations over 256 values, four lanes at a time, as the tape's
-/// elementwise ops run them. The inputs span ±4, where LSTM
-/// pre-activations and cell states live.
+/// The activations over 256 values: `sigmoid` and `tanh` four lanes at a
+/// time, as the tape's elementwise ops run them, and the scalar `exp` they
+/// build on. The inputs span ±4, where LSTM pre-activations and cell states
+/// live.
 fn bench_activations(criterion: &mut Criterion) {
     let x: Vec<f32> = filled(256, 10).iter().map(|v| 8.0 * v).collect();
     let mut out = vec![0.0f32; x.len()];
     type SliceKernel = fn(&[f32], &mut [f32]);
     let slices: [(&str, SliceKernel); 3] = [
-        ("kernels/exp x256", kernels::exp_slice),
+        ("kernels/exp x256", |x, out| {
+            for (o, v) in out.iter_mut().zip(x) {
+                *o = kernels::exp(*v);
+            }
+        }),
         ("kernels/sigmoid x256", kernels::sigmoid_slice),
         ("kernels/tanh x256", kernels::tanh_slice),
     ];
