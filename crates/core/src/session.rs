@@ -18,8 +18,6 @@
 //! [`ProgressEvent`]s throughout, so long runs stream telemetry instead of
 //! going dark.
 
-use std::collections::HashMap;
-
 use difftune_isa::{BasicBlock, OpcodeId};
 use difftune_sim::{SimParams, Simulator};
 use difftune_surrogate::train::{train_observed, TrainEvent, TrainReport};
@@ -798,22 +796,26 @@ struct TableSample<'a> {
 }
 
 /// The frozen surrogate's instruction encodings for a training set: one
-/// vector per distinct token sequence, in first-encounter order, and for
-/// each block its instructions' indices into those vectors. The distinct
-/// instructions are split into contiguous runs over up to `threads` workers
-/// (`0` = all cores), each encoding its run off the tape with its own
-/// [`EncoderMemo`]; each vector depends only on its own tokens, so the table
-/// is the same for every worker count.
+/// vector per distinct token sequence, sorted by tokens, and for each block
+/// its instructions' indices into those vectors.
 ///
-/// Returns `None` when the surrogate has no instruction encoder (see
-/// [`SurrogateModel::encode_instructions_with`]).
+/// Sorted neighbours share long prefixes that the encoder's walk steps once
+/// (see [`SurrogateModel::encode_instructions_with`]), and the list is cut
+/// into contiguous runs over up to `threads` workers (`0` = all cores), each
+/// encoding its run with its own [`EncoderMemo`]. The cuts balance token
+/// steps, not instructions: a sequence costs its length less the prefix it
+/// shares with its sorted predecessor. Each vector depends only on its own
+/// tokens, so the table is the same for every worker count.
+///
+/// Returns `None` when the surrogate has no instruction encoder.
 fn instruction_summaries(
     surrogate: &dyn SurrogateModel,
     blocks: &[TokenizedBlock],
     threads: usize,
 ) -> Option<(Vec<Tensor>, Vec<Vec<usize>>)> {
-    let mut index: HashMap<&[usize], usize> = HashMap::new();
-    let mut distinct: Vec<&TokenizedInst> = Vec::new();
+    let mut insts: Vec<&TokenizedInst> = blocks.iter().flat_map(|block| &block.insts).collect();
+    insts.sort_unstable_by(|a, b| a.tokens.cmp(&b.tokens));
+    insts.dedup_by(|a, b| a.tokens == b.tokens);
     let ids: Vec<Vec<usize>> = blocks
         .iter()
         .map(|block| {
@@ -821,19 +823,32 @@ fn instruction_summaries(
                 .insts
                 .iter()
                 .map(|inst| {
-                    *index.entry(&inst.tokens).or_insert_with(|| {
-                        distinct.push(inst);
-                        distinct.len() - 1
-                    })
+                    insts
+                        .binary_search_by(|entry| entry.tokens.cmp(&inst.tokens))
+                        .expect("every instruction is in the table")
                 })
                 .collect()
         })
         .collect();
-    let per_worker = distinct.len().div_ceil(resolve_threads(threads)).max(1);
-    let summaries: Vec<Tensor> = std::thread::scope(|scope| {
-        let handles: Vec<_> = distinct
-            .chunks(per_worker)
+    let steps: Vec<usize> = insts
+        .iter()
+        .enumerate()
+        .map(|(at, inst)| {
+            let previous = at.checked_sub(1).map_or(&[][..], |p| &insts[p].tokens[..]);
+            let shared = previous
+                .iter()
+                .zip(&inst.tokens)
+                .take_while(|(a, b)| a == b)
+                .count();
+            inst.tokens.len() - shared
+        })
+        .collect();
+    let runs = balanced_runs(&steps, resolve_threads(threads));
+    let encoded = std::thread::scope(|scope| {
+        let handles: Vec<_> = runs
+            .into_iter()
             .map(|run| {
+                let run = &insts[run];
                 scope.spawn(move || {
                     surrogate.encode_instructions_with(run, &mut EncoderMemo::default())
                 })
@@ -847,7 +862,34 @@ fn instruction_summaries(
     .into_iter()
     .flatten()
     .collect();
-    Some((summaries, ids))
+    Some((encoded, ids))
+}
+
+/// Cuts `costs` into at most `workers` contiguous, non-empty runs of about
+/// equal total cost: the `k`-th cut goes before the element whose cost
+/// would carry the running sum further past `k/workers` of the total than
+/// stopping short of it.
+fn balanced_runs(costs: &[usize], workers: usize) -> Vec<std::ops::Range<usize>> {
+    let workers = workers.clamp(1, costs.len().max(1));
+    let total: usize = costs.iter().sum();
+    let mut runs = Vec::with_capacity(workers);
+    let (mut start, mut so_far) = (0, 0);
+    for (at, cost) in costs.iter().enumerate() {
+        // Sums scaled by `workers`, so the cut's share needs no division.
+        let share = total * (runs.len() + 1);
+        let (before, after) = (so_far * workers, (so_far + cost) * workers);
+        if runs.len() + 1 < workers
+            && at > start
+            && after > share
+            && after - share > share.saturating_sub(before)
+        {
+            runs.push(start..at);
+            start = at;
+        }
+        so_far += cost;
+    }
+    runs.push(start..costs.len());
+    runs
 }
 
 /// Order-sensitive FNV-1a fingerprint of the training pairs, used to bind a
@@ -949,4 +991,69 @@ fn check_params_compatible(fresh: &Params, saved: &Params) -> Result<(), DiffTun
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use difftune_isa::{BlockGenerator, GeneratorConfig};
+    use difftune_surrogate::{IthemalConfig, IthemalModel};
+
+    #[test]
+    fn instruction_summaries_are_bit_identical_for_every_thread_count() {
+        let model = IthemalModel::new(IthemalConfig {
+            embed_dim: 8,
+            hidden_dim: 12,
+            instr_layers: 2,
+            block_layers: 1,
+            parameter_inputs: true,
+            seed: 5,
+        });
+        let generator = BlockGenerator::new(GeneratorConfig::default());
+        let mut rng = StdRng::seed_from_u64(3);
+        let vocab = Vocab::new();
+        let blocks: Vec<TokenizedBlock> = (0..60)
+            .map(|_| vocab.tokenize_block(&generator.generate(&mut rng)))
+            .collect();
+        let bits = |threads: usize| {
+            let (table, ids) = instruction_summaries(&model, &blocks, threads).unwrap();
+            let table: Vec<Vec<u32>> = table
+                .iter()
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (table, ids)
+        };
+        let (table, ids) = bits(1);
+        assert_eq!(bits(2), (table.clone(), ids.clone()), "2 threads");
+        assert_eq!(bits(3), (table.clone(), ids.clone()), "3 threads");
+        // One vector per distinct sequence, and each block's ids point at
+        // its own instructions' encodings.
+        let distinct: std::collections::HashSet<&[usize]> = blocks
+            .iter()
+            .flat_map(|block| &block.insts)
+            .map(|inst| &inst.tokens[..])
+            .collect();
+        assert_eq!(table.len(), distinct.len());
+        let insts: Vec<&TokenizedInst> = blocks.iter().flat_map(|block| &block.insts).collect();
+        let direct: Vec<Vec<u32>> = model
+            .encode_instructions_with(&insts, &mut EncoderMemo::default())
+            .unwrap()
+            .iter()
+            .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        let looked_up: Vec<Vec<u32>> = ids.iter().flatten().map(|&id| table[id].clone()).collect();
+        assert_eq!(looked_up, direct);
+    }
+
+    #[test]
+    fn balanced_runs_are_contiguous_non_empty_and_balance_cost() {
+        assert_eq!(balanced_runs(&[], 3), vec![0..0]);
+        assert_eq!(balanced_runs(&[4, 1, 1, 1, 1], 2), vec![0..1, 1..5]);
+        assert_eq!(balanced_runs(&[1, 1, 10], 2), vec![0..2, 2..3]);
+        assert_eq!(balanced_runs(&[2, 2], 5), vec![0..1, 1..2]);
+        assert_eq!(
+            balanced_runs(&[3, 3, 3, 3, 3, 3], 3),
+            vec![0..2, 2..4, 4..6]
+        );
+    }
 }

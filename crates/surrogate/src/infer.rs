@@ -8,15 +8,16 @@
 //! For the LSTM surrogate that is two steps:
 //!
 //! 1. **encode**: each instruction's token LSTM, starting from its opcode's
-//!    memoized state ([`crate::EncoderMemo`]);
+//!    memoized state and stepping from memoized token projections
+//!    ([`crate::EncoderMemo`]);
 //! 2. **the block body**: each `[encoded ‖ θ features ‖ global]` row steps
 //!    the block LSTM, then the linear head and the ReLU.
 //!
 //! The feature MLP has no encoder and runs its three layers the same way.
 //! Every step calls the kernel its taped op calls, so a prediction returns
 //! the bits of a taped [`SurrogateModel::forward`] pass. The memo holds at
-//! most one entry per opcode, so an engine's memory stays bounded however
-//! many blocks it sees.
+//! most one state per opcode and one projection per non-opcode token, so an
+//! engine's memory stays bounded however many blocks it sees.
 //!
 //! Both consumers of surrogate inference go through this type so they cannot
 //! diverge: `difftune-serve` wraps it in its `Predictor` trait, and

@@ -92,15 +92,9 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// [`encode_instructions_with`](SurrogateModel::encode_instructions_with)
-    /// with a fresh memo.
-    fn encode_instructions(&self, insts: &[&TokenizedInst]) -> Option<Vec<Tensor>> {
-        self.encode_instructions_with(insts, &mut EncoderMemo::default())
-    }
-
     /// [`forward`](SurrogateModel::forward) under frozen weights, with each
     /// instruction's encoding precomputed by
-    /// [`encode_instructions`](SurrogateModel::encode_instructions):
+    /// [`encode_instructions_with`](SurrogateModel::encode_instructions_with):
     /// `encoded[i]` is bound as a graph input in place of instruction `i`'s
     /// encoder, whose parameters are not bound at all. The prediction and
     /// every gradient that reaches the parameter features are bit-equal to

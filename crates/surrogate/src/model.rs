@@ -56,21 +56,32 @@ impl IthemalConfig {
     }
 }
 
-/// The instruction encoder's memo: for each leading token pair it has seen,
-/// the instruction LSTM's per-layer `(h, c)` state after those two tokens.
+/// The instruction encoder's memo of work that depends only on the frozen
+/// weights and a few tokens.
 ///
-/// That state depends only on the two tokens and the encoder's weights, and
-/// every instruction [`Vocab`] tokenizes begins `opcode <S>`, so an encoder
-/// starts each instruction from its opcode's entry and steps only the rest
-/// of its tokens. The memo fills lazily and holds at most one entry per
-/// distinct leading pair: for tokenized instructions, at most the
-/// vocabulary's opcode count (`hidden_dim × instr_layers × 8` bytes each).
+/// - **Prefixes.** For each leading token pair it has seen, the instruction
+///   LSTM's per-layer `(h, c)` state after those two tokens. Every
+///   instruction [`Vocab`] tokenizes begins `opcode <S>`, so an encoder
+///   starts each instruction from its opcode's entry and steps only the rest
+///   of its tokens. At most one entry per distinct leading pair: for
+///   tokenized instructions, at most the vocabulary's opcode count
+///   (`hidden_dim × instr_layers × 8` bytes each).
+/// - **Token projections.** For each token stepped after the leading pair,
+///   its embedding's projection through the bottom layer's input weights
+///   (`W_x · e`, see
+///   [`StackedLstm::project_input`](difftune_tensor::nn::StackedLstm::project_input)),
+///   which a step would otherwise recompute. Tokenized instructions step
+///   only register, operand-kind and marker tokens there, so at most
+///   `RegFamily::COUNT + 5` = 39 entries qualify (`hidden_dim × 16` bytes
+///   each: about 40 KB at hidden 64).
 ///
-/// A memo belongs to one set of frozen weights: use it with one model whose
-/// parameters do not change, and start a new one when they do.
+/// Both fill lazily. A memo belongs to one set of frozen weights: use it
+/// with one model whose parameters do not change, and start a new one when
+/// they do.
 #[derive(Debug, Default)]
 pub struct EncoderMemo {
     prefixes: HashMap<[usize; 2], Box<[f32]>>,
+    projections: HashMap<usize, Box<[f32]>>,
 }
 
 impl EncoderMemo {
@@ -207,40 +218,79 @@ impl IthemalModel {
     }
 
     /// The instruction encoder on plain slices, bit-equal to [`Self::encode`]
-    /// on a tape: each token's embedding row steps the instruction LSTM
-    /// through [`StackedLstm::step_plain`](difftune_tensor::nn::StackedLstm::step_plain),
-    /// starting from `memo`'s state after the leading token pair. Appends
-    /// the summary to `out`.
-    fn encode_plain(
+    /// on a tape: calls `summary(i, vector)` for each instruction `i` of
+    /// `insts`, in order.
+    ///
+    /// The walk keeps a stack of instruction-LSTM states, one per token
+    /// depth, and resumes each instruction from the longest token prefix it
+    /// shares with the previous one, so consecutive instructions that share a
+    /// prefix (as sorted ones do) step only the tokens that differ. Below
+    /// depth 2 an instruction starts from `memo`'s state after its leading
+    /// pair. Each token after the pair steps from its memoized input
+    /// projection ([`EncoderMemo`]); a state depends only on its token
+    /// prefix, so every order gives the same bits.
+    fn encode_walk<'a>(
         &self,
-        inst: &TokenizedInst,
+        insts: impl IntoIterator<Item = &'a TokenizedInst>,
         memo: &mut EncoderMemo,
-        packed: &mut [f32],
-        out: &mut Vec<f32>,
+        mut summary: impl FnMut(usize, &[f32]),
     ) {
+        let lstm = &self.instr_lstm;
         let table = self.params.get(self.embedding.param_id());
-        let mut feed = |state: &mut [f32], tokens: &[usize]| {
-            for &token in tokens {
-                self.instr_lstm
-                    .step_plain(&self.params, table.row(token), state, packed);
-            }
+        let project = |token: usize, out: &mut [f32]| {
+            lstm.project_input(&self.params, table.row(token), out);
         };
-        let zeros = || vec![0.0; self.instr_lstm.state_len()].into_boxed_slice();
-        let (mut state, rest) = match inst.tokens.as_slice() {
-            [first, second, rest @ ..] => {
-                let prefix = memo.prefixes.entry([*first, *second]).or_insert_with(|| {
-                    let mut state = zeros();
-                    feed(&mut state, &[*first, *second]);
-                    state
-                });
-                (prefix.clone(), rest)
-            }
-            short => (zeros(), short),
-        };
-        feed(&mut state, rest);
+        let width = lstm.state_len();
         let hidden = self.config.hidden_dim;
-        let top = state.len() - 2 * hidden;
-        out.extend_from_slice(&state[top..top + hidden]);
+        let mut packed = vec![0.0; kernels::lstm_packed_len(hidden)];
+        let mut projection = vec![0.0; lstm.projection_len()];
+        // `stack[d * width..][..width]` is the state after the first `d`
+        // tokens of `path`; depth 0 stays all zeros.
+        let mut stack = vec![0.0; width];
+        let mut path: &[usize] = &[];
+        for (index, inst) in insts.into_iter().enumerate() {
+            let tokens = inst.tokens.as_slice();
+            let needed = (tokens.len() + 1) * width;
+            if stack.len() < needed {
+                stack.resize(needed, 0.0);
+            }
+            let shared = path.iter().zip(tokens).take_while(|(a, b)| a == b).count();
+            let mut depth = match tokens {
+                [_, _, ..] if shared >= 2 => shared,
+                [first, second, ..] => match memo.prefixes.get(&[*first, *second]) {
+                    Some(prefix) => {
+                        stack[2 * width..3 * width].copy_from_slice(prefix);
+                        2
+                    }
+                    None => 0,
+                },
+                _ => 0,
+            };
+            while depth < tokens.len() {
+                let token = tokens[depth];
+                let (done, next) = stack.split_at_mut((depth + 1) * width);
+                let next = &mut next[..width];
+                next.copy_from_slice(&done[depth * width..]);
+                let projected: &[f32] = if depth < 2 {
+                    project(token, &mut projection);
+                    &projection
+                } else {
+                    memo.projections.entry(token).or_insert_with(|| {
+                        let mut out = vec![0.0; lstm.projection_len()].into_boxed_slice();
+                        project(token, &mut out);
+                        out
+                    })
+                };
+                lstm.step_plain_projected(&self.params, projected, next, &mut packed);
+                depth += 1;
+                if depth == 2 {
+                    memo.prefixes.insert([tokens[0], tokens[1]], next.into());
+                }
+            }
+            let top = (tokens.len() + 1) * width - 2 * hidden;
+            summary(index, &stack[top..top + hidden]);
+            path = tokens;
+        }
     }
 
     /// The block-level body shared by [`SurrogateModel::forward`] and
@@ -315,17 +365,11 @@ impl SurrogateModel for IthemalModel {
         insts: &[&TokenizedInst],
         memo: &mut EncoderMemo,
     ) -> Option<Vec<Tensor>> {
-        let mut packed = vec![0.0; kernels::lstm_packed_len(self.config.hidden_dim)];
-        Some(
-            insts
-                .iter()
-                .map(|inst| {
-                    let mut summary = Vec::with_capacity(self.config.hidden_dim);
-                    self.encode_plain(inst, memo, &mut packed, &mut summary);
-                    Tensor::vector(summary)
-                })
-                .collect(),
-        )
+        let mut summaries = Vec::with_capacity(insts.len());
+        self.encode_walk(insts.iter().copied(), memo, |_, summary| {
+            summaries.push(Tensor::vector(summary.to_vec()));
+        });
+        Some(summaries)
     }
 
     fn forward_frozen(
@@ -375,9 +419,9 @@ impl SurrogateModel for IthemalModel {
         let mut packed = vec![0.0; kernels::lstm_packed_len(self.config.hidden_dim)];
         let mut state = vec![0.0; self.block_lstm.state_len()];
         let mut row = Vec::new();
-        for (index, inst) in block.insts.iter().enumerate() {
+        self.encode_walk(&block.insts, memo, |index, summary| {
             row.clear();
-            self.encode_plain(inst, memo, &mut packed, &mut row);
+            row.extend_from_slice(summary);
             if self.config.parameter_inputs {
                 let features = per_inst_features.expect("checked by check_inputs");
                 row.extend_from_slice(features[index].data());
@@ -385,7 +429,7 @@ impl SurrogateModel for IthemalModel {
             }
             self.block_lstm
                 .step_plain(&self.params, &row, &mut state, &mut packed);
-        }
+        });
         let hidden = self.config.hidden_dim;
         let top = state.len() - 2 * hidden;
         let mut prediction = [0.0];
@@ -567,7 +611,9 @@ mod tests {
         theta_ids.push(global_id);
 
         let insts: Vec<&TokenizedInst> = block.insts.iter().collect();
-        let encoded = model.encode_instructions(&insts).unwrap();
+        let encoded = model
+            .encode_instructions_with(&insts, &mut EncoderMemo::default())
+            .unwrap();
         let encoded: Vec<&Tensor> = encoded.iter().collect();
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // Both a θ-only store (as table optimization collects) and a full
@@ -670,6 +716,61 @@ mod tests {
                 "warm, {instr_layers} layers"
             );
             assert_eq!(memo.len(), pairs(&first).len());
+        }
+    }
+
+    #[test]
+    fn the_walk_is_bit_equal_to_the_taped_encoder_in_every_order() {
+        use rand::seq::SliceRandom;
+        for instr_layers in [1, 2] {
+            let model = IthemalModel::new(IthemalConfig {
+                instr_layers,
+                ..tiny_config()
+            });
+            let vocab = model.vocab();
+            let block = tokenized(
+                "movq (%rdi,%rsi,8), %rax\naddq %rax, %rbx\naddq $4, %rcx\npushq %rbp",
+                vocab,
+            );
+            let base = block.insts[0].clone();
+            let len = base.tokens.len();
+            let mut insts = block.insts.clone();
+            // Sequences sharing every prefix length with `base`: each
+            // truncation (down to 1 token, and none), and `base` with the
+            // token after the shared prefix swapped.
+            for shared in 0..=len {
+                insts.push(TokenizedInst {
+                    opcode: base.opcode,
+                    tokens: base.tokens[..shared].to_vec(),
+                });
+                if shared < len {
+                    let mut swapped = base.clone();
+                    swapped.tokens[shared] = if base.tokens[shared] == vocab.imm_token() {
+                        vocab.mem_token()
+                    } else {
+                        vocab.imm_token()
+                    };
+                    insts.push(swapped);
+                }
+            }
+            insts.push(base.clone());
+            let mut sorted: Vec<&TokenizedInst> = insts.iter().collect();
+            sorted.sort_by(|a, b| a.tokens.cmp(&b.tokens));
+            let reversed: Vec<&TokenizedInst> = sorted.iter().rev().copied().collect();
+            let mut shuffled = sorted.clone();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(7));
+            for (name, order) in [
+                ("sorted", &sorted),
+                ("reversed", &reversed),
+                ("shuffled", &shuffled),
+            ] {
+                let mut memo = EncoderMemo::default();
+                assert_eq!(
+                    plain_summaries(&model, order, &mut memo),
+                    taped_summaries(&model, order),
+                    "{name}, {instr_layers} layers"
+                );
+            }
         }
     }
 

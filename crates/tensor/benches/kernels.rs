@@ -3,8 +3,10 @@
 //! These time the raw inner loops the tape and plain inference share — the
 //! 4-lane dot/matvec (rows taken four at a time through `dot4`, SSE2 on
 //! x86_64), the fused matvec+bias (`Linear::forward`), and the fused LSTM gate
-//! step — plus their backward kernels (the LSTM one also without weight
-//! gradients, as table optimization runs it) and the owned activations over
+//! step (also from a cached input projection, as the instruction encoder
+//! steps its tokens) — plus their backward kernels (the LSTM one also
+//! without weight gradients, and over the θ columns of `x` alone, as table
+//! optimization runs it) and the owned activations over
 //! 256-value slices (`exp`, and the four-lane `sigmoid` and `tanh`). The shapes
 //! are the ones `tune` runs with the default Ithemal-style surrogate (64-dim
 //! hidden states): the token LSTM (input 32), the block LSTM (input 81: a
@@ -114,6 +116,30 @@ fn bench_lstm_shape(criterion: &mut Criterion, hidden: usize, input: usize, suff
         },
     );
 
+    // The encoder's step from a token's cached input projection.
+    if input == 32 {
+        let mut projected = vec![0.0f32; 4 * hidden];
+        kernels::lstm_input_projection(&w, &x, hidden, input, &mut projected);
+        criterion.bench_function(
+            &format!("kernels/lstm_step_projected h={hidden}{suffix}"),
+            |bencher| {
+                bencher.iter(|| {
+                    kernels::lstm_step_projected(
+                        black_box(&w),
+                        black_box(&b),
+                        black_box(&projected),
+                        black_box(&h_prev),
+                        black_box(&c_prev),
+                        hidden,
+                        input,
+                        &mut packed,
+                    );
+                    packed[0]
+                })
+            },
+        );
+    }
+
     kernels::lstm_step(&w, &b, &x, &h_prev, &c_prev, hidden, input, &mut packed);
     let mut g_packed = vec![0.0f32; kernels::lstm_packed_len(hidden)];
     for (i, slot) in g_packed[..2 * hidden].iter_mut().enumerate() {
@@ -142,6 +168,7 @@ fn bench_lstm_shape(criterion: &mut Criterion, hidden: usize, input: usize, suff
                     input,
                     Some(&mut dw),
                     Some(&mut db),
+                    0,
                     &mut dx,
                     &mut dh_prev,
                     &mut dc_prev,
@@ -170,6 +197,7 @@ fn bench_lstm_shape(criterion: &mut Criterion, hidden: usize, input: usize, suff
                     input,
                     None,
                     None,
+                    0,
                     &mut dx,
                     &mut dh_prev,
                     &mut dc_prev,
@@ -178,6 +206,39 @@ fn bench_lstm_shape(criterion: &mut Criterion, hidden: usize, input: usize, suff
             })
         },
     );
+    // Table optimization's block LSTM: only the θ columns of `x` (the 17
+    // after the 64-dim summary) reach a collected parameter.
+    if input == 81 {
+        let theta = 64..input;
+        let mut dx_theta = vec![0.0f32; theta.len()];
+        criterion.bench_function(
+            &format!("kernels/lstm_step_grad h={hidden}{suffix} (θ columns)"),
+            |bencher| {
+                bencher.iter(|| {
+                    dx_theta.iter_mut().for_each(|v| *v = 0.0);
+                    dh_prev.iter_mut().for_each(|v| *v = 0.0);
+                    dc_prev.iter_mut().for_each(|v| *v = 0.0);
+                    kernels::lstm_step_grad(
+                        black_box(&w),
+                        black_box(&x),
+                        black_box(&h_prev),
+                        black_box(&c_prev),
+                        black_box(&packed),
+                        black_box(&g_packed),
+                        hidden,
+                        input,
+                        None,
+                        None,
+                        theta.start,
+                        &mut dx_theta,
+                        &mut dh_prev,
+                        &mut dc_prev,
+                    );
+                    dx_theta[0]
+                })
+            },
+        );
+    }
 }
 
 /// The activations over 256 values: `sigmoid` and `tanh` four lanes at a

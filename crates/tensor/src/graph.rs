@@ -696,7 +696,8 @@ impl<'p> Graph<'p> {
                     let input = value(*x).len();
                     let mut dw = take_weight_slot(slots, &marks, pool, *w, value(*w).len());
                     let mut db = take_weight_slot(slots, &marks, pool, *b, 4 * hidden);
-                    let mut dx = pool.zeroed(input);
+                    let live = live_columns(nodes, &marks, params, *x);
+                    let mut dx = pool.zeroed(live.len());
                     let mut dh = pool.zeroed(hidden);
                     let mut dc = pool.zeroed(hidden);
                     kernels::lstm_step_grad(
@@ -710,13 +711,15 @@ impl<'p> Graph<'p> {
                         input,
                         dw.as_deref_mut(),
                         db.as_deref_mut(),
+                        live.start,
                         &mut dx,
                         &mut dh,
                         &mut dc,
                     );
                     slots[w.0] = dw;
                     slots[b.0] = db;
-                    add_grad_owned(slots, &marks, pool, *x, dx);
+                    add_grad_window(slots, &marks, pool, *x, input, live, &dx);
+                    pool.put(dx);
                     add_grad_owned(slots, &marks, pool, *h_prev, dh);
                     add_grad_owned(slots, &marks, pool, *c_prev, dc);
                 }
@@ -905,6 +908,29 @@ fn take_weight_slot(
 ) -> Option<Vec<f32>> {
     let slot = slots[var.0].take();
     slot.or_else(|| zeroed_grad(marks, pool, var, len))
+}
+
+/// The columns of `x`'s gradient that can reach a collected parameter:
+/// empty when `x` cannot, from the first marked part to the end of the last
+/// when `x` is a [`Op::Concat`], and all of `x` otherwise. A concat's
+/// backward reads only its marked parts' windows, so the columns outside
+/// this span are never read.
+fn live_columns(nodes: &[Node], marks: &[bool], params: &Params, x: Var) -> std::ops::Range<usize> {
+    if !marks[x.0] {
+        return 0..0;
+    }
+    let Op::Concat(parts) = &nodes[x.0].op else {
+        return 0..nodes[x.0].value(params).len();
+    };
+    let (mut offset, mut live) = (0, None::<std::ops::Range<usize>>);
+    for part in parts {
+        let end = offset + nodes[part.0].value(params).len();
+        if marks[part.0] {
+            live = Some(live.map_or(offset, |span| span.start)..end);
+        }
+        offset = end;
+    }
+    live.expect("a marked concat has a marked part")
 }
 
 /// Adds a gradient that is zero outside `window` into a `total`-long
@@ -1598,6 +1624,7 @@ mod tests {
                 INPUT,
                 Some(&mut dw),
                 Some(&mut db),
+                0,
                 &mut [0.0; INPUT],
                 &mut [0.0; HIDDEN],
                 &mut [0.0; HIDDEN],
@@ -1626,6 +1653,69 @@ mod tests {
         let mut taped = Grads::new(&params);
         graph.backward_scaled(loss, &mut taped, seed);
         assert_eq!(slot_bits(&params, &taped), expected);
+    }
+
+    #[test]
+    fn an_lstm_input_gradient_over_its_live_columns_gives_theta_the_full_bits() {
+        const HIDDEN: usize = 5;
+        let ramp = |len: usize, step: f32, shift: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i * 7 % 11) as f32 - 5.0) * step + shift)
+                .collect()
+        };
+        // x = [lead ‖ θ ‖ tail]: 6 + 4 + 3 columns.
+        let input = 13;
+        let mut params = Params::new();
+        let w = params.add(
+            "w",
+            Tensor::matrix(
+                4 * HIDDEN,
+                input + HIDDEN,
+                ramp(4 * HIDDEN * (input + HIDDEN), 0.09, 0.01),
+            ),
+        );
+        let b = params.add("b", Tensor::vector(ramp(4 * HIDDEN, 0.1, 0.2)));
+        let lead = params.add("lead", Tensor::vector(ramp(6, 0.3, -0.1)));
+        let theta = params.add("theta", Tensor::vector(ramp(4, 0.25, 0.3)));
+        let tail = ramp(3, -0.2, 0.05);
+        // Two chained steps, so θ's gradient also arrives through `h_prev`
+        // and `c_prev`. `lead_is_param` binds the leading part as a
+        // parameter leaf instead of an input.
+        let run = |lead_is_param: bool, grads: &mut Grads| {
+            let mut graph = Graph::new(&params);
+            let (w, b) = (graph.param(w), graph.param(b));
+            let lead = if lead_is_param {
+                graph.param(lead)
+            } else {
+                graph.input(params.get(lead).clone())
+            };
+            let theta = graph.param(theta);
+            let tail = graph.input(Tensor::vector(tail.clone()));
+            let x = graph.concat(&[lead, theta, tail]);
+            let zeros = graph.input(Tensor::vector(vec![0.0; HIDDEN]));
+            let (h, c) = graph.lstm_step(w, b, x, zeros, zeros, HIDDEN);
+            let (h, c) = graph.lstm_step(w, b, x, h, c, HIDDEN);
+            let both = graph.concat(&[h, c]);
+            let loss = graph.sum(both);
+            graph.backward_scaled(loss, grads, 0.75);
+        };
+        let theta_bits = |grads: &Grads| -> Vec<u32> {
+            let grad = grads.get(theta).expect("θ gets a gradient");
+            grad.data().iter().map(|v| v.to_bits()).collect()
+        };
+        // The leading part as an input: `dx` covers θ's 4 columns only.
+        let mut only_theta = Grads::only(&params, &[theta]);
+        run(false, &mut only_theta);
+        // The leading part collected too: `dx` covers lead and θ.
+        let mut lead_and_theta = Grads::only(&params, &[lead, theta]);
+        run(true, &mut lead_and_theta);
+        // Everything collected: the same span, plus weight gradients.
+        let mut full = Grads::new(&params);
+        run(true, &mut full);
+        let expected = theta_bits(&full);
+        assert_eq!(theta_bits(&only_theta), expected);
+        assert_eq!(theta_bits(&lead_and_theta), expected);
+        assert!(full.get(lead).is_some() && only_theta.get(lead).is_none());
     }
 
     #[test]

@@ -753,16 +753,10 @@ pub const fn lstm_packed_len(hidden: usize) -> usize {
 /// `w` is the `4*hidden x (input + hidden)` gate matrix packed row-major in
 /// gate order `[input, forget, cell, output]` (the layout
 /// `difftune_tensor::nn::LstmCell` creates); each row's first `input`
-/// columns multiply `x` and the rest multiply `h_prev`. The first pass walks
-/// units in order and, per unit `k`, takes the four gate rows
-/// `k, hidden+k, 2*hidden+k, 3*hidden+k` through [`dot4`] — a
-/// structure-of-arrays access pattern over the gate blocks that never
-/// materializes the `[x, h_prev]` concatenation — and writes each
-/// pre-activation `(x·w_x + h_prev·w_h) + b` into its gate segment of `out`.
-/// The second pass applies the activations and forms
-/// `c = f·c_prev + i·g` and `h = o·tanh(c)` four units at a time through
-/// the four-lane [`sigmoid`] and [`tanh`], with the `hidden % 4` tail
-/// through the scalar ones; every unit gets the same bits either way.
+/// columns multiply `x` and the rest multiply `h_prev`. The step writes
+/// `x`'s projection ([`lstm_input_projection`]) into the gate segments of
+/// `out` and finishes as [`lstm_step_projected`] does, so a step from a
+/// cached projection gets the same bits.
 ///
 /// `out` must have [`lstm_packed_len`] elements and is filled with the
 /// segments `[h, c, i, f, g, o, c_act]`: the new hidden and cell states
@@ -779,14 +773,86 @@ pub fn lstm_step(
     input: usize,
     out: &mut [f32],
 ) {
+    check_lstm_step_shapes(w, b, h_prev, c_prev, hidden, input, out);
+    lstm_input_projection(w, x, hidden, input, &mut out[2 * hidden..6 * hidden]);
+    finish_lstm_step(w, b, h_prev, c_prev, hidden, input, out);
+}
+
+/// The `x` half of [`lstm_step`]'s pre-activations: `out[gate*hidden + k]`
+/// is `dot(w[gate*hidden + k, ..input], x)`, taken four gate rows at a time
+/// through [`dot4`], in the packed `[i, f, g, o]` order. It depends only on
+/// the weights and `x`, so an encoder may compute it once per token.
+///
+/// # Panics
+/// Panics if `w`, `x` or `out` disagree with the `hidden`/`input` shape.
+#[inline]
+pub fn lstm_input_projection(w: &[f32], x: &[f32], hidden: usize, input: usize, out: &mut [f32]) {
     let width = input + hidden;
     assert_eq!(
         w.len(),
         4 * hidden * width,
+        "lstm_input_projection weight shape mismatch"
+    );
+    assert_eq!(x.len(), input, "lstm_input_projection input shape mismatch");
+    assert_eq!(
+        out.len(),
+        4 * hidden,
+        "lstm_input_projection output shape mismatch"
+    );
+    for k in 0..hidden {
+        let rows: [&[f32]; 4] =
+            std::array::from_fn(|gate| &w[(gate * hidden + k) * width..][..input]);
+        let from_x = dot4(rows, x);
+        for (gate, value) in from_x.into_iter().enumerate() {
+            out[gate * hidden + k] = value;
+        }
+    }
+}
+
+/// [`lstm_step`] from `x`'s precomputed [`lstm_input_projection`], with the
+/// same bits: `projected` stands in for `x`, and the step finishes through
+/// the same pre-activation and activation passes.
+///
+/// # Panics
+/// Panics on any shape mismatch with the `hidden`/`input` cell.
+#[inline]
+#[allow(clippy::too_many_arguments)] // flat slices: one argument per buffer
+pub fn lstm_step_projected(
+    w: &[f32],
+    b: &[f32],
+    projected: &[f32],
+    h_prev: &[f32],
+    c_prev: &[f32],
+    hidden: usize,
+    input: usize,
+    out: &mut [f32],
+) {
+    check_lstm_step_shapes(w, b, h_prev, c_prev, hidden, input, out);
+    assert_eq!(
+        projected.len(),
+        4 * hidden,
+        "lstm_step projection shape mismatch"
+    );
+    out[2 * hidden..6 * hidden].copy_from_slice(projected);
+    finish_lstm_step(w, b, h_prev, c_prev, hidden, input, out);
+}
+
+/// The shape checks [`lstm_step`] and [`lstm_step_projected`] share.
+fn check_lstm_step_shapes(
+    w: &[f32],
+    b: &[f32],
+    h_prev: &[f32],
+    c_prev: &[f32],
+    hidden: usize,
+    input: usize,
+    out: &[f32],
+) {
+    assert_eq!(
+        w.len(),
+        4 * hidden * (input + hidden),
         "lstm_step weight shape mismatch"
     );
     assert_eq!(b.len(), 4 * hidden, "lstm_step bias shape mismatch");
-    assert_eq!(x.len(), input, "lstm_step input shape mismatch");
     assert_eq!(
         h_prev.len(),
         hidden,
@@ -798,17 +864,39 @@ pub fn lstm_step(
         lstm_packed_len(hidden),
         "lstm_step output shape mismatch"
     );
+}
+
+/// The rest of an LSTM step once `out`'s gate segments hold `x`'s
+/// projection. The first pass walks units in order and, per unit `k`, takes
+/// the four gate rows `k, hidden+k, 2*hidden+k, 3*hidden+k` through [`dot4`]
+/// against `h_prev` — a structure-of-arrays access pattern over the gate
+/// blocks that never materializes the `[x, h_prev]` concatenation — and
+/// completes each pre-activation as `(from_x + from_h) + b`. The second
+/// pass applies the activations and forms `c = f·c_prev + i·g` and
+/// `h = o·tanh(c)` four units at a time through the four-lane [`sigmoid`]
+/// and [`tanh`], with the `hidden % 4` tail through the scalar ones; every
+/// unit gets the same bits either way.
+#[inline]
+fn finish_lstm_step(
+    w: &[f32],
+    b: &[f32],
+    h_prev: &[f32],
+    c_prev: &[f32],
+    hidden: usize,
+    input: usize,
+    out: &mut [f32],
+) {
+    let width = input + hidden;
     let (h_out, rest) = out.split_at_mut(hidden);
     let (c_out, rest) = rest.split_at_mut(hidden);
     let (gates, c_act_out) = rest.split_at_mut(4 * hidden);
     for k in 0..hidden {
         let rows: [&[f32]; 4] =
-            std::array::from_fn(|gate| &w[(gate * hidden + k) * width..][..width]);
-        let from_x = dot4(rows.map(|row| &row[..input]), x);
-        let from_h = dot4(rows.map(|row| &row[input..]), h_prev);
-        for gate in 0..4 {
+            std::array::from_fn(|gate| &w[(gate * hidden + k) * width + input..][..hidden]);
+        let from_h = dot4(rows, h_prev);
+        for (gate, from_h) in from_h.into_iter().enumerate() {
             let at = gate * hidden + k;
-            gates[at] = (from_x[gate] + from_h[gate]) + b[at];
+            gates[at] = (gates[at] + from_h) + b[at];
         }
     }
     let (i_seg, rest) = gates.split_at_mut(hidden);
@@ -855,6 +943,12 @@ pub fn lstm_step(
 /// must be zeroed by the caller; `dw`/`db` take one add per element and may
 /// already hold a gradient. `dw`/`db` may be `None` when the weights need no
 /// gradient; `dx`, `dh_prev` and `dc_prev` get the same bits either way.
+///
+/// `dx` covers the input columns `dx_start..dx_start + dx.len()` only, so a
+/// caller that needs part of `x`'s gradient (the columns that reach a
+/// trained parameter) skips the rest; each covered element takes the same
+/// adds in the same order as with the full `0..input` window, and an empty
+/// `dx` skips the input gradient altogether.
 #[inline]
 #[allow(clippy::too_many_arguments)] // flat slices: one argument per buffer
 pub fn lstm_step_grad(
@@ -868,6 +962,7 @@ pub fn lstm_step_grad(
     input: usize,
     mut dw: Option<&mut [f32]>,
     mut db: Option<&mut [f32]>,
+    dx_start: usize,
     dx: &mut [f32],
     dh_prev: &mut [f32],
     dc_prev: &mut [f32],
@@ -894,7 +989,11 @@ pub fn lstm_step_grad(
     if let Some(db) = &db {
         assert_eq!(db.len(), 4 * hidden, "lstm_step_grad db shape mismatch");
     }
-    assert_eq!(dx.len(), input, "lstm_step_grad dx shape mismatch");
+    assert!(
+        dx_start + dx.len() <= input,
+        "lstm_step_grad dx window out of range"
+    );
+    let dx_columns = dx_start..dx_start + dx.len();
     assert_eq!(
         dh_prev.len(),
         hidden,
@@ -930,7 +1029,7 @@ pub fn lstm_step_grad(
         if fused {
             let rows: [&[f32]; 4] =
                 std::array::from_fn(|gate| &w[(gate * hidden + k) * width..][..width]);
-            add_rows4(dx, rows.map(|row| &row[..input]), d_pre);
+            add_rows4(dx, rows.map(|row| &row[dx_columns.clone()]), d_pre);
             add_rows4(dh_prev, rows.map(|row| &row[input..]), d_pre);
         }
         for (gate, d_pre_gate) in d_pre.iter().enumerate() {
@@ -956,7 +1055,7 @@ pub fn lstm_step_grad(
             if fused {
                 continue;
             }
-            for (dst, wj) in dx.iter_mut().zip(&row[..input]) {
+            for (dst, wj) in dx.iter_mut().zip(&row[dx_columns.clone()]) {
                 *dst += d * wj;
             }
             for (dst, wj) in dh_prev.iter_mut().zip(&row[input..]) {
@@ -1216,6 +1315,7 @@ mod tests {
                 input,
                 weights.then_some(&mut dw[..]),
                 weights.then_some(&mut db[..]),
+                0,
                 &mut dx,
                 &mut dh,
                 &mut dc,
@@ -1230,23 +1330,6 @@ mod tests {
         assert!(dx.iter().chain(&dh).all(|v| f32::from_bits(*v).is_finite()));
         assert_eq!(dw[0], 0.0, "the zero-gradient gate row is skipped");
     }
-
-    /// [`lstm_step_grad`]'s signature.
-    type LstmGradKernel = fn(
-        &[f32],
-        &[f32],
-        &[f32],
-        &[f32],
-        &[f32],
-        &[f32],
-        usize,
-        usize,
-        Option<&mut [f32]>,
-        Option<&mut [f32]>,
-        &mut [f32],
-        &mut [f32],
-        &mut [f32],
-    );
 
     /// [`lstm_step_grad`] as it was before the fused pass: each gate row in
     /// turn, with every zero-gradient row skipped.
@@ -1352,13 +1435,45 @@ mod tests {
                 }
             }
             for weights in [true, false] {
-                let run = |kernel: LstmGradKernel| {
-                    // Non-zero starting values, so accumulation order shows.
-                    let mut dw = finite(w.len(), 7);
-                    let mut db = finite(4 * hidden, 8);
-                    let (mut dx, mut dh, mut dc) =
-                        (finite(input, 9), finite(hidden, 10), finite(hidden, 11));
-                    kernel(
+                // Non-zero starting values, so accumulation order shows.
+                let start = || {
+                    let (dw, db) = (finite(w.len(), 7), finite(4 * hidden, 8));
+                    (
+                        dw,
+                        db,
+                        finite(input, 9),
+                        finite(hidden, 10),
+                        finite(hidden, 11),
+                    )
+                };
+                let (mut dw, mut db, mut dx, mut dh, mut dc) = start();
+                lstm_step_grad_per_row(
+                    &w,
+                    &x,
+                    &h_prev,
+                    &c_prev,
+                    &packed,
+                    &g_packed,
+                    hidden,
+                    input,
+                    weights.then_some(&mut dw[..]),
+                    weights.then_some(&mut db[..]),
+                    &mut dx,
+                    &mut dh,
+                    &mut dc,
+                );
+                let reference = [bits(&dw), bits(&db), bits(&dx), bits(&dh), bits(&dc)];
+                assert!(reference[2..]
+                    .iter()
+                    .flatten()
+                    .all(|v| f32::from_bits(*v).is_finite()));
+                // The full input window, and windows that skip leading,
+                // trailing or all columns: each covered column of `dx` gets
+                // the reference's bits.
+                for window in [0..input, 4..input, 0..5, 3..11, 6..6] {
+                    let (mut dw, mut db, dx_full, mut dh, mut dc) = start();
+                    let mut dx = dx_full[window.clone()].to_vec();
+                    lstm_step_grad(
                         &w,
                         &x,
                         &h_prev,
@@ -1369,18 +1484,21 @@ mod tests {
                         input,
                         weights.then_some(&mut dw[..]),
                         weights.then_some(&mut db[..]),
+                        window.start,
                         &mut dx,
                         &mut dh,
                         &mut dc,
                     );
-                    [bits(&dw), bits(&db), bits(&dx), bits(&dh), bits(&dc)]
-                };
-                let fused = run(lstm_step_grad);
-                assert_eq!(fused, run(lstm_step_grad_per_row), "seed {seed}");
-                assert!(fused[2..]
-                    .iter()
-                    .flatten()
-                    .all(|v| f32::from_bits(*v).is_finite()));
+                    let fused = [bits(&dw), bits(&db), bits(&dx), bits(&dh), bits(&dc)];
+                    let expected = [
+                        reference[0].clone(),
+                        reference[1].clone(),
+                        reference[2][window.clone()].to_vec(),
+                        reference[3].clone(),
+                        reference[4].clone(),
+                    ];
+                    assert_eq!(fused, expected, "seed {seed}, window {window:?}");
+                }
             }
         }
     }
@@ -1642,6 +1760,46 @@ mod tests {
                     lstm_step_per_unit(&w, &b, &x, &h_prev, &c_prev, hidden, input, &mut per_unit);
                     for (at, (a, r)) in two_pass.iter().zip(&per_unit).enumerate() {
                         assert!(same(*a, *r), "hidden {hidden}, input {input}, slot {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lstm_step_projected_is_bit_equal_to_lstm_step() {
+        let draws: [fn(usize, u32) -> Vec<f32>; 2] = [mixed_values, finite_values];
+        for values in draws {
+            for hidden in [1, 2, 3, 4, 5, 7, 8, 13, 64] {
+                for input in [32, 81] {
+                    let salt = (hidden * 1000 + input) as u32;
+                    // Weights scaled up so gates saturate.
+                    let w: Vec<f32> = values(4 * hidden * (input + hidden), salt)
+                        .iter()
+                        .map(|v| v * 8.0)
+                        .collect();
+                    let b = values(4 * hidden, salt + 1);
+                    let x = values(input, salt + 2);
+                    let h_prev = values(hidden, salt + 3);
+                    let c_prev = values(hidden, salt + 4);
+                    let mut direct = vec![0.0; lstm_packed_len(hidden)];
+                    lstm_step(&w, &b, &x, &h_prev, &c_prev, hidden, input, &mut direct);
+                    let mut projection = vec![0.0; 4 * hidden];
+                    lstm_input_projection(&w, &x, hidden, input, &mut projection);
+                    // Stale values in `out` must not leak into the step.
+                    let mut projected = values(lstm_packed_len(hidden), salt + 5);
+                    lstm_step_projected(
+                        &w,
+                        &b,
+                        &projection,
+                        &h_prev,
+                        &c_prev,
+                        hidden,
+                        input,
+                        &mut projected,
+                    );
+                    for (at, (p, d)) in projected.iter().zip(&direct).enumerate() {
+                        assert!(same(*p, *d), "hidden {hidden}, input {input}, slot {at}");
                     }
                 }
             }

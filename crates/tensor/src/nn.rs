@@ -323,25 +323,83 @@ impl StackedLstm {
     /// state after a sequence holds the bits [`StackedLstmBinding::run`]
     /// computes on a tape; the top layer's `h` is the summary it returns.
     pub fn step_plain(&self, params: &Params, x: &[f32], state: &mut [f32], packed: &mut [f32]) {
+        let input = self.cells[0].input_dim;
+        self.step_layers(
+            params,
+            state,
+            packed,
+            |w, b, h_prev, c_prev, hidden, out| {
+                kernels::lstm_step(w, b, x, h_prev, c_prev, hidden, input, out);
+            },
+        );
+    }
+
+    /// Length of the bottom layer's input projection
+    /// ([`Self::project_input`]): one value per gate row.
+    pub fn projection_len(&self) -> usize {
+        4 * self.hidden_dim()
+    }
+
+    /// The bottom layer's input projection of `x`
+    /// ([`kernels::lstm_input_projection`]) into `out`, of
+    /// [`Self::projection_len`] elements. It depends only on the weights and
+    /// `x`, so a caller stepping one input many times under frozen weights
+    /// may compute it once and step through [`Self::step_plain_projected`].
+    pub fn project_input(&self, params: &Params, x: &[f32], out: &mut [f32]) {
+        let cell = &self.cells[0];
+        kernels::lstm_input_projection(
+            params.get(cell.w).data(),
+            x,
+            cell.hidden_dim,
+            cell.input_dim,
+            out,
+        );
+    }
+
+    /// [`Self::step_plain`] from the bottom layer's input projection
+    /// ([`Self::project_input`]) instead of the input itself, with the same
+    /// bits.
+    pub fn step_plain_projected(
+        &self,
+        params: &Params,
+        projected: &[f32],
+        state: &mut [f32],
+        packed: &mut [f32],
+    ) {
+        let input = self.cells[0].input_dim;
+        self.step_layers(
+            params,
+            state,
+            packed,
+            |w, b, h_prev, c_prev, hidden, out| {
+                kernels::lstm_step_projected(w, b, projected, h_prev, c_prev, hidden, input, out);
+            },
+        );
+    }
+
+    /// One plain timestep: `bottom` steps layer 0 from its weights, bias,
+    /// `(h, c)` and hidden size into the packed scratch, and every layer
+    /// above steps [`kernels::lstm_step`] on the `h` below it.
+    fn step_layers(
+        &self,
+        params: &Params,
+        state: &mut [f32],
+        packed: &mut [f32],
+        bottom: impl FnOnce(&[f32], &[f32], &[f32], &[f32], usize, &mut [f32]),
+    ) {
         let hidden = self.hidden_dim();
         assert_eq!(state.len(), self.state_len(), "stacked LSTM state length");
-        for (layer, cell) in self.cells.iter().enumerate() {
+        let weights = |cell: &LstmCell| (params.get(cell.w).data(), params.get(cell.b).data());
+        let (w, b) = weights(&self.cells[0]);
+        let (h_prev, c_prev) = state[..2 * hidden].split_at(hidden);
+        bottom(w, b, h_prev, c_prev, hidden, packed);
+        state[..2 * hidden].copy_from_slice(&packed[..2 * hidden]);
+        for (layer, cell) in self.cells.iter().enumerate().skip(1) {
             let (below, rest) = state.split_at_mut(2 * hidden * layer);
-            let input = match layer {
-                0 => x,
-                _ => &below[2 * hidden * (layer - 1)..][..hidden],
-            };
+            let x = &below[2 * hidden * (layer - 1)..][..hidden];
             let (h_prev, c_prev) = rest[..2 * hidden].split_at(hidden);
-            kernels::lstm_step(
-                params.get(cell.w).data(),
-                params.get(cell.b).data(),
-                input,
-                h_prev,
-                c_prev,
-                hidden,
-                input.len(),
-                packed,
-            );
+            let (w, b) = weights(cell);
+            kernels::lstm_step(w, b, x, h_prev, c_prev, hidden, hidden, packed);
             rest[..2 * hidden].copy_from_slice(&packed[..2 * hidden]);
         }
     }
@@ -632,6 +690,15 @@ mod tests {
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&state[10..15]), bits(g.value(summary)));
+
+        // Stepping from each input's projection gives the same state.
+        let mut projected_state = vec![0.0; stack.state_len()];
+        let mut projection = vec![0.0; stack.projection_len()];
+        for x in &inputs {
+            stack.project_input(&params, x, &mut projection);
+            stack.step_plain_projected(&params, &projection, &mut projected_state, &mut packed);
+        }
+        assert_eq!(bits(&projected_state), bits(&state));
     }
 
     #[test]
